@@ -1,6 +1,6 @@
 """Compiled-tier throughput gate: the full 24 h comparison at dt=10.
 
-The ISSUE 6 acceptance target: the fused-kernel + LUT engine must
+The compiled tier's acceptance target: the fused lane kernel + LUT engine must
 sustain **>= 215 000 quasi-static steps per second** on the canonical
 E8 workload (9 techniques x 3 scenarios x 8 640 steps = 233 280 steps),
 measured *warm* — i.e. with the per-scenario program cache populated.
@@ -15,8 +15,8 @@ answer different questions:
   horizon) tuple.
 * ``compiled_comparison_24h_dt10`` — the steady-state figure the
   215 k floor applies to, and the one the ledger-relative regression
-  gate (same rules as bench_perf_smoke: fail under 50 % of the last
-  same-host entry) tracks across PRs.
+  check (same rules as bench_perf_smoke: fail under 50 % of the
+  same-host median) tracks across PRs.
 
 Folding the two into one number would let a JIT/cache regression hide
 inside warm throughput headroom, or a kernel regression hide behind a
@@ -26,12 +26,7 @@ faster build.
 from repro.env.profiles import HOURS
 from repro.experiments import comparison
 from repro.sim.compiled import HAVE_NUMBA, clear_program_cache
-from repro.sim.telemetry import (
-    check_throughput_regression,
-    latest,
-    measure,
-    record_perf,
-)
+from repro.sim.telemetry import latest, measure, record_perf
 
 DURATION = 24.0 * HOURS
 DT = 10.0
@@ -43,14 +38,12 @@ STEPS = 9 * 3 * int(DURATION / DT)  # 233 280
 # steps/s warm is a genuine regression, not timing noise.
 COMPILED_STEPS_PER_S_FLOOR = 215_000.0
 
-REGRESSION_FLOOR_FRACTION = 0.5
-
 
 def _run():
     return comparison.run_comparison(duration=DURATION, dt=DT, engine="compiled")
 
 
-def test_compiled_comparison_throughput(benchmark, save_result):
+def test_compiled_comparison_throughput(benchmark, save_result, assert_not_regressed):
     backend = "numba-jitted" if HAVE_NUMBA else "interpreted fallback"
 
     def timed_run():
@@ -65,17 +58,14 @@ def test_compiled_comparison_throughput(benchmark, save_result):
         # Warm: the cache hit path — pure kernel throughput.
         with measure("compiled_comparison_24h_dt10", steps=STEPS) as warm:
             results = _run()
-        regression = check_throughput_regression(
-            warm, floor_fraction=REGRESSION_FLOOR_FRACTION
-        )
         record_perf(warm, note=f"warm kernels ({backend})")
-        return cold_results, results, cold, warm, regression
+        return cold_results, results, cold, warm
 
-    cold_results, results, cold, warm, regression = benchmark.pedantic(
+    cold_results, results, cold, warm = benchmark.pedantic(
         timed_run, rounds=1, iterations=1
     )
 
-    assert regression is None, regression
+    assert_not_regressed("compiled_comparison_24h_dt10")
     assert len(cold_results) == len(results) == 27
     assert all(r.summary.duration == DURATION for r in results)
     # Same cache state or not, the physics must not move a bit.

@@ -15,11 +15,11 @@ noise), and the enabled measurement lands in the ledger with its
 counters attached so the trajectory records *why* throughput moved.
 
 On top of the static floor, each run is checked against the *ledger*:
-if throughput drops below 50 % of the last entry recorded for the same
-experiment key on the same host fingerprint, the smoke test fails
-before the regressed figure is appended.  Entries from other machines
-(or from before fingerprints existed) are skipped, so the gate never
-trips on a fresh runner.
+after the figure is appended, :func:`repro.obs.benchreport.analyze_ledger`
+fails the smoke test if throughput fell below 50 % of the median of the
+earlier entries for the same experiment key on the same host
+fingerprint.  Entries from other machines (or from before fingerprints
+existed) are skipped, so the gate never trips on a fresh runner.
 """
 
 import time
@@ -28,24 +28,15 @@ import repro.obs as obs
 from repro.env.profiles import HOURS
 from repro.experiments import comparison
 from repro.obs import export
-from repro.sim.telemetry import (
-    check_throughput_regression,
-    latest,
-    measure,
-    record_perf,
-)
+from repro.sim.telemetry import latest, measure, record_perf
 
 # The seed engine managed ~2 100 steps/s on the reference container; the
 # precompute+batch path exceeds 20 000.  The floor splits the difference
 # with generous headroom for slower CI machines.
 STEPS_PER_S_FLOOR = 4000.0
 
-# Ledger gate: fail when throughput halves relative to the last entry
-# recorded for the same experiment key on this host.
-REGRESSION_FLOOR_FRACTION = 0.5
 
-
-def test_perf_smoke(benchmark, save_result):
+def test_perf_smoke(benchmark, save_result, assert_not_regressed):
     duration = 1.0 * HOURS
     dt = 10.0
     steps = 9 * 3 * int(duration / dt)
@@ -53,15 +44,12 @@ def test_perf_smoke(benchmark, save_result):
     def timed_run():
         with measure("perf_smoke_1h_dt10", steps=steps) as perf:
             results = comparison.run_comparison(duration=duration, dt=dt)
-        regression = check_throughput_regression(
-            perf, floor_fraction=REGRESSION_FLOOR_FRACTION
-        )
         record_perf(perf, note="bench_perf_smoke")
-        return results, perf, regression
+        return results, perf
 
-    results, perf, regression = benchmark.pedantic(timed_run, rounds=1, iterations=1)
+    results, perf = benchmark.pedantic(timed_run, rounds=1, iterations=1)
 
-    assert regression is None, regression
+    assert_not_regressed("perf_smoke_1h_dt10")
 
     assert len(results) == 27
     assert all(r.summary.duration == duration for r in results)
@@ -80,8 +68,8 @@ def test_perf_smoke(benchmark, save_result):
     )
 
 
-# Compiled-tier smoke: the same one-hour slice through the fused-kernel
-# + LUT engine.  The cold pass (program build: precompute, LUT fit and
+# Compiled-tier smoke: the same one-hour slice through the fused lane
+# kernel + LUT engine.  The cold pass (program build: precompute, LUT fit and
 # validation, lane compilation, JIT when numba is present) is recorded
 # under its own ledger key and never floor-gated; the warm pass must
 # clear a floor an order of magnitude above the scalar gate.  The full
@@ -90,7 +78,7 @@ def test_perf_smoke(benchmark, save_result):
 COMPILED_SMOKE_FLOOR = 50_000.0
 
 
-def test_perf_smoke_compiled(save_result):
+def test_perf_smoke_compiled(save_result, assert_not_regressed):
     from repro.sim.compiled import HAVE_NUMBA, clear_program_cache
 
     duration = 1.0 * HOURS
@@ -109,11 +97,8 @@ def test_perf_smoke_compiled(save_result):
         results = comparison.run_comparison(
             duration=duration, dt=dt, engine="compiled"
         )
-    regression = check_throughput_regression(
-        warm, floor_fraction=REGRESSION_FLOOR_FRACTION
-    )
     record_perf(warm, note=f"warm kernels ({backend})")
-    assert regression is None, regression
+    assert_not_regressed("perf_smoke_compiled_1h_dt10")
 
     assert len(cold_results) == len(results) == 27
     for a, b in zip(cold_results, results):
@@ -147,7 +132,7 @@ def _one_run(duration: float, dt: float) -> float:
     return time.perf_counter() - t0
 
 
-def test_obs_overhead(save_result):
+def test_obs_overhead(save_result, assert_not_regressed):
     duration = 1.0 * HOURS
     dt = 10.0
     steps = 9 * 3 * int(duration / dt)
@@ -175,11 +160,8 @@ def test_obs_overhead(save_result):
     with measure("perf_smoke_obs_1h_dt10", steps=steps) as perf:
         pass
     perf.wall_s = enabled_s
-    regression = check_throughput_regression(
-        perf, floor_fraction=REGRESSION_FLOOR_FRACTION
-    )
     record_perf(perf, note="obs enabled (min of rounds)", counters=counters)
-    assert regression is None, regression
+    assert_not_regressed("perf_smoke_obs_1h_dt10")
 
     assert counters.get("solver.lambertw_calls", 0) > 0
     ratio = enabled_s / disabled_s

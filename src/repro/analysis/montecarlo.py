@@ -26,7 +26,7 @@ from repro.core.sample_hold import SampleHoldCircuit
 from repro.errors import ModelParameterError
 from repro.obs import journal
 from repro.pv.cells import PVCell, am_1815
-from repro.sim.engines import resolve_engine
+from repro.sim.engines import EXPERIMENT_ENGINES, resolve_engine
 from repro.sim.parallel import parallel_map, scatter
 
 
@@ -277,7 +277,9 @@ def run_sample_hold_montecarlo(
     """
     if boards < 1:
         raise ModelParameterError(f"boards must be >= 1, got {boards!r}")
-    engine = resolve_engine(engine, context="sample-hold montecarlo")
+    engine = resolve_engine(
+        engine, EXPERIMENT_ENGINES["montecarlo"], context="sample-hold montecarlo"
+    )
     use_fleet = engine in ("fleet", "compiled")
     cell = cell if cell is not None else am_1815()
     if factors is not None:

@@ -13,7 +13,7 @@ Usage::
     python -m repro sec2b
     python -m repro comparison [--hours 24]   # E8 (slow)
     python -m repro resilience [--seed 0]     # E16 fault-injection (slow)
-    python -m repro strings [--engine fleet]  # E18 shaded-string fleets (slow)
+    python -m repro strings [--engine compiled]  # E18 shaded strings (slow)
     python -m repro endurance                 # E12 (slow)
     python -m repro endurance --checkpoint ck.json          # crash-safe run
     python -m repro endurance --resume ck.json              # pick it back up
@@ -404,6 +404,8 @@ COMMANDS: Dict[str, Callable] = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
+    from repro.sim.engines import engine_choices
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate artefacts from Weddell et al., DATE 2011.",
@@ -420,10 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--lux", type=float, default=1000.0 if name == "fig4" else 200.0)
         if name == "comparison":
             p.add_argument("--hours", type=float, default=24.0)
-            p.add_argument("--engine", choices=("scalar", "fleet", "compiled", "auto"),
+            p.add_argument("--engine", choices=engine_choices(name),
                            default="scalar",
-                           help="engine tier: scalar reference (default), vectorized "
-                           "fleet, fused+LUT compiled, or auto (fastest)")
+                           help="engine tier: scalar reference (default), "
+                           "LUT-backed compiled, or auto (fastest)")
             p.add_argument("--shading", default=None, metavar="SPEC",
                            help="shadow-map spec for string cells, e.g. "
                            "'edge-sweep' or 'blob:seed=3' or "
@@ -432,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--hours", type=float, default=24.0)
             p.add_argument("--dt", type=float, default=60.0)
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--engine", choices=("scalar", "fleet", "compiled", "auto"),
+            p.add_argument("--engine", choices=engine_choices(name),
                            default="scalar",
                            help="engine tier for every E18 harvest run")
         if name == "resilience":
@@ -448,10 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--checkpoint-every", type=float, default=None,
                            help="simulated seconds between checkpoint writes")
         if name in ("resilience", "montecarlo"):
-            p.add_argument("--engine", choices=("fleet", "scalar", "compiled", "auto"),
+            p.add_argument("--engine", choices=engine_choices(name),
                            default="fleet",
                            help="vectorized fleet engine (default), scalar walk, "
-                           "fused+LUT compiled tier, or auto (fastest)")
+                           "LUT-backed compiled tier, or auto (fastest)")
         if name in ("endurance", "resilience", "montecarlo"):
             p.add_argument("--checkpoint", default=None, metavar="PATH",
                            help="write crash-safe progress checkpoints to PATH")

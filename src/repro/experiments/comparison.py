@@ -44,7 +44,7 @@ from repro.env.profiles import HOURS
 from repro.env.scenarios import office_desk_24h, outdoor_day, semi_mobile_24h
 from repro.pv.cells import PVCell, am_1815
 from repro.pv.thermal import CellThermalModel
-from repro.sim.engines import resolve_engine
+from repro.sim.engines import EXPERIMENT_ENGINES, resolve_engine
 from repro.sim.parallel import parallel_map
 from repro.sim.precompute import precompute_conditions
 from repro.sim.quasistatic import HarvestSummary, QuasiStaticSimulator
@@ -231,10 +231,7 @@ def _run_scenario(spec: _ScenarioSpec) -> List[ComparisonCell]:
     :class:`QuasiStaticSimulator`; ``compiled`` fuses each lane into
     :func:`repro.sim.compiled.run_comparison_scenario`'s kernel (lanes
     the compiled tier declines fall back to the scalar engine over the
-    same precomputed conditions); ``fleet`` batches the S&H platform
-    lanes through :class:`~repro.sim.fleet.FleetSimulator` and runs the
-    rest scalar.  The non-scalar tiers always precompute conditions —
-    their shared tables are built from them.
+    same precomputed conditions, which the compiled tier always builds).
     """
     cell = spec.cell
     controller_factories = default_controllers(cell)
@@ -244,7 +241,7 @@ def _run_scenario(spec: _ScenarioSpec) -> List[ComparisonCell]:
         return _run_scenario_compiled(spec, cell, controller_factories, scenario_factory)
 
     precomputed = None
-    if spec.precompute or spec.engine == "fleet":
+    if spec.precompute:
         thermal = (
             CellThermalModel(area_cm2=_cell_area_cm2(cell)) if spec.use_thermal else None
         )
@@ -256,9 +253,6 @@ def _run_scenario(spec: _ScenarioSpec) -> List[ComparisonCell]:
             thermal=thermal,
             shading=_build_shading(spec),
         )
-
-    if spec.engine == "fleet":
-        return _run_scenario_fleet(spec, cell, controller_factories, scenario_factory, precomputed)
 
     results: List[ComparisonCell] = []
     with TRACER.span(f"scenario:{spec.scenario}"):
@@ -308,42 +302,6 @@ def _run_scenario_compiled(spec, cell, controller_factories, scenario_factory):
     return results
 
 
-def _run_scenario_fleet(spec, cell, controller_factories, scenario_factory, precomputed):
-    """Fleet tier: S&H lanes batched through the array engine, rest scalar."""
-    from repro.sim.fleet import FleetMember, FleetSimulator, fleet_supported
-
-    results: dict = {}
-    fleet_lanes = []
-    with TRACER.span(f"scenario:{spec.scenario}"):
-        for technique_name in spec.techniques:
-            controller = controller_factories[technique_name]()
-            converter = BuckBoostConverter()
-            storage = _fresh_storage(spec)
-            if fleet_supported(controller, converter, storage, None):
-                fleet_lanes.append((technique_name, controller, converter, storage))
-            else:
-                results[technique_name] = _run_scalar_lane(
-                    spec, cell, scenario_factory, technique_name, controller, precomputed
-                )
-        if fleet_lanes:
-            members = [
-                FleetMember(
-                    controller=c,
-                    precomputed=precomputed,
-                    converter=cv,
-                    storage=st,
-                    supply_voltage=3.0,
-                )
-                for (_, c, cv, st) in fleet_lanes
-            ]
-            for (name, *_), summary in zip(fleet_lanes, FleetSimulator(members).run()):
-                results[name] = summary
-    return [
-        ComparisonCell(technique=name, scenario=spec.scenario, summary=results[name])
-        for name in spec.techniques
-    ]
-
-
 def run_comparison(
     cell: PVCell | None = None,
     duration: float = 24.0 * HOURS,
@@ -379,15 +337,14 @@ def run_comparison(
             serial path and come back in the same order.
         max_workers: pool size when ``parallel`` (None: one per CPU).
         engine: ``"scalar"`` (the bitwise reference — golden traces
-            encode its bits), ``"fleet"`` (S&H lanes batched through the
-            array engine, rest scalar), ``"compiled"`` (fused kernels
-            over a validated power LUT — fastest, matches scalar within
-            the table's declared error budget), or ``"auto"``.
+            encode its bits), ``"compiled"`` (fused lane kernels over a
+            validated power LUT — fastest, matches scalar within the
+            table's declared error budget), or ``"auto"``.
         shading: optional :data:`~repro.env.shading.SHADOW_MAPS` name
             driving per-cell factors; requires ``cell`` to be a
             :class:`~repro.pv.string.CellString`.
     """
-    engine = resolve_engine(engine, context="comparison")
+    engine = resolve_engine(engine, EXPERIMENT_ENGINES["comparison"], context="comparison")
     cell = cell if cell is not None else am_1815()
     controller_factories = default_controllers(cell)
     scenario_factories = default_scenarios()

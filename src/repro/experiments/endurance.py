@@ -28,7 +28,7 @@ from repro.node.scheduler import EnergyAwareScheduler
 from repro.obs import journal
 from repro.node.sensor_node import SensorNode
 from repro.pv.cells import PVCell, am_1815
-from repro.sim.engines import resolve_engine
+from repro.sim.engines import EXPERIMENT_ENGINES, resolve_engine
 from repro.sim.parallel import parallel_map
 from repro.sim.precompute import precompute_conditions
 from repro.sim.quasistatic import QuasiStaticSimulator
@@ -459,7 +459,8 @@ def run_week_ensemble(
     advances every seed in lockstep through one vectorized
     :class:`~repro.sim.fleet.FleetSimulator` (the seeds become a NumPy
     population axis); ``engine="compiled"`` (and ``"auto"``) does the
-    same through the LUT-accelerated fused kernel;
+    same through the LUT-backed
+    :class:`~repro.sim.compiled.CompiledFleetSimulator`;
     ``engine="scalar"`` fans one scalar week per seed
     over the process pool (:func:`repro.sim.parallel.parallel_map`).
     Results come back in seed order either way; fleet agrees with
@@ -473,7 +474,9 @@ def run_week_ensemble(
     seed order.  ``precompute`` affects only the scalar engine — the
     fleet always consumes a precomputed condition trace.
     """
-    engine = resolve_engine(engine, context="endurance ensemble")
+    engine = resolve_engine(
+        engine, EXPERIMENT_ENGINES["endurance"], context="endurance ensemble"
+    )
     ensemble_spec = {
         "experiment": "endurance-ensemble",
         "storage_farads": storage_farads,

@@ -52,7 +52,7 @@ from repro.faults.schedule import FaultSchedule
 from repro.obs import journal
 from repro.pv.cells import PVCell, am_1815
 from repro.pv.thermal import CellThermalModel
-from repro.sim.engines import fleet_class, resolve_engine
+from repro.sim.engines import EXPERIMENT_ENGINES, fleet_class, resolve_engine
 from repro.sim.fleet import FleetMember, FleetSimulator, fleet_supported
 from repro.sim.parallel import parallel_map
 from repro.sim.precompute import precompute_conditions
@@ -644,7 +644,7 @@ def run_resilience(
             :class:`~repro.pv.string.CellString`) — "does the technique
             survive faults *and* partial shading at once".
     """
-    engine = resolve_engine(engine, context="resilience")
+    engine = resolve_engine(engine, EXPERIMENT_ENGINES["resilience"], context="resilience")
     cell = cell if cell is not None else am_1815()
     selected_techniques = (
         list(techniques) if techniques is not None else list(default_controllers(cell))

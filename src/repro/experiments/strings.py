@@ -14,15 +14,15 @@ string-era questions:
   distinct irradiance group).
 * **Does S&H FOCV survive mismatch?**  The full technique comparison
   runs on a shaded string — indoor edge-sweep and outdoor blob
-  occlusion — on any engine tier.
+  occlusion — on the scalar or compiled tier.
 * **Where do hill-climbing and fixed-voltage cross over?**  A parked
   shadow edge of sweeping depth: shallow shade leaves one knee and
   rewards perturb-and-observe; deep shade splits the curve and a local
   tracker parks on the wrong hill, while FOCV's fractional-Voc point
   degrades gracefully.
 
-All three engine tiers run the same specs; scalar and fleet agree
-bitwise, the compiled tier within its LUT's declared budget.
+The scalar and compiled tiers run the same specs; compiled agrees
+with scalar within its LUT's declared budget.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from repro.obs import journal
 from repro.obs.tracing import TRACER
 from repro.pv.cells import am_1815
 from repro.pv.string import CellString
+from repro.sim.engines import EXPERIMENT_ENGINES, resolve_engine
 
 DEFAULT_MISMATCH_4S = (1.0, 0.92, 1.04, 0.88)
 """Static per-cell mismatch of the default 4s string (manufacturing
@@ -198,14 +199,15 @@ def run_strings(
         cell: the string under test (default: 4s AM-1815 with a few
             percent static mismatch).
         duration / dt: per-run horizon and quasi-static step, seconds.
-        engine: ``"scalar"`` | ``"fleet"`` | ``"compiled"`` | ``"auto"``
-            — every harvest run goes through this tier.
+        engine: ``"scalar"`` | ``"compiled"`` | ``"auto"`` — every
+            harvest run goes through this tier.
         techniques: subset for the scenario comparisons (default: the
             oracle plus the contrasted trio).
         depths: parked-edge depths for the crossover sweep.
         census_samples: conditions sampled for the knee census.
         seed: blob-occlusion seed (census and outdoor comparison).
     """
+    engine = resolve_engine(engine, EXPERIMENT_ENGINES["strings"], context="strings")
     cell = cell if cell is not None else CellString(am_1815(), 4, mismatch=DEFAULT_MISMATCH_4S)
     if getattr(cell, "n_cells", None) is None:
         raise ModelParameterError("run_strings needs a CellString")

@@ -8,9 +8,11 @@ report`` groups each experiment's entries by
 median throughput, and flags any experiment whose newest same-host
 entry fell below ``threshold × median``.  Cross-host and
 pre-fingerprint entries are *ignored*, never compared: throughput on an
-unknown machine says nothing about throughput here (the same contract
-as :func:`~repro.sim.telemetry.latest_comparable`).
+unknown machine says nothing about throughput here.
 
+This is the repo's one throughput-regression checker: the perf-smoke
+and compiled-throughput benches call :func:`analyze_ledger` right after
+recording and fail when their own experiment's trend is ``regressed``.
 The report renders as markdown (for humans and CI step summaries) or
 JSON (for dashboards), and CI uploads it as an artifact next to the
 perf-smoke gates.

@@ -284,10 +284,8 @@ class Hooks:
       and the section-narrowing iterations they took.
     * ``batch_solves`` / ``batch_conditions`` — vectorized solve passes
       and the conditions they covered (:mod:`repro.pv.batch`).
-    * ``cache_hits`` / ``cache_misses`` / ``cache_evictions`` —
-      :class:`repro.pv.cache.SolveCache` traffic.
-    * ``cache_quantized`` — :class:`~repro.pv.cache.CachedPVCell`
-      lookups answered through a quantized (snapped-condition) key.
+    * ``cache_hits`` / ``cache_misses`` — the quasi-static engine's
+      quantised ideal-MPP memo (:mod:`repro.sim.quasistatic`).
     * ``scheduler_clamps`` — report periods clamped at the min/max
       bound (:mod:`repro.node.scheduler`).
     * ``fault_activations`` — fault-window queries that found a window
@@ -330,8 +328,6 @@ class Hooks:
         "batch_conditions",
         "cache_hits",
         "cache_misses",
-        "cache_evictions",
-        "cache_quantized",
         "scheduler_clamps",
         "fault_activations",
         "converter_gated",
@@ -374,13 +370,8 @@ _HOOK_INSTRUMENTS = {
     "mpp_iters": ("solver.mpp_iterations", "golden-section narrowing iterations"),
     "batch_solves": ("solver.batch_solves", "vectorized batch solve passes"),
     "batch_conditions": ("solver.batch_conditions", "conditions covered by batch solves"),
-    "cache_hits": ("pv.cache.hits", "PV solve-cache lookups answered from cache"),
-    "cache_misses": ("pv.cache.misses", "PV solve-cache lookups that had to solve"),
-    "cache_evictions": ("pv.cache.evictions", "PV solve-cache LRU evictions"),
-    "cache_quantized": (
-        "pv.cache.quantized_lookups",
-        "cached-cell lookups answered through a quantized (snapped) condition key",
-    ),
+    "cache_hits": ("pv.cache.hits", "ideal-MPP memo lookups answered from cache"),
+    "cache_misses": ("pv.cache.misses", "ideal-MPP memo lookups that had to solve"),
     "scheduler_clamps": (
         "node.scheduler_clamps",
         "report periods clamped at the min/max period bound",

@@ -15,8 +15,8 @@ bypass-diode-equipped strings whose multi-knee curves drop into every
 engine tier as a cell replacement.
 
 Performance layers: :mod:`repro.pv.batch` solves many conditions'
-Voc/Isc/MPP in one vectorized Lambert-W pass, and :mod:`repro.pv.cache`
-wraps a cell in a condition-keyed solve cache.
+Voc/Isc/MPP in one vectorized Lambert-W pass, and :mod:`repro.pv.lut`
+tabulates P(V) per condition for the compiled tier.
 """
 
 from repro.pv.single_diode import SingleDiodeModel, MPPResult
@@ -28,7 +28,6 @@ from repro.pv.teg import ThermoelectricGenerator
 from repro.pv.fitting import FitTarget, FitResult, fit_cell_parameters, am_1815_targets
 from repro.pv.string import CellString, StringModel, StringMPPResult, solve_string_models
 from repro.pv.batch import BatchSolveResult, batch_mpp, solve_models
-from repro.pv.cache import CachedPVCell, CacheStats, SolveCache, cached_cell
 
 __all__ = [
     "SingleDiodeModel",
@@ -60,8 +59,4 @@ __all__ = [
     "BatchSolveResult",
     "batch_mpp",
     "solve_models",
-    "CachedPVCell",
-    "CacheStats",
-    "SolveCache",
-    "cached_cell",
 ]

@@ -13,8 +13,7 @@ Three guarantees the rest of :mod:`repro.service` builds on:
 * **Canonical specs.**  :func:`build_spec` applies defaults and
   normalizes types, so two requests that mean the same run produce the
   same ``params`` dict and hence the same :attr:`JobSpec.fingerprint` —
-  the key request coalescing and the TTL result cache share (the same
-  scheme as the condition-keyed solve cache).
+  the key request coalescing and the TTL result cache share.
 * **Deterministic runs.**  Every accepted spec is a pure function of
   its params: re-running it (after a crash, on another host) produces a
   bitwise-identical result dict.
@@ -32,6 +31,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.obs.journal import spec_fingerprint
+from repro.sim.engines import engine_choices
 from repro.validation import require_finite
 
 KINDS = ("comparison", "resilience", "montecarlo", "endurance", "strings")
@@ -41,8 +41,6 @@ CHECKPOINTABLE = ("resilience", "montecarlo", "endurance")
 """Kinds whose drivers take ``checkpoint_path``/``resume_from`` — their
 in-flight jobs survive a SIGKILL mid-run and resume bitwise; the rest
 re-run from scratch (same result, by determinism)."""
-
-ENGINES = ("scalar", "fleet", "compiled", "auto")
 
 _TECHNIQUES = (
     "ideal-oracle",
@@ -195,7 +193,7 @@ FIELDS: Dict[str, Dict[str, _Field]] = {
     "comparison": {
         "hours": _f(1e-3, 24.0 * 14, 24.0),
         "dt": _f(0.5, 3600.0, 10.0),
-        "engine": _choice(ENGINES, "auto"),
+        "engine": _choice(engine_choices("comparison"), "auto"),
         "techniques": _names(_TECHNIQUES, None),
         "scenarios": _names(_SCENARIOS, None),
         "shading": _SHADING,
@@ -204,7 +202,7 @@ FIELDS: Dict[str, Dict[str, _Field]] = {
         "hours": _f(1e-3, 24.0 * 7, 24.0),
         "dt": _f(1.0, 3600.0, 60.0),
         "seed": _i(0, 2**31 - 1, 0),
-        "engine": _choice(ENGINES, "fleet"),
+        "engine": _choice(engine_choices("resilience"), "fleet"),
         "techniques": _names(_TECHNIQUES, None),
         "scenarios": _names(_SCENARIOS, None),
         "campaigns": _names(_CAMPAIGNS, None),
@@ -215,7 +213,7 @@ FIELDS: Dict[str, Dict[str, _Field]] = {
         "boards": _i(1, 20000, 500),
         "seed": _i(0, 2**31 - 1, 20110314),
         "lux": _f(1.0, 200_000.0, 1000.0),
-        "engine": _choice(ENGINES, "fleet"),
+        "engine": _choice(engine_choices("montecarlo"), "fleet"),
     },
     "endurance": {
         "days": _i(1, 60, 7),
@@ -226,7 +224,7 @@ FIELDS: Dict[str, Dict[str, _Field]] = {
         "hours": _f(1e-3, 24.0 * 7, 24.0),
         "dt": _f(1.0, 3600.0, 60.0),
         "seed": _i(0, 2**31 - 1, 0),
-        "engine": _choice(ENGINES, "scalar"),
+        "engine": _choice(engine_choices("strings"), "scalar"),
     },
 }
 
@@ -453,7 +451,6 @@ def run_job(
 __all__ = [
     "KINDS",
     "CHECKPOINTABLE",
-    "ENGINES",
     "FIELDS",
     "JobSpec",
     "build_spec",

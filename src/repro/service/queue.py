@@ -9,8 +9,8 @@ Failure policy (the reason this module exists):
 
 * **Retry with deterministic-jitter exponential backoff.**  A failed
   attempt re-queues after ``base * 2^(attempt-1)`` seconds, jittered by
-  a hash of (spec fingerprint, attempt) exactly like
-  :func:`repro.sim.parallel._backoff_delay` — decorrelated retry storms
+  a hash of (spec fingerprint, attempt) through
+  :func:`repro.sim.parallel.backoff_delay` — decorrelated retry storms
   without a random draw, so a re-run schedules identical delays.
 * **Poison-job quarantine.**  A job that fails ``max_attempts`` times
   moves to the ``quarantined`` dead-letter state with the full final
@@ -69,6 +69,7 @@ from repro.service.jobstore import (
     JobRecord,
     JobStore,
 )
+from repro.sim import parallel
 from repro.validation import require_non_negative, require_positive
 
 
@@ -79,16 +80,8 @@ def _count(slot_name: str) -> None:
 
 
 def backoff_delay(fingerprint: str, attempt: int, base: float, cap: float) -> float:
-    """Deterministic-jitter exponential backoff, keyed by spec.
-
-    Mirrors ``repro.sim.parallel._backoff_delay``: the jitter fraction
-    is a hash of (fingerprint, attempt), not a random draw, so a replay
-    schedules identical delays.
-    """
-    index = int(fingerprint[:8], 16)
-    delay = min(cap, base * (2.0 ** (attempt - 1)))
-    jitter = ((index * 2654435761 + attempt) % 1000) / 1000.0
-    return delay * (1.0 + 0.5 * jitter)
+    """:func:`repro.sim.parallel.backoff_delay` keyed by a spec fingerprint."""
+    return parallel.backoff_delay(int(fingerprint[:8], 16), attempt, base, cap)
 
 
 class _Attempt:

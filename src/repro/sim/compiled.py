@@ -1,15 +1,11 @@
-"""Compiled engine tier: fused per-step kernels over a validated power LUT.
+"""Compiled engine tier: a fused lane kernel over a validated power LUT.
 
-The scalar engine costs one Python object-soup step per node per ``dt``;
-the fleet engine amortizes the population but still walks a Python-level
-time loop of many small NumPy ops.  This module is the third tier: the
-whole per-step chain — controller decision, converter transfer,
-supercapacitor exchange, scheduler bookkeeping — fused into one tight
+The scalar engine costs one Python object-soup step per node per ``dt``.
+This tier fuses a comparison lane's whole per-step chain — controller
+decision, converter transfer, supercapacitor exchange — into one tight
 scalar loop per run, with every transcendental solve on the hot path
 replaced by a :class:`~repro.pv.lut.CellPowerLUT` lookup that passed its
 pre-run validation gate.
-
-Two kernels:
 
 * :func:`_lane_kernel` advances one *comparison lane* (one technique in
   one scenario) through its whole horizon.  Controllers whose operating
@@ -18,21 +14,17 @@ Two kernels:
   reference) are compiled to precomputed per-step series; the
   storage-coupled ones (no-MPPT direct, hill climbing, and every
   technique's bootstrap path) run inside the kernel.
-* :func:`_fleet_kernel` advances a whole :class:`FleetSimulator`
-  population through its horizon — the same arithmetic as
-  ``FleetSimulator.step``, node-scalarized and fused.
+* :class:`CompiledFleetSimulator` is :class:`FleetSimulator` with the
+  same validated LUT in place of the per-step Lambert-W solve; it keeps
+  the fleet's NumPy step loop and checkpoint protocol.
 
-Both kernels are jitted with Numba when it imports (and
-``REPRO_DISABLE_NUMBA`` is unset); otherwise the identical Python
-bodies run interpreted.  The fallback is not a different algorithm —
-it is the same function object — so results never depend on whether
-numba is installed.  The per-lane comparison kernel is written to be
-fast *as plain Python* (flat locals, list indexing, no NumPy scalar
-boxing), which is what carries the throughput target on hosts without
-numba; the fused fleet kernel only engages when jitted (interpreting
-it would be slower than the NumPy fleet path it replaces — the
-:class:`CompiledFleetSimulator` then falls back to the array path with
-the LUT still swapped in for the Lambert-W solve).
+The lane kernel is jitted with Numba when it imports (and
+``REPRO_DISABLE_NUMBA`` is unset); otherwise the identical Python body
+runs interpreted.  The fallback is not a different algorithm — it is
+the same function object — so results never depend on whether numba is
+installed.  The kernel is written to be fast *as plain Python* (flat
+locals, list indexing, no NumPy scalar boxing), which is what carries
+the throughput target on hosts without numba.
 
 Controllers with feedback through storage or probe history (hill
 climbing) use LUT probes where the scalar engine used exact solves, so
@@ -56,13 +48,7 @@ from repro.errors import ModelParameterError, NumericalGuardError
 from repro.obs import journal as _journal
 from repro.obs.metrics import HOOKS as _OBS
 from repro.obs.tracing import TRACER
-from repro.pv.lut import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_REL_BUDGET,
-    CellPowerLUT,
-    lut_for_models,
-)
-from repro.pv.batch import stack_model_params
+from repro.pv.lut import DEFAULT_REL_BUDGET, lut_for_models
 from repro.sim.fleet import FleetMember, FleetSimulator
 from repro.sim.quasistatic import HarvestSummary
 
@@ -433,362 +419,6 @@ def _lane_kernel_py(
 
 
 _lane_kernel = _njit(cache=False)(_lane_kernel_py) if HAVE_NUMBA else _lane_kernel_py
-
-
-# --------------------------------------------------------------------------
-# The fused fleet kernel
-# --------------------------------------------------------------------------
-#
-# FleetSimulator.step, node-scalarized: the same IEEE arithmetic the
-# array path evaluates elementwise, with the LUT lookup in place of the
-# batch Lambert-W solve.  State arrays are mutated in place so a run
-# interrupted at any step boundary resumes bitwise.  Returns
-# (error_code, error_time, scheduler_clamps): 0 ok, 1 scheduler NaN,
-# 2 invalid delivered power, 3 non-finite storage voltage.
-
-
-def _fleet_kernel_py(
-    i0,
-    i1,
-    n,
-    dt,
-    times,
-    u_global,
-    voc_all,
-    lux_all,
-    ideal_all,
-    target_all,
-    lut_flat,
-    grid_points,
-    gm1,
-    kmax,
-    uniform,
-    nodes_flat,
-    alpha,
-    t_on,
-    period,
-    metrology,
-    min_vin_cfg,
-    sh_supply,
-    rtot,
-    sf,
-    kick,
-    soak,
-    droop_tau,
-    droop_bias_c,
-    u4_off,
-    u4_alive,
-    cmp_thresh,
-    cmp_off,
-    cmp_half,
-    cmp_alive,
-    supply_voltage,
-    leak_mask,
-    brown_mask,
-    open_mask,
-    short_mask,
-    leak_mult,
-    short_res,
-    has_conv,
-    conv_enabled,
-    conv_min_vin,
-    conv_fixed,
-    conv_prop,
-    conv_rcond,
-    has_store,
-    cap_c,
-    cap_rated,
-    cap_esr,
-    cap_leak,
-    has_load,
-    sleep_power,
-    report_energy,
-    upd_int,
-    v_surv,
-    v_comf,
-    min_per,
-    max_per,
-    held_a,
-    next_pulse,
-    sample_count,
-    cmp_high,
-    v_store,
-    cur_period,
-    next_update,
-    hibernating,
-    reports,
-    next_report,
-    duration,
-    e_ideal,
-    e_cell,
-    e_del,
-    e_over,
-    e_load,
-    final_v,
-):
-    clamps = 0
-    for i in range(i0, i1):
-        t = times[i]
-        t_end = t + dt
-        for j in range(n):
-            browned = brown_mask[i, j]
-            v = v_store[j]
-
-            # Storage short-mode bleed (before anything reads the rail).
-            if has_store[j] and short_mask[i, j] and v > 0.0:
-                p = v * v / short_res[j]
-                stored = 0.5 * cap_c[j] * v * v
-                if v > 1e-9:
-                    cur = p / v
-                    lossx = cur * cur * cap_esr[j]
-                    if lossx > p:
-                        lossx = p
-                else:
-                    lossx = 0.0
-                drawn = (p + lossx + cap_leak[j] * v) * dt
-                if drawn <= stored:
-                    stored = stored - drawn
-                else:
-                    stored = 0.0
-                v = math.sqrt(2.0 * stored / cap_c[j])
-                v_store[j] = v
-
-            if has_store[j]:
-                storage_v = v
-            else:
-                storage_v = supply_voltage[j]
-            supply_v = storage_v
-
-            u = u_global[i, j]
-            voc = voc_all[u]
-            target = target_all[u]
-            lux = lux_all[u]
-
-            # --- S&H pulse chain (droop / sample per astable pulse) ---
-            held = held_a[j]
-            pulse = next_pulse[j]
-            sampling = 0.0
-            cursor = t
-            while pulse < t_end:
-                pulse_at = pulse
-                if pulse_at < t:
-                    pulse_at = t
-                d = pulse_at - cursor
-                if d < 0.0:
-                    d = 0.0
-                held = held * math.exp(-d / droop_tau[j]) - droop_bias_c[j] * d
-                if held < 0.0:
-                    held = 0.0
-                new = held + (target - held) * sf[j]
-                new = new + kick[j]
-                new = new + soak[j] * (held - new)
-                if new < 0.0:
-                    new = 0.0
-                if new > sh_supply[j]:
-                    new = sh_supply[j]
-                held = new
-                sample_count[j] += 1
-                sampling += t_on[j]
-                cursor = pulse_at
-                pulse += period[j]
-            d = t_end - cursor
-            if d < 0.0:
-                d = 0.0
-            held = held * math.exp(-d / droop_tau[j]) - droop_bias_c[j] * d
-            if held < 0.0:
-                held = 0.0
-            next_pulse[j] = pulse
-
-            he = held + u4_off[j]
-            if he < 0.0:
-                he = 0.0
-            if he > sh_supply[j]:
-                he = sh_supply[j]
-            if not u4_alive[j]:
-                he = 0.0
-            duty = 1.0 - sampling / dt
-            if duty < 0.0:
-                duty = 0.0
-            oh_cur = metrology[j]
-            if sampling > 0.0:
-                oh_cur = oh_cur + (voc / rtot[j]) * sampling / dt
-
-            diff = (he - cmp_thresh[j]) + cmp_off[j]
-            if cmp_high[j]:
-                latched = not (diff < -cmp_half[j])
-            else:
-                latched = diff > cmp_half[j]
-            cmp_now = cmp_alive[j] and latched
-            cmp_high[j] = cmp_now
-            v_op = he / alpha[j]
-            valid = cmp_now and (v_op >= min_vin_cfg[j]) and (v_op < voc)
-
-            # Hold-leakage fault: extra droop after the platform's step.
-            if leak_mask[i, j]:
-                d = dt * (leak_mult[j] - 1.0)
-                held = held * math.exp(-d / droop_tau[j]) - droop_bias_c[j] * d
-                if held < 0.0:
-                    held = 0.0
-            held_a[j] = held
-
-            # --- PV power via the LUT ---------------------------------
-            pv = 0.0
-            if valid and lux > 0.0 and v_op > 0.0:
-                b_i = u * grid_points
-                if uniform:
-                    x = v_op / voc
-                    uu = 1.0 - math.sqrt(1.0 - x)
-                    f = uu * gm1
-                    k = int(f)
-                    if k > kmax:
-                        k = kmax
-                    w = f - k
-                else:
-                    klo = 0
-                    khi = grid_points - 1
-                    while khi - klo > 1:
-                        kmid = (klo + khi) >> 1
-                        if nodes_flat[b_i + kmid] <= v_op:
-                            klo = kmid
-                        else:
-                            khi = kmid
-                    k = klo
-                    n0 = nodes_flat[b_i + k]
-                    n1 = nodes_flat[b_i + k + 1]
-                    if n1 > n0:
-                        w = (v_op - n0) / (n1 - n0)
-                    else:
-                        w = 0.0
-                b = b_i + k
-                p0 = lut_flat[b]
-                pv = (p0 + (lut_flat[b + 1] - p0) * w) * duty
-
-            # --- converter transfer -----------------------------------
-            delivered = pv
-            if pv > 0.0 and has_conv[j]:
-                if conv_enabled[j] and (not browned) and v_op >= conv_min_vin[j]:
-                    i_in = pv / v_op
-                    lossw = (
-                        conv_fixed[j]
-                        + conv_prop[j] * pv
-                        + i_in * i_in * conv_rcond[j]
-                    )
-                    eta = 1.0 - lossw / pv
-                    if eta < 0.0:
-                        eta = 0.0
-                    elif eta > 1.0:
-                        eta = 1.0
-                    delivered = pv * eta
-                else:
-                    delivered = 0.0
-            if delivered < 0.0 or not math.isfinite(delivered):
-                return 2, t, clamps
-
-            overhead = oh_cur * supply_v
-
-            # --- scheduler load ---------------------------------------
-            load_p = 0.0
-            if has_load[j]:
-                if t >= next_update[j]:
-                    if storage_v != storage_v:
-                        return 1, t, clamps
-                    hib = storage_v < v_surv[j]
-                    per = min_per[j]
-                    if (not hib) and storage_v < v_comf[j]:
-                        fraction = (storage_v - v_surv[j]) / (v_comf[j] - v_surv[j])
-                        per = math.exp(
-                            math.log(max_per[j])
-                            + fraction * (math.log(min_per[j]) - math.log(max_per[j]))
-                        )
-                        if per < min_per[j] or per > max_per[j]:
-                            clamps += 1
-                            if per < min_per[j]:
-                                per = min_per[j]
-                            if per > max_per[j]:
-                                per = max_per[j]
-                    was_hib = hibernating[j]
-                    hibernating[j] = hib
-                    if not hib:
-                        cur_period[j] = per
-                        if was_hib:
-                            next_report[j] = t + per
-                    next_update[j] = t + upd_int[j]
-                load_p = sleep_power[j]
-                if (not hibernating[j]) and t >= next_report[j]:
-                    reports[j] += 1
-                    next_report[j] = t + cur_period[j]
-                    load_p = load_p + report_energy[j] / upd_int[j]
-
-            # --- storage exchanges (charge first, then the draw) ------
-            acc = delivered
-            if has_store[j]:
-                if open_mask[i, j]:
-                    acc = 0.0
-                else:
-                    v = v_store[j]
-                    stored = 0.5 * cap_c[j] * v * v
-                    full_e = 0.5 * cap_c[j] * cap_rated[j] * cap_rated[j]
-                    if v > 1e-9:
-                        cur = delivered / v
-                        lossx = cur * cur * cap_esr[j]
-                        if lossx > delivered:
-                            lossx = delivered
-                    else:
-                        lossx = 0.0
-                    sd = delivered - lossx
-                    if sd < 0.0:
-                        sd = 0.0
-                    sd = sd - cap_leak[j] * v
-                    energy = stored + sd * dt
-                    if energy < 0.0:
-                        energy = 0.0
-                    if energy > full_e:
-                        if sd > 0.0:
-                            acc = delivered * (full_e - stored) / (sd * dt)
-                        energy = full_e
-                    v = math.sqrt(2.0 * energy / cap_c[j])
-
-                    q = overhead + load_p
-                    stored = 0.5 * cap_c[j] * v * v
-                    if q <= 0.0:
-                        energy = stored - cap_leak[j] * v * dt
-                        if energy < 0.0:
-                            energy = 0.0
-                    else:
-                        if v > 1e-9:
-                            cur = q / v
-                            lossx = cur * cur * cap_esr[j]
-                            if lossx > q:
-                                lossx = q
-                        else:
-                            lossx = 0.0
-                        drawn = (q + lossx + cap_leak[j] * v) * dt
-                        if drawn <= stored:
-                            energy = stored - drawn
-                        else:
-                            energy = 0.0
-                    v = math.sqrt(2.0 * energy / cap_c[j])
-                    v_store[j] = v
-
-            if has_store[j]:
-                fv = v_store[j]
-            else:
-                fv = supply_voltage[j]
-            if not math.isfinite(fv):
-                return 3, t, clamps
-
-            duration[j] += dt
-            e_ideal[j] += ideal_all[u] * dt
-            e_cell[j] += pv * dt
-            e_del[j] += acc * dt
-            e_over[j] += overhead * dt
-            e_load[j] += load_p * dt
-            final_v[j] = fv
-
-    return 0, 0.0, clamps
-
-
-_fleet_kernel = _njit(cache=False)(_fleet_kernel_py) if HAVE_NUMBA else _fleet_kernel_py
 
 
 # --------------------------------------------------------------------------
@@ -1413,10 +1043,8 @@ def _run_lane(
         flat = tables.lut._flat
         nodes = tables.nodes_flat
     else:
-        pv_l, del_l, oh_l = prog.rows_as_lists()
-        rows = (np.asarray(pv_l), np.asarray(del_l), np.asarray(oh_l))
         # interpreted path: lists index ~3x faster than ndarray scalars
-        rows = (pv_l, del_l, oh_l)
+        rows = prog.rows_as_lists()
         times = tables.times_l
         u_row = tables.u_row_l
         voc_row = tables.voc_row_l
@@ -1572,16 +1200,13 @@ def run_comparison_scenario(
 
 
 class CompiledFleetSimulator(FleetSimulator):
-    """Fleet engine with a validated power LUT and a fused run kernel.
+    """Fleet engine with a validated power LUT in place of Lambert-W.
 
     Construction, member support, checkpoint protocol and the per-step
     NumPy path are inherited from :class:`FleetSimulator`; this subclass
-
-    * swaps the per-step Lambert-W batch solve for a
-      :class:`~repro.pv.lut.CellPowerLUT` lookup (validated against the
-      declared error budget before any stepping), and
-    * when Numba is available, advances whole ``run()`` spans through
-      :func:`_fleet_kernel` — one fused loop instead of per-step NumPy.
+    only swaps the per-step Lambert-W batch solve for a
+    :class:`~repro.pv.lut.CellPowerLUT` lookup, validated against the
+    declared error budget before any stepping.
 
     Args:
         members: as for :class:`FleetSimulator`.
@@ -1589,9 +1214,6 @@ class CompiledFleetSimulator(FleetSimulator):
         validate_lut: run the pre-run validation gate (raises
             :class:`~repro.errors.LUTValidationError` on an undersized
             table).  Disabling skips the gate, not the table.
-        fused: ``"auto"`` (kernel when jitted, NumPy path otherwise),
-            ``"python"`` (force the interpreted kernel — test hook), or
-            ``"off"`` (always the NumPy path).
     """
 
     engine_name = "compiled"
@@ -1603,13 +1225,8 @@ class CompiledFleetSimulator(FleetSimulator):
         grid_points: Optional[int] = None,
         rel_budget: Optional[float] = None,
         validate_lut: bool = True,
-        fused: str = "auto",
     ):
         super().__init__(members)
-        if fused not in ("auto", "python", "off"):
-            raise ModelParameterError(
-                f"fused must be 'auto', 'python' or 'off', got {fused!r}"
-            )
         rb = DEFAULT_REL_BUDGET if rel_budget is None else float(rel_budget)
         lut_kwargs = {"rel_budget": rb}
         if grid_points is not None:
@@ -1618,158 +1235,7 @@ class CompiledFleetSimulator(FleetSimulator):
             self._unique_models, voc=self._voc_all, **lut_kwargs
         )
         self.lut_report = self.lut.validate() if validate_lut else None
-        self._fused = fused
-
-    # --- engine-tier hook ---------------------------------------------------
 
     def _pv_power(self, u_sel, v_sel, duty_sel):
         """LUT lookup in place of the exact Lambert-W solve."""
         return self.lut.power_many(u_sel, v_sel) * duty_sel
-
-    # --- fused run ----------------------------------------------------------
-
-    def _select_kernel(self):
-        if self._fused == "off":
-            return None
-        if self._fused == "python":
-            return _fleet_kernel_py
-        return _fleet_kernel if HAVE_NUMBA else None
-
-    def run(self, steps: Optional[int] = None) -> List[HarvestSummary]:
-        """Advance ``steps`` (default: the rest of the horizon), fused."""
-        remaining = self.steps - self._step_index if steps is None else int(steps)
-        kernel = self._select_kernel()
-        if kernel is None or remaining <= 0:
-            return super().run(steps)
-        i0 = self._step_index
-        i1 = i0 + remaining
-        if i1 > self.steps:
-            raise ModelParameterError("fleet stepped past its precomputed horizon")
-        j = _journal.JOURNAL
-        if j is not None:
-            j.emit(
-                _journal.ENGINE_RUN,
-                engine=self.engine_name,
-                steps=remaining,
-                nodes=self.n,
-            )
-        from contextlib import nullcontext
-
-        compile_span = (
-            TRACER.span("compiled:kernel-compile[fleet]")
-            if _kernel_is_cold(kernel)
-            else nullcontext()
-        )
-        with TRACER.span(f"fleet:run[{self.n}]"), compile_span:
-            self._run_kernel(kernel, i0, i1)
-        return self.summaries()
-
-    def _run_kernel(self, kernel, i0: int, i1: int) -> None:
-        lut = self.lut
-        code, err_t, clamps = kernel(
-            i0,
-            i1,
-            self.n,
-            self.dt,
-            self.times,
-            self._u_global,
-            self._voc_all,
-            self._lux_all,
-            self._ideal_all,
-            self._target_all,
-            lut._flat,
-            lut.grid_points,
-            float(lut.grid_points - 1),
-            lut.grid_points - 2,
-            bool(lut.closed_form),
-            lut._nodes_flat,
-            self._alpha,
-            self._t_on,
-            self._period,
-            self._metrology,
-            self._min_vin_cfg,
-            self._sh_supply,
-            self._rtot,
-            self._sf,
-            self._kick,
-            self._soak,
-            self._droop_tau,
-            self._droop_bias_c,
-            self._u4_off,
-            self._u4_alive,
-            self._cmp_thresh,
-            self._cmp_off,
-            self._cmp_half,
-            self._cmp_alive,
-            self._supply_voltage,
-            self._leak_mask,
-            self._brown_mask,
-            self._open_mask,
-            self._short_mask,
-            self._leak_mult,
-            self._short_res,
-            self._has_conv,
-            self._conv_enabled,
-            self._conv_min_vin,
-            self._conv_fixed,
-            self._conv_prop,
-            self._conv_rcond,
-            self._has_store,
-            self._cap_c,
-            self._cap_rated,
-            self._cap_esr,
-            self._cap_leak,
-            self._has_load,
-            self._sleep_power,
-            self._report_energy,
-            self._upd_int,
-            self._v_surv,
-            self._v_comf,
-            self._min_per,
-            self._max_per,
-            self._held,
-            self._next_pulse,
-            self._sample_count,
-            self._cmp_high,
-            self._v_store,
-            self._cur_period,
-            self._next_update,
-            self._hibernating,
-            self._reports,
-            self._next_report,
-            self._duration,
-            self._e_ideal,
-            self._e_cell,
-            self._e_del,
-            self._e_over,
-            self._e_load,
-            self._final_v,
-        )
-        if code == 1:
-            raise NumericalGuardError(
-                "storage voltage is NaN; refusing to schedule on it",
-                signal="v_storage",
-                time=err_t,
-            )
-        if code == 2:
-            raise NumericalGuardError(
-                f"fleet delivered power went invalid at t={err_t:.6g} s",
-                signal="p_delivered",
-                time=err_t,
-            )
-        if code == 3:
-            raise NumericalGuardError(
-                f"fleet storage voltage went non-finite at t={err_t:.6g} s",
-                signal="v_storage",
-                time=err_t,
-            )
-        ran = i1 - i0
-        self.time = float(self.times[i1 - 1]) + self.dt
-        self._step_index = i1
-        h = _OBS.fleet_steps
-        if h is not None:
-            h.inc(self.n * ran)
-        if clamps:
-            ch = _OBS.scheduler_clamps
-            if ch is not None:
-                ch.inc(clamps)

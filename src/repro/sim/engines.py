@@ -6,14 +6,19 @@ Three tiers advance the same physics at different throughput:
   per chain.  The bitwise reference; the golden traces encode its bits.
 * ``fleet`` — :class:`~repro.sim.fleet.FleetSimulator`, the population
   as a NumPy axis.  Matches scalar to a-few-ulp tolerance.
-* ``compiled`` — :mod:`repro.sim.compiled`: fused per-step kernels
-  (Numba-jitted when numba is importable, pure-Python otherwise) over
-  a validated power LUT (:mod:`repro.pv.lut`).  Matches fleet/scalar
-  within the table's declared error budget.
+* ``compiled`` — :mod:`repro.sim.compiled`: a fused lane kernel
+  (Numba-jitted when numba is importable, pure-Python otherwise) and the
+  LUT-backed fleet, both over a validated power LUT
+  (:mod:`repro.pv.lut`).  Matches fleet/scalar within the table's
+  declared error budget.
+
+:data:`EXPERIMENT_ENGINES` is the one table of which tiers each
+experiment implements; the entry points, the CLI ``--engine`` choices and
+the service's spec fields all read it.
 
 ``engine="auto"`` resolves to the fastest tier an experiment supports.
 The compiled tier is *always* available — the import-time numba probe
-only decides whether its kernels are jitted or interpreted — so auto
+only decides whether its lane kernel is jitted or interpreted — so auto
 never depends on the environment and results never silently change
 with it.
 
@@ -33,6 +38,17 @@ KNOWN_ENGINES = ("scalar", "fleet", "compiled")
 AUTO = "auto"
 """Sentinel: pick the fastest allowed tier."""
 
+EXPERIMENT_ENGINES = {
+    "comparison": ("scalar", "compiled"),
+    "strings": ("scalar", "compiled"),
+    "resilience": ("scalar", "fleet", "compiled"),
+    "montecarlo": ("scalar", "fleet", "compiled"),
+    "endurance": ("scalar", "fleet", "compiled"),
+}
+"""Tiers each experiment implements.  ``fleet`` stays only where a
+population axis needs its <= 1e-12 parity with scalar; for comparison
+lanes ``compiled`` dominates it."""
+
 _SPEED_ORDER = ("compiled", "fleet", "scalar")
 
 
@@ -41,8 +57,13 @@ def available_engines() -> tuple:
     return KNOWN_ENGINES
 
 
+def engine_choices(experiment: str) -> tuple:
+    """The ``engine=`` values ``experiment`` accepts, ``"auto"`` last."""
+    return EXPERIMENT_ENGINES[experiment] + (AUTO,)
+
+
 def have_numba() -> bool:
-    """Whether the compiled tier's kernels are jitted (vs interpreted)."""
+    """Whether the compiled tier's lane kernel is jitted (vs interpreted)."""
     from repro.sim.compiled import HAVE_NUMBA
 
     return HAVE_NUMBA
@@ -57,7 +78,8 @@ def resolve_engine(
 
     Args:
         engine: requested tier name, or ``"auto"``.
-        allowed: the tiers this experiment implements.
+        allowed: the tiers this experiment implements (its
+            :data:`EXPERIMENT_ENGINES` row).
         context: label used in the rejection message.
 
     Returns:
@@ -77,8 +99,9 @@ def resolve_engine(
                 return candidate
         raise ModelParameterError(f"no engine tiers enabled for {context}")
     if engine not in allowed:
+        what = "unsupported" if engine in KNOWN_ENGINES else "unknown"
         raise ModelParameterError(
-            f"unknown engine {engine!r} for {context}; expected one of "
+            f"{what} engine {engine!r} for {context}; expected one of "
             f"{', '.join(repr(e) for e in allowed)} or 'auto'"
         )
     return engine
@@ -88,7 +111,7 @@ def fleet_class(engine: str) -> Type:
     """The fleet-shaped simulator class backing a tier.
 
     ``"fleet"`` maps to :class:`~repro.sim.fleet.FleetSimulator`;
-    ``"compiled"`` to its LUT-accelerated subclass
+    ``"compiled"`` to its LUT-backed subclass
     :class:`~repro.sim.compiled.CompiledFleetSimulator` (same
     constructor, same checkpoint protocol).
     """

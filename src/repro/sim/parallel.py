@@ -221,16 +221,20 @@ class ParallelReport:
         return not self.quarantined
 
 
-def _backoff_delay(index: int, attempt: int, base: float, cap: float) -> float:
+def backoff_delay(index: int, attempt: int, base: float, cap: float) -> float:
     """Exponential backoff with *deterministic* jitter.
 
     Jitter decorrelates retry storms without sacrificing reproducibility:
-    the fraction is a hash of (spec index, attempt), not a random draw,
-    so a re-run schedules identical delays.
+    the fraction is a hash of (key, attempt), not a random draw, so a
+    re-run schedules identical delays.  ``index`` is the spec's position
+    here; the job service passes a spec-fingerprint prefix instead.
     """
     delay = min(cap, base * (2.0 ** (attempt - 1)))
     jitter = ((index * 2654435761 + attempt) % 1000) / 1000.0
     return delay * (1.0 + 0.5 * jitter)
+
+
+_backoff_delay = backoff_delay  # former private name
 
 
 def _heartbeat_call(fn, beats, index, interval, spec):
@@ -513,7 +517,7 @@ def _run_hardened(
                             failure=kind,
                         )
                     _time.sleep(
-                        _backoff_delay(index, attempts[index], backoff_base, backoff_cap)
+                        backoff_delay(index, attempts[index], backoff_base, backoff_cap)
                     )
                     pending.append(index)
                 elif quarantine:
@@ -576,7 +580,7 @@ def _run_serial_hardened(fn, specs, retries, backoff_base, backoff_cap, quaranti
                             attempt=attempt,
                             failure="err",
                         )
-                    _time.sleep(_backoff_delay(index, attempt, backoff_base, backoff_cap))
+                    _time.sleep(backoff_delay(index, attempt, backoff_base, backoff_cap))
                     continue
                 if quarantine:
                     quarantined.append(
@@ -812,6 +816,7 @@ def scatter(items: Sequence[T], parts: int) -> List[Sequence[T]]:
 
 
 __all__ = [
+    "backoff_delay",
     "parallel_map",
     "scatter",
     "default_worker_count",

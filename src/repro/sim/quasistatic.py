@@ -31,7 +31,6 @@ from typing import Callable, Optional, Protocol, runtime_checkable
 import repro.obs as obs
 from repro.errors import ModelParameterError, NumericalGuardError
 from repro.obs import journal as _journal
-from repro.pv.cache import CachedPVCell
 from repro.pv.cells import PVCell
 from repro.pv.irradiance import FLUORESCENT, LightSource
 from repro.pv.single_diode import SingleDiodeModel
@@ -227,10 +226,6 @@ class QuasiStaticSimulator:
             consume the pre-solved operating points (identical
             numerics).  Mutually exclusive with ``thermal`` — the
             precompute owns the thermal stepping.
-        cache: wrap the cell in a
-            :class:`~repro.pv.cache.CachedPVCell` (exact keying) so
-            repeated conditions are solved once.  Ignored when the cell
-            is already cached.
         shading: optional :class:`~repro.env.shading.ShadowMap`; its
             per-cell factors are forwarded to the cell's ``model_at``
             each step (requires a string-style cell such as
@@ -252,7 +247,6 @@ class QuasiStaticSimulator:
         thermal=None,
         record: bool = True,
         precomputed: Optional[PrecomputedConditions] = None,
-        cache: bool = False,
         shading=None,
     ):
         from repro.validation import require_finite, require_positive
@@ -264,8 +258,6 @@ class QuasiStaticSimulator:
                 "pass the thermal model to precompute_conditions, not the simulator, "
                 "when running from a precomputed trace"
             )
-        if cache and not isinstance(cell, CachedPVCell):
-            cell = CachedPVCell(cell)
         self.cell = cell
         self.controller = controller
         self.environment = environment

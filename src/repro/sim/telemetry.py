@@ -82,8 +82,9 @@ def host_fingerprint() -> dict:
     """Identify the machine a perf entry was recorded on.
 
     ``steps_per_s`` figures are only comparable within one host; the
-    fingerprint lets readers (and the CI regression gate) partition the
-    history instead of comparing a laptop against a CI runner.  Kept
+    fingerprint lets readers (and :mod:`repro.obs.benchreport`'s
+    regression check) partition the history instead of comparing a
+    laptop against a CI runner.  Kept
     deliberately coarse — interpreter version, NumPy version, core
     count — so it is stable across runs on the same machine.
     """
@@ -203,76 +204,12 @@ def latest(experiment: str, path: Optional[Path] = None) -> Optional[dict]:
     return history[-1] if history else None
 
 
-def latest_comparable(
-    experiment: str,
-    path: Optional[Path] = None,
-    host: Optional[dict] = None,
-) -> Optional[dict]:
-    """The newest entry for ``experiment`` recorded on this host.
-
-    Entries written before host fingerprints existed carry no ``host``
-    key; they stay readable but are never *comparable* — throughput on
-    an unknown machine says nothing about throughput here.
-
-    Args:
-        experiment: ledger key.
-        path: ledger location (default: :func:`bench_path`).
-        host: fingerprint to match (default: :func:`host_fingerprint`).
-    """
-    host = host if host is not None else host_fingerprint()
-    history = load_ledger(path)["experiments"].get(experiment) or []
-    for entry in reversed(history):
-        if isinstance(entry, dict) and entry.get("host") == host:
-            return entry
-    return None
-
-
-def check_throughput_regression(
-    sample: PerfSample,
-    floor_fraction: float = 0.5,
-    path: Optional[Path] = None,
-    host: Optional[dict] = None,
-) -> Optional[str]:
-    """Compare ``sample`` against the last same-host ledger entry.
-
-    Returns a human-readable failure message when ``sample``'s
-    throughput fell below ``floor_fraction`` of the newest comparable
-    entry (same experiment key, same host fingerprint), and ``None``
-    when the sample is fine or no comparable entry exists — a fresh
-    machine or a pre-fingerprint ledger must not fail the gate.
-
-    Call this *before* :func:`record_perf` so a regressed run does not
-    lower the bar for the next one.
-    """
-    if not 0.0 < floor_fraction <= 1.0:
-        raise ModelParameterError(
-            f"floor_fraction must be in (0, 1], got {floor_fraction!r}"
-        )
-    baseline = latest_comparable(sample.experiment, path=path, host=host)
-    if baseline is None:
-        return None
-    reference = float(baseline.get("steps_per_s") or 0.0)
-    if reference <= 0.0:
-        return None
-    floor = reference * floor_fraction
-    if sample.steps_per_s < floor:
-        return (
-            f"throughput regression in {sample.experiment!r}: "
-            f"{sample.steps_per_s:.1f} steps/s is below "
-            f"{floor:.1f} ({floor_fraction:.0%} of the last recorded "
-            f"{reference:.1f} on this host, noted {baseline.get('note', '')!r})"
-        )
-    return None
-
-
 __all__ = [
     "PerfSample",
     "measure",
     "record_perf",
     "load_ledger",
     "latest",
-    "latest_comparable",
-    "check_throughput_regression",
     "host_fingerprint",
     "bench_path",
     "BENCH_FILENAME",

@@ -1,7 +1,7 @@
 """Cross-engine differential harness: one spec, every engine, one diff.
 
 The repo carries three executions of the same physics — the scalar
-reference walk, the vectorized fleet engine, and the fused compiled
+reference walk, the vectorized fleet engine, and the LUT-backed compiled
 tier — plus per-suite spot checks that grew up ad hoc.  This harness
 makes the equivalence contract first-class and reusable:
 
@@ -13,9 +13,11 @@ makes the equivalence contract first-class and reusable:
   bitwise by default; the compiled tier is held to its power LUT's
   validated error budget (feedback-coupled techniques looser, since
   perturb/observe probes compound table error before self-correcting).
-* :func:`assert_engines_agree` — run the spec through every engine and
-  diff the harvest summaries field by field, failing with a readable
-  per-field report.
+* :func:`assert_engines_agree` — run the spec through every engine its
+  experiment implements (:data:`repro.sim.engines.EXPERIMENT_ENGINES`:
+  comparison specs on scalar and compiled, resilience specs on all
+  three) and diff the harvest summaries field by field, failing with a
+  readable per-field report.
 
 Tests (including Hypothesis-generated specs) compose these; see
 ``test_engines_agree.py``.
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 
 from repro.pv.cells import am_1815
 from repro.pv.string import CellString
+from repro.sim.engines import EXPERIMENT_ENGINES
 
 SUMMARY_FIELDS = (
     "duration",
@@ -211,17 +214,20 @@ def _diff_compiled(key, ref, other, tols: Tolerances) -> "list[str]":
 def assert_engines_agree(
     spec: DifferentialSpec,
     tols: "Tolerances | None" = None,
-    engines: "tuple[str, ...]" = ("scalar", "fleet", "compiled"),
+    engines: "tuple[str, ...] | None" = None,
 ) -> dict:
     """Run the spec through every engine and diff against scalar.
 
-    The scalar walk is the reference; ``fleet`` is diffed at
-    ``tols.fleet_rtol`` (bitwise by default) and ``compiled`` at the
-    LUT's declared budget.  Raises ``AssertionError`` with every
-    violated field listed; returns ``{engine: summaries}`` on success
-    so callers can assert additional facts.
+    ``engines`` defaults to every tier the spec's experiment
+    implements.  The scalar walk is the reference; ``fleet`` is diffed
+    at ``tols.fleet_rtol`` and ``compiled`` at the LUT's declared
+    budget.  Raises ``AssertionError`` with every violated field
+    listed; returns ``{engine: summaries}`` on success so callers can
+    assert additional facts.
     """
     tols = tols if tols is not None else Tolerances()
+    if engines is None:
+        engines = EXPERIMENT_ENGINES[spec.experiment]
     if "scalar" not in engines:
         raise ValueError("the scalar reference engine is required")
     outputs = {engine: run_spec(spec, engine) for engine in engines}

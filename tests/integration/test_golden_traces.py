@@ -15,7 +15,9 @@ tolerance: ``scalar`` bit-for-bit (it produced the fixtures), ``fleet``
 at a-few-ulp accumulation tolerance, ``compiled`` within its power
 LUT's declared error budget (hill climbing looser — its perturb/observe
 probes feed back through the table, so trajectory deviations compound
-before self-correcting).
+before self-correcting).  The comparison itself runs on ``scalar`` and
+``compiled``; the ``fleet`` tier's S&H lanes are held to the same
+fixtures through the resilience harness's clean campaign.
 
 To intentionally re-baseline (after a *reviewed* numerical change)::
 
@@ -123,7 +125,7 @@ def write_golden(pivot) -> None:
         atomic_write_json(golden_path(scenario), payload)
 
 
-@pytest.fixture(scope="module", params=("scalar", "fleet", "compiled"))
+@pytest.fixture(scope="module", params=("scalar", "compiled"))
 def computed(request):
     return request.param, summaries_by_scenario(engine=request.param)
 

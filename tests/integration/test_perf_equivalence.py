@@ -1,16 +1,14 @@
 """The fast paths change wall time, not physics.
 
-Three layers are asserted bit-for-bit against the original per-step
-path: the condition-keyed cell cache (exact keying), the precomputed
-condition trace consumed by the simulator, and the precompute+batch
-path inside ``run_comparison``.
+Two layers are asserted bit-for-bit against the original per-step
+path: the precomputed condition trace consumed by the simulator, and
+the precompute+batch path inside ``run_comparison``.
 """
 
 import pytest
 
 from repro.baselines import IdealMPPT
 from repro.converter.buck_boost import BuckBoostConverter
-from repro.core.system import SampleHoldMPPT
 from repro.env.profiles import HOURS
 from repro.env.scenarios import office_desk_24h, outdoor_day
 from repro.errors import ModelParameterError
@@ -39,15 +37,6 @@ def _make_sim(cell, controller, environment, **kwargs):
         record=False,
         **kwargs,
     )
-
-
-def test_cached_cell_run_is_bitwise_identical():
-    duration, dt = 1.0 * HOURS, 10.0
-    plain = _make_sim(am_1815(), SampleHoldMPPT(assume_started=True), office_desk_24h())
-    cached = _make_sim(
-        am_1815(), SampleHoldMPPT(assume_started=True), office_desk_24h(), cache=True
-    )
-    _summaries_identical(cached.run(duration, dt=dt), plain.run(duration, dt=dt))
 
 
 def test_precomputed_run_is_bitwise_identical():

@@ -1,12 +1,12 @@
-"""Golden traces for the shaded-string scenarios, across all three tiers.
+"""Golden traces for the shaded-string scenarios, on the comparison tiers.
 
 Mirrors ``test_golden_traces.py`` for the heterogeneous-string
 workload: a mismatched 4s AM-1815 string under the indoor edge-sweep
 and the outdoor blob-occlusion shadow maps, frozen bit-for-bit from the
-scalar engine.  Engine contracts are stricter than the plain-cell
-goldens in one place: the scalar string model is literally a one-row
-fleet stack, so *fleet is held bitwise*, not at an ulp tolerance.
-The compiled tier is held to its mixed-LUT validated budget.
+scalar engine.  The compiled tier is held to its mixed-LUT validated
+budget.  (The scalar string model is literally a one-row fleet stack,
+so the fleet tier is bitwise here; the differential harness pins that
+through a resilience clean-campaign spec.)
 
 Re-baseline (after a reviewed numerical change)::
 
@@ -81,11 +81,10 @@ def run_label(label: str, engine: str):
 
 
 def assert_matches_golden(engine, label, technique, measured, golden_fields):
-    if engine in ("scalar", "fleet"):
-        # Shared kernels: both tiers reproduce the fixtures bit-for-bit.
+    if engine == "scalar":
         for f, value in golden_fields.items():
             assert measured[f] == value, (
-                f"{label}/{technique}/{f} ({engine}): golden {value!r} != "
+                f"{label}/{technique}/{f}: golden {value!r} != "
                 f"measured {measured[f]!r} (bitwise regression — if "
                 "intentional, re-baseline with --update-golden)"
             )
@@ -130,7 +129,7 @@ def write_golden(label: str, techniques) -> None:
 
 
 @pytest.mark.parametrize("label", sorted(STRING_SCENARIOS))
-@pytest.mark.parametrize("engine", ("scalar", "fleet", "compiled"))
+@pytest.mark.parametrize("engine", ("scalar", "compiled"))
 def test_string_scenario_matches_golden(engine, label, update_golden):
     if update_golden:
         if engine != "scalar":

@@ -16,6 +16,7 @@ from repro.cli import (
     EXIT_CONFIG,
     EXIT_GUARD,
     EXIT_OK,
+    EXIT_USAGE,
     classify_exit_code,
     main,
 )
@@ -79,6 +80,15 @@ class TestMainExitCodes:
         code = main(["endurance", "--resume", str(ck), "--days", "1"])
         assert code == EXIT_CHECKPOINT
         assert "CheckpointError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["comparison", "strings"])
+    def test_fleet_engine_is_a_usage_error(self, command, capsys):
+        # The comparison tiers are scalar and compiled; argparse refuses
+        # the fleet choice before any work runs.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--engine", "fleet"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_success_still_exits_zero(self, capsys):
         assert main(["montecarlo", "--boards", "20"]) == EXIT_OK

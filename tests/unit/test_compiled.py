@@ -1,4 +1,4 @@
-"""Compiled-tier equivalence: fused kernels + LUT vs the exact engines.
+"""Compiled-tier equivalence: fused lane kernel + LUT vs the exact engines.
 
 Contracts covered here:
 
@@ -8,13 +8,11 @@ Contracts covered here:
 * :class:`~repro.sim.compiled.CompiledFleetSimulator` matches
   :class:`~repro.sim.fleet.FleetSimulator` within the LUT budget on
   clean and fully-faulted campaigns;
-* the fused kernel (``fused="python"``) is bit-identical to the same
-  subclass's NumPy per-step path — the fusion itself changes nothing,
-  only the LUT does;
-* checkpoint/resume through the fused path is bitwise;
+* checkpoint/resume of the compiled fleet is bitwise;
 * the LUT validation gate is wired into construction;
 * the photodiode calibration valve falls back to the scalar engine;
-* engine resolution (``auto`` included) behaves across entry points.
+* engine resolution (``auto`` included) behaves across entry points,
+  and comparison/strings refuse the ``fleet`` tier.
 """
 
 import json
@@ -38,7 +36,12 @@ from repro.node.sensor_node import SensorNode
 from repro.pv.cells import am_1815
 from repro.pv.thermal import CellThermalModel
 from repro.sim.compiled import CompiledFleetSimulator, run_comparison_scenario
-from repro.sim.engines import available_engines, fleet_class, resolve_engine
+from repro.sim.engines import (
+    EXPERIMENT_ENGINES,
+    available_engines,
+    fleet_class,
+    resolve_engine,
+)
 from repro.sim.fleet import FleetMember, FleetSimulator
 from repro.sim.precompute import precompute_conditions
 from repro.storage.supercap import Supercapacitor
@@ -174,25 +177,11 @@ class TestCompiledFleet:
         for a, b in zip(exact, compiled):
             _assert_within_budget(a, b, ENERGY_TOL["default"])
 
-    def test_fused_kernel_bitwise_matches_numpy_path(self, conditions):
-        # Same subclass, same LUT — the fused loop itself must not move
-        # a single bit relative to the per-step NumPy path.
-        _, _, pc = conditions
-        a = CompiledFleetSimulator([_faulted_member(pc), _clean_member(pc)], fused="python")
-        b = CompiledFleetSimulator([_faulted_member(pc), _clean_member(pc)], fused="off")
-        for x, y in zip(a.run(), b.run()):
-            for name in ENERGY_FIELDS:
-                assert getattr(x, name) == getattr(y, name), name
-        assert a._reports.tolist() == b._reports.tolist()
-        assert a._sample_count.tolist() == b._sample_count.tolist()
-
-    def test_checkpoint_resume_bitwise_through_fused_path(self, conditions):
+    def test_checkpoint_resume_bitwise(self, conditions):
         _, _, pc = conditions
 
         def build():
-            return CompiledFleetSimulator(
-                [_faulted_member(pc), _clean_member(pc)], fused="python"
-            )
+            return CompiledFleetSimulator([_faulted_member(pc), _clean_member(pc)])
 
         full = build().run()
         first = build()
@@ -213,11 +202,6 @@ class TestCompiledFleet:
         sim = CompiledFleetSimulator([_clean_member(pc)], grid_points=8, validate_lut=False)
         assert sim.lut_report is None
         assert sim.lut.grid_points == 8
-
-    def test_rejects_unknown_fused_mode(self, conditions):
-        _, _, pc = conditions
-        with pytest.raises(ModelParameterError):
-            CompiledFleetSimulator([_clean_member(pc)], fused="hyperspeed")
 
 
 class TestEngineRegistry:
@@ -249,3 +233,12 @@ class TestEngineRegistry:
     def test_comparison_rejects_unknown_engine(self):
         with pytest.raises(ModelParameterError):
             run_comparison(duration=600.0, dt=60.0, engine="gpu")
+
+    def test_comparison_and_strings_reject_fleet_tier(self):
+        from repro.experiments.strings import run_strings
+
+        with pytest.raises(ModelParameterError, match="fleet"):
+            run_comparison(duration=600.0, dt=60.0, engine="fleet")
+        with pytest.raises(ModelParameterError, match="fleet"):
+            run_strings(duration=600.0, dt=60.0, engine="fleet")
+        assert resolve_engine("auto", EXPERIMENT_ENGINES["comparison"]) == "compiled"

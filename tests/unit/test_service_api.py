@@ -75,6 +75,8 @@ class TestBuildSpecRejections:
             ({"kind": "resilience", "params": {"campaigns": ["nope"]}}, "campaigns"),
             ({"kind": "montecarlo", "params": {"boards": 10**9}}, "boards"),
             ({"kind": "montecarlo", "params": {"seed": -1}}, "seed"),
+            ({"kind": "comparison", "params": {"engine": "fleet"}}, "engine"),
+            ({"kind": "strings", "params": {"engine": "fleet"}}, "engine"),
         ],
     )
     def test_rejects_with_field(self, payload, field):

@@ -82,48 +82,6 @@ class TestHostFingerprint:
             ]},
         }))
         assert telemetry.latest("gate_exp", path=ledger)["note"] == "old"
-        # ...but it is never *comparable*: unknown machine.
-        assert telemetry.latest_comparable("gate_exp", path=ledger) is None
         record_perf(self._sample(), path=ledger)
         history = json.loads(ledger.read_text())["experiments"]["gate_exp"]
         assert len(history) == 2 and "host" not in history[0]
-
-    def test_latest_comparable_skips_other_hosts(self, tmp_path):
-        ledger = tmp_path / "ledger.json"
-        record_perf(self._sample(steps_per_s=500.0), path=ledger)
-        other = dict(telemetry.host_fingerprint(), python="0.0.0")
-        assert telemetry.latest_comparable("gate_exp", path=ledger, host=other) is None
-        mine = telemetry.latest_comparable("gate_exp", path=ledger)
-        assert mine is not None and mine["steps_per_s"] == 500.0
-
-
-class TestThroughputRegressionGate:
-    def _sample(self, steps_per_s, experiment="gate_exp"):
-        sample = telemetry.PerfSample(experiment=experiment, steps=1000)
-        sample.wall_s = 1000 / steps_per_s
-        return sample
-
-    def test_no_baseline_passes(self, tmp_path):
-        msg = telemetry.check_throughput_regression(
-            self._sample(1.0), path=tmp_path / "ledger.json"
-        )
-        assert msg is None
-
-    def test_regression_detected_below_floor(self, tmp_path):
-        ledger = tmp_path / "ledger.json"
-        record_perf(self._sample(1000.0), note="baseline", path=ledger)
-        assert telemetry.check_throughput_regression(
-            self._sample(600.0), path=ledger
-        ) is None
-        msg = telemetry.check_throughput_regression(
-            self._sample(400.0), path=ledger
-        )
-        assert msg is not None and "gate_exp" in msg and "baseline" in msg
-
-    def test_floor_fraction_validated(self, tmp_path):
-        from repro.errors import ModelParameterError
-
-        with pytest.raises(ModelParameterError):
-            telemetry.check_throughput_regression(
-                self._sample(1.0), floor_fraction=0.0, path=tmp_path / "l.json"
-            )
