@@ -265,11 +265,10 @@ def run_sample_hold_montecarlo(
             per board and fans chunks over the process pool.  Both
             consume the same draw matrix; they agree to solver tolerance
             (the fleet replaces the per-board MNA solve with a
-            vectorized bisection of the same load line).  ``"compiled"``
-            (and ``"auto"``) alias the fleet pass — the board kernel is
-            already a single vectorized shot with no per-step loop for
-            a fused kernel to collapse, so there is nothing further to
-            compile.
+            vectorized bisection of the same load line).  ``"auto"``
+            resolves to ``"fleet"``.  There is no ``"compiled"`` tier:
+            the board kernel is already a single vectorized shot with no
+            per-step loop to compile.
         factors: optional per-cell shading factors frozen for the whole
             population (requires a :class:`~repro.pv.string.CellString`)
             — the "how accurate is FOCV sampling on a *mismatched*
@@ -280,7 +279,7 @@ def run_sample_hold_montecarlo(
     engine = resolve_engine(
         engine, EXPERIMENT_ENGINES["montecarlo"], context="sample-hold montecarlo"
     )
-    use_fleet = engine in ("fleet", "compiled")
+    use_fleet = engine == "fleet"
     cell = cell if cell is not None else am_1815()
     if factors is not None:
         model = cell.model_at(lux, factors=tuple(factors))

@@ -441,19 +441,22 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--hours", type=float, default=24.0)
             p.add_argument("--dt", type=float, default=60.0)
             p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--engine", choices=engine_choices(name),
+                           default="fleet",
+                           help="vectorized fleet engine (default), scalar walk, "
+                           "LUT-backed compiled tier, or auto (fastest)")
         if name == "montecarlo":
             p.add_argument("--boards", type=int, default=500)
+            p.add_argument("--engine", choices=engine_choices(name),
+                           default="fleet",
+                           help="vectorized fleet pass (default), per-board "
+                           "scalar circuits, or auto (= fleet)")
         if name == "endurance":
             p.add_argument("--days", type=int, default=7)
             p.add_argument("--dt", type=float, default=20.0)
             p.add_argument("--seed", type=int, default=4)
             p.add_argument("--checkpoint-every", type=float, default=None,
                            help="simulated seconds between checkpoint writes")
-        if name in ("resilience", "montecarlo"):
-            p.add_argument("--engine", choices=engine_choices(name),
-                           default="fleet",
-                           help="vectorized fleet engine (default), scalar walk, "
-                           "LUT-backed compiled tier, or auto (fastest)")
         if name in ("endurance", "resilience", "montecarlo"):
             p.add_argument("--checkpoint", default=None, metavar="PATH",
                            help="write crash-safe progress checkpoints to PATH")

@@ -171,39 +171,3 @@ class JournalError(ReproError, RuntimeError):
     def __init__(self, message: str, line_number: int = -1):
         super().__init__(message)
         self.line_number = line_number
-
-
-class ParallelExecutionError(ReproError, RuntimeError):
-    """The parallel experiment runner could not complete a batch of specs."""
-
-
-class WorkerCrashError(ParallelExecutionError):
-    """A pool worker died (segfault, OOM kill) and recovery was disabled.
-
-    ``spec_index`` names the spec the dead worker was running, or -1
-    when the crash could not be attributed to a single spec (e.g. the
-    pool itself failed to start).
-    """
-
-    def __init__(self, message: str, spec_index: int = -1):
-        super().__init__(message)
-        self.spec_index = spec_index
-
-
-class WorkerTimeoutError(ParallelExecutionError):
-    """A spec exceeded the runner's per-spec timeout."""
-
-    def __init__(self, message: str, spec_index: int = -1, timeout: float = float("nan")):
-        super().__init__(message)
-        self.spec_index = spec_index
-        self.timeout = timeout
-
-
-class WorkerStallError(ParallelExecutionError):
-    """A worker's heartbeat went silent — the process is hung or dead,
-    as opposed to merely slow (a slow worker keeps beating)."""
-
-    def __init__(self, message: str, spec_index: int = -1, silent_for: float = float("nan")):
-        super().__init__(message)
-        self.spec_index = spec_index
-        self.silent_for = silent_for

@@ -4,11 +4,11 @@ Long campaigns (week-long endurance runs, 500-board Monte-Carlo sweeps,
 multi-campaign resilience grids) used to be silent processes: the only
 live signal was the eventual artifact.  The journal records the *run
 lifecycle* as structured JSONL events — run-start with a spec
-fingerprint, phase transitions, checkpoint saves/restores, worker
-retries/quarantines/heartbeat stalls, fault-campaign boundaries, guard
-errors, run-end with a summary and final counters — so a run can be
-watched live (:mod:`repro.obs.progress`), replayed after a crash, or
-streamed by the future control plane.
+fingerprint, phase transitions, checkpoint saves/restores, job-service
+retries/quarantines, fault-campaign boundaries, guard errors, run-end
+with a summary and final counters — so a run can be watched live
+(:mod:`repro.obs.progress`), replayed after a crash, or streamed by the
+future control plane.
 
 Like the metrics ``HOOKS``, the journal is **off by default and
 zero-overhead when disabled**: every emit site costs one module
@@ -69,9 +69,6 @@ PHASE_END = "phase-end"
 PROGRESS = "progress"
 CHECKPOINT_SAVE = "checkpoint-save"
 CHECKPOINT_RESTORE = "checkpoint-restore"
-WORKER_RETRY = "worker-retry"
-WORKER_QUARANTINE = "worker-quarantine"
-WORKER_STALL = "worker-stall"
 CAMPAIGN_START = "campaign-start"
 CAMPAIGN_END = "campaign-end"
 ENGINE_RUN = "engine-run"
@@ -91,9 +88,6 @@ EVENTS = (
     PROGRESS,
     CHECKPOINT_SAVE,
     CHECKPOINT_RESTORE,
-    WORKER_RETRY,
-    WORKER_QUARANTINE,
-    WORKER_STALL,
     CAMPAIGN_START,
     CAMPAIGN_END,
     ENGINE_RUN,
@@ -549,9 +543,6 @@ __all__ = [
     "PROGRESS",
     "CHECKPOINT_SAVE",
     "CHECKPOINT_RESTORE",
-    "WORKER_RETRY",
-    "WORKER_QUARANTINE",
-    "WORKER_STALL",
     "CAMPAIGN_START",
     "CAMPAIGN_END",
     "ENGINE_RUN",

@@ -295,10 +295,6 @@ class Hooks:
       run/idle mode flips (:mod:`repro.converter.buck_boost`).
     * ``ckpt_saves`` / ``ckpt_restores`` — checkpoint envelopes written
       and loaded (:mod:`repro.ckpt.checkpoint`).
-    * ``parallel_retries`` / ``parallel_quarantines`` /
-      ``parallel_stalls`` — hardened-runner events: per-spec retries,
-      poison specs quarantined after exhausting retries, and heartbeat
-      watchdog stall detections (:mod:`repro.sim.parallel`).
     * ``fleet_nodes`` / ``fleet_steps`` — population sizes taken on by
       the vectorized fleet engine and node-steps it advanced
       (:mod:`repro.sim.fleet`).
@@ -334,9 +330,6 @@ class Hooks:
         "converter_transitions",
         "ckpt_saves",
         "ckpt_restores",
-        "parallel_retries",
-        "parallel_quarantines",
-        "parallel_stalls",
         "fleet_nodes",
         "fleet_steps",
         "lut_builds",
@@ -390,15 +383,6 @@ _HOOK_INSTRUMENTS = {
     ),
     "ckpt_saves": ("ckpt.saves", "checkpoint envelopes written"),
     "ckpt_restores": ("ckpt.restores", "checkpoint envelopes loaded"),
-    "parallel_retries": ("parallel.retries", "per-spec retry attempts in parallel_map"),
-    "parallel_quarantines": (
-        "parallel.quarantined_specs",
-        "specs quarantined after exhausting their retry budget",
-    ),
-    "parallel_stalls": (
-        "parallel.heartbeat_stalls",
-        "workers declared hung by the heartbeat watchdog",
-    ),
     "fleet_nodes": ("fleet.nodes", "nodes taken on by vectorized fleet runs"),
     "fleet_steps": ("fleet.steps", "node-steps advanced by the fleet engine"),
     "lut_builds": ("pv.lut.builds", "power-LUT tables built (compiled-tier cold start)"),

@@ -65,9 +65,6 @@ class ProgressEstimator:
         self.run_start_count = 0
         self.run_end_count = 0
         self.guard_errors = 0
-        self.worker_retries = 0
-        self.worker_quarantines = 0
-        self.worker_stalls = 0
         self.checkpoint_saves = 0
         self.checkpoint_restores = 0
         # Throughput EWMAs, overall and per phase.
@@ -131,12 +128,6 @@ class ProgressEstimator:
                 self.steps_done = max(self.steps_done, int(done))
         elif name == journal_mod.GUARD_ERROR:
             self.guard_errors += 1
-        elif name == journal_mod.WORKER_RETRY:
-            self.worker_retries += 1
-        elif name == journal_mod.WORKER_QUARANTINE:
-            self.worker_quarantines += 1
-        elif name == journal_mod.WORKER_STALL:
-            self.worker_stalls += 1
         elif name == journal_mod.CHECKPOINT_SAVE:
             self.checkpoint_saves += 1
         elif name == journal_mod.CHECKPOINT_RESTORE:
@@ -250,9 +241,6 @@ class ProgressEstimator:
             "run_start_count": self.run_start_count,
             "run_end_count": self.run_end_count,
             "guard_errors": self.guard_errors,
-            "worker_retries": self.worker_retries,
-            "worker_quarantines": self.worker_quarantines,
-            "worker_stalls": self.worker_stalls,
             "checkpoint_saves": self.checkpoint_saves,
             "checkpoint_restores": self.checkpoint_restores,
         }

@@ -9,9 +9,9 @@ Failure policy (the reason this module exists):
 
 * **Retry with deterministic-jitter exponential backoff.**  A failed
   attempt re-queues after ``base * 2^(attempt-1)`` seconds, jittered by
-  a hash of (spec fingerprint, attempt) through
-  :func:`repro.sim.parallel.backoff_delay` — decorrelated retry storms
-  without a random draw, so a re-run schedules identical delays.
+  a hash of (spec fingerprint, attempt) in :func:`backoff_delay` —
+  decorrelated retry storms without a random draw, so a re-run
+  schedules identical delays.
 * **Poison-job quarantine.**  A job that fails ``max_attempts`` times
   moves to the ``quarantined`` dead-letter state with the full final
   traceback preserved, frees its worker, and never blocks the queue —
@@ -21,9 +21,8 @@ Failure policy (the reason this module exists):
   than the heartbeat window (journal events are the heartbeat), the
   attempt is *abandoned* — its eventual return is discarded, a
   replacement worker is spawned so capacity never leaks, and the job
-  takes the ordinary retry/quarantine path.  The same semantics as
-  ``parallel_map``'s watchdog, minus the SIGKILL (threads, not
-  processes).
+  takes the ordinary retry/quarantine path.  Workers are threads, so
+  an abandoned attempt is left to finish on its own, never killed.
 * **Graceful drain.**  :meth:`drain` stops admissions, raises the
   process-wide :mod:`repro.ckpt.drain` flag so checkpoint-enabled runs
   save one final checkpoint and raise
@@ -69,7 +68,6 @@ from repro.service.jobstore import (
     JobRecord,
     JobStore,
 )
-from repro.sim import parallel
 from repro.validation import require_non_negative, require_positive
 
 
@@ -80,8 +78,16 @@ def _count(slot_name: str) -> None:
 
 
 def backoff_delay(fingerprint: str, attempt: int, base: float, cap: float) -> float:
-    """:func:`repro.sim.parallel.backoff_delay` keyed by a spec fingerprint."""
-    return parallel.backoff_delay(int(fingerprint[:8], 16), attempt, base, cap)
+    """Exponential backoff with *deterministic* jitter.
+
+    The delay doubles per attempt from ``base`` up to ``cap``; the
+    jitter fraction is a hash of (fingerprint prefix, attempt), not a
+    random draw, so a re-run schedules identical delays.
+    """
+    key = int(fingerprint[:8], 16)
+    delay = min(cap, base * (2.0 ** (attempt - 1)))
+    jitter = ((key * 2654435761 + attempt) % 1000) / 1000.0
+    return delay * (1.0 + 0.5 * jitter)
 
 
 class _Attempt:

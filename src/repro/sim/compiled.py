@@ -885,19 +885,18 @@ class _ScenarioTables:
 _PROGRAM_CACHE: "OrderedDict[tuple, _ScenarioTables]" = OrderedDict()
 _PROGRAM_CACHE_MAX = 4
 
-_WARMED_KERNELS: set = set()
-"""Kernel functions that have run at least once in this process — with
-numba installed, a kernel's first call is the one that pays JIT
-compilation, so cold calls get their own trace span."""
+_LANE_KERNEL_WARM = False
+"""Whether the lane kernel has run in this process — with numba
+installed, its first call is the one that pays JIT compilation, so the
+cold call gets its own trace span."""
 
 
-def _kernel_is_cold(kernel) -> bool:
-    """True exactly once per kernel function per process."""
-    key = id(kernel)
-    if key in _WARMED_KERNELS:
-        return False
-    _WARMED_KERNELS.add(key)
-    return True
+def _kernel_is_cold() -> bool:
+    """True exactly once per process: on the lane kernel's first call."""
+    global _LANE_KERNEL_WARM
+    cold = not _LANE_KERNEL_WARM
+    _LANE_KERNEL_WARM = True
+    return cold
 
 
 def clear_program_cache() -> None:
@@ -1030,7 +1029,7 @@ def _run_lane(
 
     compile_span = (
         TRACER.span("compiled:kernel-compile[lane]")
-        if _kernel_is_cold(_lane_kernel)
+        if _kernel_is_cold()
         else nullcontext()
     )
 

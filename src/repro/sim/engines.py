@@ -42,12 +42,14 @@ EXPERIMENT_ENGINES = {
     "comparison": ("scalar", "compiled"),
     "strings": ("scalar", "compiled"),
     "resilience": ("scalar", "fleet", "compiled"),
-    "montecarlo": ("scalar", "fleet", "compiled"),
+    "montecarlo": ("scalar", "fleet"),
     "endurance": ("scalar", "fleet", "compiled"),
 }
 """Tiers each experiment implements.  ``fleet`` stays only where a
 population axis needs its <= 1e-12 parity with scalar; for comparison
-lanes ``compiled`` dominates it."""
+lanes ``compiled`` dominates it.  Monte Carlo has no ``compiled`` tier:
+its fleet pass is already one vectorized shot per chunk, with no
+per-step loop to compile."""
 
 _SPEED_ORDER = ("compiled", "fleet", "scalar")
 

@@ -81,12 +81,20 @@ class TestMainExitCodes:
         assert code == EXIT_CHECKPOINT
         assert "CheckpointError" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["comparison", "strings"])
-    def test_fleet_engine_is_a_usage_error(self, command, capsys):
-        # The comparison tiers are scalar and compiled; argparse refuses
-        # the fleet choice before any work runs.
+    @pytest.mark.parametrize(
+        "command, engine",
+        [
+            pytest.param("comparison", "fleet", id="comparison"),
+            pytest.param("strings", "fleet", id="strings"),
+            pytest.param("montecarlo", "compiled", id="montecarlo-compiled"),
+        ],
+    )
+    def test_fleet_engine_is_a_usage_error(self, command, engine, capsys):
+        # The comparison tiers are scalar and compiled, the Monte Carlo
+        # tiers scalar and fleet; argparse refuses any other tier before
+        # any work runs.
         with pytest.raises(SystemExit) as excinfo:
-            main([command, "--engine", "fleet"])
+            main([command, "--engine", engine])
         assert excinfo.value.code == EXIT_USAGE
         assert "invalid choice" in capsys.readouterr().err
 

@@ -250,3 +250,6 @@ class TestMonteCarloFleetKernel:
     def test_engine_validated(self):
         with pytest.raises(ModelParameterError):
             run_sample_hold_montecarlo(boards=4, engine="gpu")
+        # The fleet pass is the fastest Monte Carlo tier; no compiled alias.
+        with pytest.raises(ModelParameterError, match="compiled"):
+            run_sample_hold_montecarlo(boards=4, engine="compiled")

@@ -249,8 +249,7 @@ class TestConcurrentWriters:
         path = tmp_path / "run.jsonl"
         journal.enable_journal(path)
         n = 24
-        results = parallel_map(_journal_work, list(range(n)), mode="process",
-                               max_workers=4)
+        results = parallel_map(_journal_work, list(range(n)), max_workers=4)
         assert results == list(range(n))
         lines = path.read_text().splitlines()
         assert len(lines) == n

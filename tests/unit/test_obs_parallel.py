@@ -41,36 +41,36 @@ def _clean_global_obs():
 class TestExactlyOnce:
     def test_pool_counts_each_spec_once(self):
         obs.enable()
-        results = parallel_map(_counted_work, list(range(8)), mode="process", max_workers=2)
+        results = parallel_map(_counted_work, list(range(8)), max_workers=2)
         assert results == [x * 2 for x in range(8)]
         assert obs.REGISTRY.counter(WORK_COUNTER).value == 8.0
 
     def test_pool_merges_worker_spans_under_parallel_map(self):
         obs.enable()
-        parallel_map(_counted_work, list(range(4)), mode="process", max_workers=2)
+        parallel_map(_counted_work, list(range(4)), max_workers=2)
         graft = obs.TRACER.root.children["parallel_map"]
         assert graft.children["spec-span"].count == 4
 
     def test_serial_mode_counts_once(self):
         obs.enable()
-        parallel_map(_counted_work, list(range(5)), mode="serial")
+        parallel_map(_counted_work, list(range(5)), max_workers=1)
         assert obs.REGISTRY.counter(WORK_COUNTER).value == 5.0
 
     def test_broken_pool_retry_counts_once(self, monkeypatch):
         """The serial retry runs the *raw* fn, so nothing merges twice."""
 
-        def _explode(task, specs, workers, chunksize, timeout):
+        def _explode(task, specs, workers):
             raise BrokenProcessPool("simulated worker death")
 
         monkeypatch.setattr(parallel, "_run_pool", _explode)
         obs.enable()
-        results = parallel_map(_counted_work, list(range(6)), mode="process", max_workers=2)
+        results = parallel_map(_counted_work, list(range(6)), max_workers=2)
         assert results == [x * 2 for x in range(6)]
         assert obs.REGISTRY.counter(WORK_COUNTER).value == 6.0
 
     def test_disabled_pool_returns_plain_results(self):
         assert not obs.is_enabled()
-        results = parallel_map(_counted_work, list(range(4)), mode="process", max_workers=2)
+        results = parallel_map(_counted_work, list(range(4)), max_workers=2)
         assert results == [0, 2, 4, 6]
         # Parent-side registry untouched: workers counted into their own
         # (discarded) registries and no merge happened.
@@ -78,6 +78,6 @@ class TestExactlyOnce:
 
     def test_worker_histogram_records_per_spec_wall_time(self):
         obs.enable()
-        parallel_map(_counted_work, list(range(6)), mode="process", max_workers=2)
+        parallel_map(_counted_work, list(range(6)), max_workers=2)
         hist = obs.REGISTRY.histogram("parallel.spec_seconds")
         assert hist.count == 6

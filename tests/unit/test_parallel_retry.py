@@ -1,263 +1,30 @@
-"""The hardened parallel runner: retries, quarantine, heartbeat watchdog.
+"""Deterministic retry backoff: exponential growth, cap and hashed jitter.
 
-Worker functions live at module level so the process pool can pickle
-them.  Failure modes are injected deliberately:
-
-* ``_poison`` — ``os._exit`` kills the worker process (simulates a
-  segfault/OOM kill), so the pool breaks and the crash must be
-  attributed to the right spec;
-* ``_flaky`` — fails a fixed number of times per spec, counted in a
-  file, then succeeds (a transient fault the retry budget absorbs);
-* ``_self_stop`` — SIGSTOPs its own process: alive but silent, which
-  only the heartbeat watchdog can distinguish from "slow".
+The job service re-queues a failed attempt after
+:func:`repro.service.queue.backoff_delay`; the jitter is keyed by the
+first eight hex digits of the spec fingerprint, so ``_fp(i)`` below
+stands for "spec number ``i``".
 """
 
-import os
-import signal
-
-import pytest
-
-import repro.obs as obs
-from repro.errors import ModelParameterError, WorkerCrashError
-from repro.sim.parallel import (
-    ParallelReport,
-    QuarantineRecord,
-    _backoff_delay,
-    parallel_map,
-)
+from repro.service.queue import backoff_delay
 
 
-@pytest.fixture(autouse=True)
-def _clean_global_obs():
-    yield
-    obs.disable()
-    obs.REGISTRY.reset()
-    obs.TRACER.reset()
-
-
-def _square(x):
-    return x * x
-
-
-def _poison(spec):
-    """Dies hard (no exception, no cleanup) when the spec says so."""
-    value, poison = spec
-    if value == poison:
-        os._exit(17)
-    return value * value
-
-
-def _flaky(spec):
-    """Fails ``fail_times`` times for this spec, then succeeds."""
-    value, fail_times, counter_dir = spec
-    marker = os.path.join(counter_dir, f"fails_{value}")
-    try:
-        with open(marker, "r", encoding="utf-8") as fh:
-            so_far = int(fh.read())
-    except OSError:
-        so_far = 0
-    if so_far < fail_times:
-        with open(marker, "w", encoding="utf-8") as fh:
-            fh.write(str(so_far + 1))
-        raise RuntimeError(f"transient fault #{so_far + 1} on {value}")
-    return value * value
-
-
-def _always_fails(x):
-    raise ValueError(f"spec {x} is doomed")
-
-
-def _self_stop(spec):
-    value, stop_value = spec
-    if value == stop_value:
-        os.kill(os.getpid(), signal.SIGSTOP)
-    return value * value
-
-
-class TestHardenedHappyPath:
-    def test_no_failures_matches_serial(self):
-        specs = list(range(6))
-        out = parallel_map(_square, specs, max_workers=2, retries=2)
-        assert out == [x * x for x in specs]
-
-    def test_quarantine_mode_returns_report(self):
-        report = parallel_map(_square, [1, 2, 3], max_workers=2, quarantine=True)
-        assert isinstance(report, ParallelReport)
-        assert report.ok
-        assert report.results == [1, 4, 9]
-        assert report.retries == 0
-
-    def test_parameter_validation(self):
-        with pytest.raises(ModelParameterError):
-            parallel_map(_square, [1], retries=-1)
-        with pytest.raises(ModelParameterError):
-            parallel_map(_square, [1], retries=1, backoff_base=0.0)
-        with pytest.raises(ModelParameterError):
-            parallel_map(_square, [1], heartbeat_interval=0.0)
-
-
-class TestPoisonSpec:
-    def test_poison_spec_quarantined_others_survive(self):
-        specs = [(x, 3) for x in range(1, 6)]  # spec x==3 kills its worker
-        report = parallel_map(
-            _poison,
-            specs,
-            max_workers=2,
-            retries=1,
-            backoff_base=0.001,
-            quarantine=True,
-        )
-        assert report.results == [1, 4, None, 16, 25]
-        assert not report.ok
-        assert len(report.quarantined) == 1
-        record = report.quarantined[0]
-        assert isinstance(record, QuarantineRecord)
-        assert record.index == 2
-        assert record.attempts == 2  # first try + one retry
-        assert "WorkerCrashError" in record.error
-
-    def test_poison_without_quarantine_raises(self):
-        specs = [(x, 2) for x in range(1, 5)]
-        with pytest.raises(WorkerCrashError):
-            parallel_map(_poison, specs, max_workers=2, retries=1, backoff_base=0.001)
-
-
-class TestTransientFaults:
-    def test_flaky_spec_recovers_within_budget(self, tmp_path):
-        specs = [(x, 2 if x == 2 else 0, str(tmp_path)) for x in range(1, 5)]
-        report = parallel_map(
-            _flaky,
-            specs,
-            max_workers=2,
-            retries=3,
-            backoff_base=0.001,
-            quarantine=True,
-        )
-        assert report.ok
-        assert report.results == [1, 4, 9, 16]
-        assert report.retries == 2  # the two injected transient faults
-
-    def test_permanent_failure_raises_original_exception(self):
-        with pytest.raises(ValueError, match="doomed"):
-            parallel_map(
-                _always_fails, [1, 2], max_workers=2, retries=1, backoff_base=0.001
-            )
-
-    def test_serial_mode_quarantines_too(self):
-        report = parallel_map(
-            _always_fails,
-            [1, 2, 3],
-            mode="serial",
-            retries=1,
-            backoff_base=0.001,
-            quarantine=True,
-        )
-        assert report.results == [None, None, None]
-        assert len(report.quarantined) == 3
-        assert all(r.attempts == 2 for r in report.quarantined)
-        assert report.retries == 3
-
-
-class TestHeartbeatWatchdog:
-    def test_wedged_worker_killed_and_quarantined(self):
-        specs = [(x, 1) for x in range(3)]  # spec x==1 SIGSTOPs itself
-        report = parallel_map(
-            _self_stop,
-            specs,
-            max_workers=2,
-            heartbeat_interval=0.3,
-            quarantine=True,
-            backoff_base=0.001,
-        )
-        assert report.results == [0, None, 4]
-        assert len(report.quarantined) == 1
-        assert report.quarantined[0].index == 1
-        assert "WorkerStallError" in report.quarantined[0].error
+def _fp(key: int) -> str:
+    return f"{key:08x}" + "0" * 56
 
 
 class TestDeterministicBackoff:
     def test_exponential_growth_and_cap(self):
-        base = _backoff_delay(0, 1, 0.1, 5.0)
-        doubled = _backoff_delay(0, 2, 0.1, 5.0)
+        base = backoff_delay(_fp(0), 1, 0.1, 5.0)
+        doubled = backoff_delay(_fp(0), 2, 0.1, 5.0)
         assert 0.1 <= base <= 0.15  # base + up to 50% jitter
         assert 0.2 <= doubled <= 0.3
-        capped = _backoff_delay(0, 30, 0.1, 5.0)
+        capped = backoff_delay(_fp(0), 30, 0.1, 5.0)
         assert capped <= 7.5  # cap + max jitter
 
     def test_jitter_is_reproducible(self):
-        assert _backoff_delay(7, 3, 0.1, 5.0) == _backoff_delay(7, 3, 0.1, 5.0)
+        assert backoff_delay(_fp(7), 3, 0.1, 5.0) == backoff_delay(_fp(7), 3, 0.1, 5.0)
 
     def test_jitter_decorrelates_specs(self):
-        delays = {_backoff_delay(i, 1, 0.1, 5.0) for i in range(20)}
+        delays = {backoff_delay(_fp(i), 1, 0.1, 5.0) for i in range(20)}
         assert len(delays) > 10
-
-
-class TestObsIntegration:
-    def test_retry_and_quarantine_counters(self):
-        obs.reset()
-        obs.enable()
-        report = parallel_map(
-            _always_fails,
-            [1, 2],
-            mode="serial",
-            retries=1,
-            backoff_base=0.001,
-            quarantine=True,
-        )
-        assert not report.ok
-        snap = obs.REGISTRY.snapshot()
-        assert snap[("parallel.retries", ())]["value"] == 2.0
-        assert snap[("parallel.quarantined_specs", ())]["value"] == 2.0
-
-
-class TestQuarantineAttribution:
-    """Regression: retries=0 quarantine must keep the spec's identity.
-
-    The quarantine record used to hold only ``repr(exc)`` — no traceback
-    — and a crash's :class:`WorkerCrashError` had no ``spec_index``, so
-    a report with several failures couldn't be debugged post-hoc.
-    """
-
-    def test_retries_zero_serial_keeps_index_and_traceback(self):
-        report = parallel_map(
-            _always_fails, [7, 8, 9], mode="serial", quarantine=True
-        )
-        assert report.results == [None, None, None]
-        assert [q.index for q in report.quarantined] == [0, 1, 2]
-        assert all(q.attempts == 1 for q in report.quarantined)
-        # The error string carries the worker-side frame, not just the message.
-        for q in report.quarantined:
-            assert "Traceback" in q.error
-            assert "_always_fails" in q.error
-            assert "is doomed" in q.error
-
-    def test_retries_zero_pool_keeps_index_and_traceback(self):
-        report = parallel_map(
-            _always_fails,
-            [7, 8],
-            mode="process",
-            max_workers=2,
-            quarantine=True,
-        )
-        assert report.results == [None, None]
-        assert [q.index for q in report.quarantined] == [0, 1]
-        for q in report.quarantined:
-            assert "Traceback" in q.error
-            assert "is doomed" in q.error
-
-    def test_crash_error_names_its_spec(self):
-        specs = [(x, 2) for x in range(1, 5)]  # spec value 2 (index 1) dies
-        with pytest.raises(WorkerCrashError) as excinfo:
-            parallel_map(
-                _poison, specs, max_workers=2, retries=1, backoff_base=0.001
-            )
-        assert excinfo.value.spec_index == 1
-
-    def test_crash_quarantine_record_names_its_spec(self):
-        specs = [(x, 2) for x in range(1, 5)]
-        report = parallel_map(
-            _poison, specs, max_workers=2, quarantine=True, backoff_base=0.001
-        )
-        assert not report.ok
-        assert [q.index for q in report.quarantined] == [1]
-        assert "spec 1" in report.quarantined[0].error

@@ -1,12 +1,11 @@
 """The parallel experiment runner: determinism, ordering, degradation."""
 
 import os
-import time
 
 import pytest
 
 from repro.env.profiles import HOURS
-from repro.errors import ModelParameterError, WorkerCrashError, WorkerTimeoutError
+from repro.errors import ModelParameterError
 from repro.experiments.comparison import run_comparison
 from repro.sim.parallel import default_worker_count, parallel_map, scatter
 
@@ -30,23 +29,18 @@ def _crash_unless_pid(spec):
     return value
 
 
-def _sleep_for(seconds):
-    time.sleep(seconds)
-    return seconds
-
-
 def _raise_value_error(x):
     raise ValueError(f"deterministic failure on {x}")
 
 
 class TestParallelMap:
     def test_serial_mode_preserves_order(self):
-        assert parallel_map(_square, [3, 1, 2], mode="serial") == [9, 1, 4]
+        assert parallel_map(_square, [3, 1, 2], max_workers=1) == [9, 1, 4]
 
     def test_process_mode_matches_serial(self):
         items = list(range(12))
-        serial = parallel_map(_square, items, mode="serial")
-        pooled = parallel_map(_square, items, mode="process", max_workers=2)
+        serial = parallel_map(_square, items, max_workers=1)
+        pooled = parallel_map(_square, items, max_workers=2)
         assert pooled == serial
 
     def test_auto_mode_runs_inline_for_single_worker(self):
@@ -57,11 +51,7 @@ class TestParallelMap:
         assert parallel_map(lambda x: x + 1, [41], max_workers=4) == [42]
 
     def test_empty_items(self):
-        assert parallel_map(_square, [], mode="serial") == []
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ModelParameterError):
-            parallel_map(_square, [1], mode="threads")
+        assert parallel_map(_square, [], max_workers=1) == []
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ModelParameterError):
@@ -75,52 +65,17 @@ class TestWorkerRecovery:
     def test_worker_crash_falls_back_to_serial(self):
         specs = [(os.getpid(), k) for k in range(4)]
         # The pool workers all hard-exit; the serial retry completes.
-        assert parallel_map(_crash_unless_pid, specs, mode="process", max_workers=2) == [
+        assert parallel_map(_crash_unless_pid, specs, max_workers=2) == [
             0,
             1,
             2,
             3,
         ]
 
-    def test_worker_crash_surfaces_when_fallback_disabled(self):
-        specs = [(os.getpid(), k) for k in range(4)]
-        with pytest.raises(WorkerCrashError):
-            parallel_map(
-                _crash_unless_pid,
-                specs,
-                mode="process",
-                max_workers=2,
-                fallback_serial=False,
-            )
-
-    def test_hung_worker_times_out_with_spec_index(self):
-        # The "hung" spec sleeps far longer than the ceiling but briefly
-        # enough that the orphaned worker drains before interpreter exit.
-        with pytest.raises(WorkerTimeoutError) as err:
-            parallel_map(
-                _sleep_for,
-                [0.0, 6.0],
-                mode="process",
-                max_workers=2,
-                timeout=1.5,
-            )
-        assert err.value.spec_index == 1
-        assert err.value.timeout == 1.5
-
-    def test_timeout_unbreached_returns_results(self):
-        out = parallel_map(
-            _sleep_for, [0.0, 0.01], mode="process", max_workers=2, timeout=30.0
-        )
-        assert out == [0.0, 0.01]
-
     def test_deterministic_exception_propagates_as_itself(self):
         # fn raising is not a crash: no silent serial retry, no wrapping.
         with pytest.raises(ValueError, match="deterministic failure"):
-            parallel_map(_raise_value_error, [1, 2], mode="process", max_workers=2)
-
-    def test_invalid_timeout_rejected(self):
-        with pytest.raises(ModelParameterError):
-            parallel_map(_square, [1, 2], timeout=0.0)
+            parallel_map(_raise_value_error, [1, 2], max_workers=2)
 
 
 class TestScatter:

@@ -77,6 +77,7 @@ class TestBuildSpecRejections:
             ({"kind": "montecarlo", "params": {"seed": -1}}, "seed"),
             ({"kind": "comparison", "params": {"engine": "fleet"}}, "engine"),
             ({"kind": "strings", "params": {"engine": "fleet"}}, "engine"),
+            ({"kind": "montecarlo", "params": {"engine": "compiled"}}, "engine"),
         ],
     )
     def test_rejects_with_field(self, payload, field):

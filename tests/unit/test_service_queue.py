@@ -75,6 +75,19 @@ class TestBackoffDelay:
         fp = "deadbeef" + "0" * 56
         assert backoff_delay(fp, 1, 0.1, 5.0) == backoff_delay(fp, 1, 0.1, 5.0)
 
+    @pytest.mark.parametrize(
+        "fingerprint, attempt, expected",
+        [
+            ("deadbeef" + "0" * 56, 1, 0.12),
+            ("deadbeef" + "0" * 56, 3, 0.48040000000000005),
+            ("a" * 64, 2, 0.2332),
+            ("0123abcd" + "f" * 56, 6, 3.6528),
+        ],
+    )
+    def test_pinned_delays(self, fingerprint, attempt, expected):
+        # Bit-exact: a changed hash or formula reschedules every retry.
+        assert backoff_delay(fingerprint, attempt, 0.1, 5.0) == expected
+
     def test_exponential_envelope_and_cap(self):
         fp = "deadbeef" + "0" * 56
         delays = [backoff_delay(fp, a, 0.1, 1.0) for a in (1, 2, 3, 4, 5, 6)]
@@ -87,6 +100,8 @@ class TestBackoffDelay:
         a = backoff_delay("a" * 64, 1, 0.1, 5.0)
         b = backoff_delay("b" * 64, 1, 0.1, 5.0)
         assert a != b
+        delays = {backoff_delay(f"{i:08x}" + "0" * 56, 1, 0.1, 5.0) for i in range(20)}
+        assert len(delays) > 10
 
 
 class TestHappyPath:
