@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--engine", choices=engine_choices(name),
                            default="fleet",
                            help="vectorized fleet engine (default), scalar walk, "
-                           "LUT-backed compiled tier, or auto (fastest)")
+                           "or auto (= fleet)")
         if name == "montecarlo":
             p.add_argument("--boards", type=int, default=500)
             p.add_argument("--engine", choices=engine_choices(name),

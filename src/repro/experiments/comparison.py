@@ -127,7 +127,6 @@ class _ScenarioSpec:
     dt: float
     use_storage: bool
     use_thermal: bool
-    precompute: bool
     engine: str = "scalar"
     shading: "str | None" = None
 
@@ -196,24 +195,17 @@ def _fresh_storage(spec: _ScenarioSpec):
     )
 
 
-def _run_scalar_lane(spec, cell, scenario_factory, technique_name, controller, precomputed):
+def _run_scalar_lane(spec, cell, scenario_factory, controller, precomputed):
     """One technique through the scalar reference engine."""
-    thermal = (
-        CellThermalModel(area_cm2=_cell_area_cm2(cell))
-        if spec.use_thermal and precomputed is None
-        else None
-    )
     sim = QuasiStaticSimulator(
         cell,
         controller,
         scenario_factory(),
         converter=BuckBoostConverter(),
         storage=_fresh_storage(spec),
-        thermal=thermal,
         supply_voltage=3.0,
         record=False,
         precomputed=precomputed,
-        shading=_build_shading(spec) if precomputed is None else None,
     )
     return sim.run(spec.duration, dt=spec.dt)
 
@@ -240,27 +232,23 @@ def _run_scenario(spec: _ScenarioSpec) -> List[ComparisonCell]:
     if spec.engine == "compiled":
         return _run_scenario_compiled(spec, cell, controller_factories, scenario_factory)
 
-    precomputed = None
-    if spec.precompute:
-        thermal = (
-            CellThermalModel(area_cm2=_cell_area_cm2(cell)) if spec.use_thermal else None
-        )
-        precomputed = precompute_conditions(
-            cell,
-            scenario_factory(),
-            spec.duration,
-            spec.dt,
-            thermal=thermal,
-            shading=_build_shading(spec),
-        )
+    thermal = (
+        CellThermalModel(area_cm2=_cell_area_cm2(cell)) if spec.use_thermal else None
+    )
+    precomputed = precompute_conditions(
+        cell,
+        scenario_factory(),
+        spec.duration,
+        spec.dt,
+        thermal=thermal,
+        shading=_build_shading(spec),
+    )
 
     results: List[ComparisonCell] = []
     with TRACER.span(f"scenario:{spec.scenario}"):
         for technique_name in spec.techniques:
             controller = controller_factories[technique_name]()
-            summary = _run_scalar_lane(
-                spec, cell, scenario_factory, technique_name, controller, precomputed
-            )
+            summary = _run_scalar_lane(spec, cell, scenario_factory, controller, precomputed)
             results.append(
                 ComparisonCell(technique=technique_name, scenario=spec.scenario, summary=summary)
             )
@@ -293,9 +281,7 @@ def _run_scenario_compiled(spec, cell, controller_factories, scenario_factory):
             summary = compiled_out.get(technique_name)
             if summary is None:
                 controller = controller_factories[technique_name]()
-                summary = _run_scalar_lane(
-                    spec, cell, scenario_factory, technique_name, controller, precomputed
-                )
+                summary = _run_scalar_lane(spec, cell, scenario_factory, controller, precomputed)
             results.append(
                 ComparisonCell(technique=technique_name, scenario=spec.scenario, summary=summary)
             )
@@ -310,7 +296,6 @@ def run_comparison(
     scenarios: Sequence[str] | None = None,
     use_storage: bool = True,
     use_thermal: bool = True,
-    precompute: bool = True,
     parallel: bool = False,
     max_workers: int | None = None,
     engine: str = "scalar",
@@ -327,11 +312,6 @@ def run_comparison(
         use_storage: charge a real supercapacitor (vs an ideal 3 V sink).
         use_thermal: let sunlight heat the cell (the fixed-voltage
             technique's weak spot).
-        precompute: solve each scenario's condition trace once (batch
-            Lambert-W) and share it across all techniques instead of
-            re-solving per controller per step.  Same numerics, ~an
-            order of magnitude faster; disable to force the original
-            per-step path.
         parallel: fan the scenarios out over a process pool
             (:mod:`repro.sim.parallel`); results are identical to the
             serial path and come back in the same order.
@@ -360,7 +340,6 @@ def run_comparison(
             dt=dt,
             use_storage=use_storage,
             use_thermal=use_thermal,
-            precompute=precompute,
             engine=engine,
             shading=shading,
         )

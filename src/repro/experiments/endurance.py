@@ -18,7 +18,7 @@ from typing import Callable, List, Optional
 from repro.analysis.reporting import format_table
 from repro.ckpt.checkpoint import check_spec_match, load_checkpoint, save_checkpoint
 from repro.ckpt.drain import drain_requested
-from repro.errors import ModelParameterError, RunDrainedError, StateFormatError
+from repro.errors import RunDrainedError, StateFormatError
 from repro.converter.buck_boost import BuckBoostConverter
 from repro.core.config import PlatformConfig
 from repro.core.system import SampleHoldMPPT
@@ -28,8 +28,6 @@ from repro.node.scheduler import EnergyAwareScheduler
 from repro.obs import journal
 from repro.node.sensor_node import SensorNode
 from repro.pv.cells import PVCell, am_1815
-from repro.sim.engines import EXPERIMENT_ENGINES, resolve_engine
-from repro.sim.parallel import parallel_map
 from repro.sim.precompute import precompute_conditions
 from repro.sim.quasistatic import QuasiStaticSimulator
 from repro.storage.supercap import Supercapacitor
@@ -120,7 +118,6 @@ def _build_week(
     initial_voltage: float,
     dt: float,
     seed: int,
-    precompute: bool,
     days: int,
 ):
     """Construct the endurance chain (sim, storage, scheduler).
@@ -146,10 +143,7 @@ def _build_week(
         config=PlatformConfig.trimmed_for_cell(cell), assume_started=True
     )
     environment = weekly_office(seed=seed)
-    horizon = days * DAY
-    precomputed = (
-        precompute_conditions(cell, environment, horizon, dt) if precompute else None
-    )
+    precomputed = precompute_conditions(cell, environment, days * DAY, dt)
     sim = QuasiStaticSimulator(
         cell,
         controller,
@@ -194,7 +188,6 @@ def run_week(
     initial_voltage: float = 3.2,
     dt: float = 10.0,
     seed: int = 4,
-    precompute: bool = True,
     days: int = 7,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: Optional[float] = None,
@@ -209,8 +202,6 @@ def run_week(
         initial_voltage: store voltage at Monday 00:00.
         dt: quasi-static step.
         seed: environment seed.
-        precompute: solve the whole week's light/model trace up front
-            (batch Lambert-W) instead of per step; identical numerics.
         days: horizon in days (7 = the published scenario).
         checkpoint_path: where to write crash-recovery checkpoints
             (atomic write; the previous checkpoint is never corrupted).
@@ -223,7 +214,7 @@ def run_week(
             checkpoint write (used by the crash-injection tests).
     """
     sim, storage, scheduler = _build_week(
-        cell, storage_farads, initial_voltage, dt, seed, precompute, days
+        cell, storage_farads, initial_voltage, dt, seed, days
     )
     spec = _week_spec_echo(cell, storage_farads, initial_voltage, dt, seed, days)
 
@@ -322,227 +313,6 @@ def run_week(
         final_voltage=storage.voltage,
         total_reports=scheduler.reports_sent,
     )
-
-
-@dataclass(frozen=True)
-class _WeekSpec:
-    """Picklable arguments for one ensemble member's week."""
-
-    storage_farads: float
-    initial_voltage: float
-    dt: float
-    seed: int
-    precompute: bool
-
-
-def _run_week_spec(spec: _WeekSpec) -> EnduranceResult:
-    return run_week(
-        storage_farads=spec.storage_farads,
-        initial_voltage=spec.initial_voltage,
-        dt=spec.dt,
-        seed=spec.seed,
-        precompute=spec.precompute,
-    )
-
-
-def _run_weeks_fleet(
-    seeds: List[int],
-    storage_farads: float,
-    initial_voltage: float,
-    dt: float,
-    days: int = 7,
-    engine: str = "fleet",
-) -> List[EnduranceResult]:
-    """One vectorized fleet advancing every seed's week in lockstep.
-
-    Builds the identical scalar objects :func:`_build_week` would (so
-    the parameters match bitwise), hands them to the fleet engine as one
-    population over the seeds axis, and keeps the same per-day
-    bookkeeping as :func:`run_week` — on arrays instead of one chain per
-    seed.  ``engine="compiled"`` swaps in the LUT-accelerated
-    :class:`~repro.sim.compiled.CompiledFleetSimulator`.
-    """
-    import numpy as np
-
-    from repro.sim.engines import fleet_class
-    from repro.sim.fleet import FleetMember
-
-    cell = am_1815()
-    members = []
-    for seed in seeds:
-        storage = Supercapacitor(
-            capacitance=storage_farads, rated_voltage=5.0, voltage=initial_voltage
-        )
-        scheduler = EnergyAwareScheduler(
-            node=SensorNode(payload_bytes=16),
-            storage=storage,
-            v_survival=2.3,
-            v_comfort=4.2,
-            min_period=30.0,
-            max_period=3600.0,
-        )
-        controller = SampleHoldMPPT(
-            config=PlatformConfig.trimmed_for_cell(cell), assume_started=True
-        )
-        precomputed = precompute_conditions(cell, weekly_office(seed=seed), days * DAY, dt)
-        members.append(
-            FleetMember(
-                controller=controller,
-                precomputed=precomputed,
-                converter=BuckBoostConverter(),
-                storage=storage,
-                load=scheduler,
-            )
-        )
-
-    fleet = fleet_class(engine)(members)
-    n = len(seeds)
-    steps_per_day = int(DAY / dt)
-    total_steps = days * steps_per_day
-    day_lists: List[List[DaySummary]] = [[] for _ in range(n)]
-    harvested_before = fleet.energy_delivered
-    consumed_before = fleet.energy_load
-    reports_before = fleet.reports_sent
-    voltages = fleet.storage_voltages
-    min_v = voltages
-    hibernated = np.zeros(n, dtype=bool)
-    for step in range(1, total_steps + 1):
-        fleet.step()
-        voltages = fleet.storage_voltages
-        min_v = np.minimum(min_v, voltages)
-        hibernated |= fleet.hibernating
-        if step % steps_per_day == 0:
-            delivered = fleet.energy_delivered
-            load = fleet.energy_load
-            reports = fleet.reports_sent
-            for j in range(n):
-                day_lists[j].append(
-                    DaySummary(
-                        day=step // steps_per_day - 1,
-                        harvested_j=float(delivered[j] - harvested_before[j]),
-                        consumed_j=float(load[j] - consumed_before[j]),
-                        reports=int(reports[j] - reports_before[j]),
-                        store_end_v=float(voltages[j]),
-                        min_store_v=float(min_v[j]),
-                        hibernated=bool(hibernated[j]),
-                    )
-                )
-            harvested_before, consumed_before, reports_before = delivered, load, reports
-            min_v = voltages.copy()
-            hibernated = np.zeros(n, dtype=bool)
-    final_reports = fleet.reports_sent
-    return [
-        EnduranceResult(
-            days=day_lists[j],
-            initial_voltage=initial_voltage,
-            final_voltage=float(voltages[j]),
-            total_reports=int(final_reports[j]),
-        )
-        for j in range(n)
-    ]
-
-
-def run_week_ensemble(
-    seeds: List[int],
-    storage_farads: float = 10.0,
-    initial_voltage: float = 3.2,
-    dt: float = 10.0,
-    precompute: bool = True,
-    max_workers: Optional[int] = None,
-    checkpoint_path: Optional[str] = None,
-    resume_from: Optional[str] = None,
-    engine: str = "fleet",
-) -> List[EnduranceResult]:
-    """Run the endurance week over an ensemble of environment seeds.
-
-    Each seed is an independent week.  The default ``engine="fleet"``
-    advances every seed in lockstep through one vectorized
-    :class:`~repro.sim.fleet.FleetSimulator` (the seeds become a NumPy
-    population axis); ``engine="compiled"`` (and ``"auto"``) does the
-    same through the LUT-backed
-    :class:`~repro.sim.compiled.CompiledFleetSimulator`;
-    ``engine="scalar"`` fans one scalar week per seed
-    over the process pool (:func:`repro.sim.parallel.parallel_map`).
-    Results come back in seed order either way; fleet agrees with
-    scalar to solver tolerance, compiled within the LUT's declared
-    error budget.
-
-    With ``checkpoint_path`` set, seeds run in pool-sized waves and the
-    checkpoint is rewritten (atomically) after each wave with every
-    completed seed's result; ``resume_from`` skips those seeds and
-    recomputes only the remainder, returning results in the original
-    seed order.  ``precompute`` affects only the scalar engine — the
-    fleet always consumes a precomputed condition trace.
-    """
-    engine = resolve_engine(
-        engine, EXPERIMENT_ENGINES["endurance"], context="endurance ensemble"
-    )
-    ensemble_spec = {
-        "experiment": "endurance-ensemble",
-        "storage_farads": storage_farads,
-        "initial_voltage": initial_voltage,
-        "dt": dt,
-        "precompute": precompute,
-        "engine": engine,
-    }
-    completed: dict = {}
-    if resume_from is not None:
-        envelope = load_checkpoint(resume_from, kind="endurance-ensemble")
-        check_spec_match(envelope, ensemble_spec, resume_from)
-        completed = {
-            int(seed): EnduranceResult.from_dict(result)
-            for seed, result in envelope["state"]["completed"].items()
-        }
-
-    def make_spec(seed: int) -> _WeekSpec:
-        return _WeekSpec(
-            storage_farads=storage_farads,
-            initial_voltage=initial_voltage,
-            dt=dt,
-            seed=seed,
-            precompute=precompute,
-        )
-
-    def run_batch(batch: List[int]) -> List[EnduranceResult]:
-        if not batch:
-            return []
-        if engine in ("fleet", "compiled"):
-            return _run_weeks_fleet(
-                batch, storage_farads, initial_voltage, dt, engine=engine
-            )
-        return parallel_map(_run_week_spec, [make_spec(s) for s in batch],
-                            max_workers=max_workers)
-
-    pending = [seed for seed in seeds if seed not in completed]
-    with journal.run_scope(
-        "endurance-ensemble",
-        spec=dict(ensemble_spec, seeds=list(seeds)),
-        total_steps=len(seeds),
-        resumed_steps=len(seeds) - len(pending),
-    ) as scope:
-        if checkpoint_path is None:
-            completed.update(zip(pending, run_batch(pending)))
-            scope.advance(len(pending))
-        else:
-            import os
-
-            wave = max_workers if max_workers is not None else (os.cpu_count() or 1)
-            for start in range(0, len(pending), wave):
-                batch = pending[start : start + wave]
-                completed.update(zip(batch, run_batch(batch)))
-                save_checkpoint(
-                    checkpoint_path,
-                    kind="endurance-ensemble",
-                    state={
-                        "completed": {
-                            str(seed): result.to_dict() for seed, result in completed.items()
-                        }
-                    },
-                    spec=ensemble_spec,
-                    meta={"seeds_done": len(completed), "seeds_total": len(seeds)},
-                )
-                scope.advance(len(batch))
-    return [completed[seed] for seed in seeds]
 
 
 def render(result: EnduranceResult) -> str:

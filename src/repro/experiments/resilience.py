@@ -52,9 +52,8 @@ from repro.faults.schedule import FaultSchedule
 from repro.obs import journal
 from repro.pv.cells import PVCell, am_1815
 from repro.pv.thermal import CellThermalModel
-from repro.sim.engines import EXPERIMENT_ENGINES, fleet_class, resolve_engine
+from repro.sim.engines import EXPERIMENT_ENGINES, resolve_engine
 from repro.sim.fleet import FleetMember, FleetSimulator, fleet_supported
-from repro.sim.parallel import parallel_map
 from repro.sim.precompute import precompute_conditions
 from repro.sim.quasistatic import HarvestSummary, QuasiStaticSimulator
 from repro.storage.supercap import Supercapacitor
@@ -239,7 +238,7 @@ class ResilienceCell:
 
 @dataclass(frozen=True)
 class _CampaignSpec:
-    """Picklable description of one campaign x scenario batch."""
+    """One campaign x scenario batch."""
 
     cell: PVCell
     campaign: str
@@ -289,12 +288,12 @@ def _run_campaign_scenario(spec: _CampaignSpec) -> List[ResilienceCell]:
 
     summaries: Dict[str, HarvestSummary] = {}
     fleet_group = []
-    if spec.engine in ("fleet", "compiled"):
+    if spec.engine == "fleet":
         fleet_group = [
             chain for chain in chains if fleet_supported(chain[1], chain[2], chain[3])
         ]
     if fleet_group:
-        fleet = fleet_class(spec.engine)(
+        fleet = FleetSimulator(
             [
                 FleetMember(
                     controller=controller,
@@ -597,8 +596,6 @@ def run_resilience(
     seed: int = 0,
     include_recovery: bool = True,
     include_coldstart: bool = True,
-    parallel: bool = False,
-    max_workers: int | None = None,
     checkpoint_path: str | None = None,
     resume_from: str | None = None,
     engine: str = "fleet",
@@ -619,26 +616,20 @@ def run_resilience(
             the whole report are a pure function of it.
         include_recovery: run the blackout-recovery probe.
         include_coldstart: run the flicker cold-start campaign.
-        parallel: fan (campaign, scenario) batches over a process pool.
-        max_workers: pool size when ``parallel``.
         checkpoint_path: where to write crash-recovery checkpoints; the
             checkpoint is rewritten (atomically) after each completed
-            (campaign, scenario) batch — serial — or after each pool
-            wave — parallel.
+            (campaign, scenario) batch, and a pending drain stops the
+            run at that batch boundary.
         resume_from: checkpoint to resume; completed batches are reused
             verbatim (each batch is deterministic in the spec, so the
             report is identical to an uninterrupted run).
         engine: ``"fleet"`` (default) steps every fleet-supported
             technique of a batch in lockstep through one vectorized
             :class:`repro.sim.fleet.FleetSimulator`; unsupported
-            techniques fall back to the scalar walk.  ``"compiled"``
-            does the same through the LUT-accelerated
-            :class:`repro.sim.compiled.CompiledFleetSimulator` (matches
-            fleet within the table's declared error budget).
-            ``"scalar"`` forces the per-technique
+            techniques fall back to the scalar walk.  ``"scalar"`` forces the per-technique
             :class:`QuasiStaticSimulator` path (bit-identical to the E8
-            comparison on the clean campaign).  ``"auto"`` picks the
-            fastest tier.
+            comparison on the clean campaign).  ``"auto"`` resolves to
+            ``"fleet"``.
         shading: optional :data:`~repro.env.shading.SHADOW_MAPS` name
             laid over every campaign (requires a
             :class:`~repro.pv.string.CellString`) — "does the technique
@@ -746,41 +737,19 @@ def run_resilience(
         total_steps=batch_steps * len(specs),
         resumed_steps=batch_steps * (len(specs) - len(pending)),
     ) as scope:
-        if parallel and checkpoint_path is None:
-            batches = parallel_map(
-                _run_campaign_scenario, pending, max_workers=max_workers
-            )
-            for spec, batch in zip(pending, batches):
-                done[batch_key(spec)] = batch
-                scope.advance(batch_steps)
-        elif parallel:
-            import os
-
-            wave = max_workers if max_workers is not None else (os.cpu_count() or 1)
-            for start in range(0, len(pending), wave):
-                chunk = pending[start : start + wave]
-                batches = parallel_map(
-                    _run_campaign_scenario, chunk, max_workers=max_workers
-                )
-                for spec, batch in zip(chunk, batches):
-                    done[batch_key(spec)] = batch
-                save_progress()
-                scope.advance(batch_steps * len(chunk))
-                check_drain(checkpoint_path, "resilience", len(done), len(specs))
-        else:
-            current_campaign: Optional[str] = None
-            for spec in pending:
-                if spec.campaign != current_campaign:
-                    if current_campaign is not None:
-                        scope.campaign_end(current_campaign)
-                    current_campaign = spec.campaign
-                    scope.campaign_start(current_campaign, seed=seed)
-                done[batch_key(spec)] = _run_campaign_scenario(spec)
-                save_progress()
-                scope.advance(batch_steps)
-                check_drain(checkpoint_path, "resilience", len(done), len(specs))
-            if current_campaign is not None:
-                scope.campaign_end(current_campaign)
+        current_campaign: Optional[str] = None
+        for spec in pending:
+            if spec.campaign != current_campaign:
+                if current_campaign is not None:
+                    scope.campaign_end(current_campaign)
+                current_campaign = spec.campaign
+                scope.campaign_start(current_campaign, seed=seed)
+            done[batch_key(spec)] = _run_campaign_scenario(spec)
+            save_progress()
+            scope.advance(batch_steps)
+            check_drain(checkpoint_path, "resilience", len(done), len(specs))
+        if current_campaign is not None:
+            scope.campaign_end(current_campaign)
 
         report = ResilienceReport(
             seed=seed, duration=duration, dt=dt, campaigns=selected_campaigns

@@ -16,9 +16,13 @@ that behave like named time series with numpy views.
 Performance layers: :mod:`repro.sim.precompute` solves a whole run's
 conditions once for sharing across controllers,
 :mod:`repro.sim.parallel` fans independent runs over a process pool,
-:mod:`repro.sim.fleet` steps whole populations of nodes in lockstep
-NumPy, and :mod:`repro.sim.telemetry` keeps the ``BENCH_perf.json``
-wall-time ledger.
+and :mod:`repro.sim.telemetry` keeps the ``BENCH_perf.json`` wall-time
+ledger.  Two engine tiers sit beside the scalar reference
+(:mod:`repro.sim.engines` lists which experiment takes which):
+:mod:`repro.sim.compiled` fuses comparison/strings lanes into one
+kernel over a validated power LUT, and :mod:`repro.sim.fleet` steps
+populations of S&H nodes (resilience lanes, Monte Carlo boards) in
+lockstep NumPy.
 """
 
 from repro.sim.traces import Trace, TraceSet

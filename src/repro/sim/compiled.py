@@ -1,4 +1,4 @@
-"""Compiled engine tier: a fused lane kernel over a validated power LUT.
+"""Compiled engine tier: a fused comparison lane kernel over a validated power LUT.
 
 The scalar engine costs one Python object-soup step per node per ``dt``.
 This tier fuses a comparison lane's whole per-step chain — controller
@@ -7,16 +7,13 @@ scalar loop per run, with every transcendental solve on the hot path
 replaced by a :class:`~repro.pv.lut.CellPowerLUT` lookup that passed its
 pre-run validation gate.
 
-* :func:`_lane_kernel` advances one *comparison lane* (one technique in
-  one scenario) through its whole horizon.  Controllers whose operating
-  point does not depend on storage state (ideal oracle, the S&H
-  platform, fixed-voltage, periodic FOCV, pilot cell, photodiode
-  reference) are compiled to precomputed per-step series; the
-  storage-coupled ones (no-MPPT direct, hill climbing, and every
-  technique's bootstrap path) run inside the kernel.
-* :class:`CompiledFleetSimulator` is :class:`FleetSimulator` with the
-  same validated LUT in place of the per-step Lambert-W solve; it keeps
-  the fleet's NumPy step loop and checkpoint protocol.
+:func:`_lane_kernel` advances one *comparison lane* (one technique in
+one scenario) through its whole horizon.  Controllers whose operating
+point does not depend on storage state (ideal oracle, the S&H platform,
+fixed-voltage, periodic FOCV, pilot cell, photodiode reference) are
+compiled to precomputed per-step series; the storage-coupled ones
+(no-MPPT direct, hill climbing, and every technique's bootstrap path)
+run inside the kernel.
 
 The lane kernel is jitted with Numba when it imports (and
 ``REPRO_DISABLE_NUMBA`` is unset); otherwise the identical Python body
@@ -48,13 +45,12 @@ from repro.errors import ModelParameterError, NumericalGuardError
 from repro.obs import journal as _journal
 from repro.obs.metrics import HOOKS as _OBS
 from repro.obs.tracing import TRACER
-from repro.pv.lut import DEFAULT_REL_BUDGET, lut_for_models
+from repro.pv.lut import lut_for_models
 from repro.sim.fleet import FleetMember, FleetSimulator
 from repro.sim.quasistatic import HarvestSummary
 
 __all__ = [
     "HAVE_NUMBA",
-    "CompiledFleetSimulator",
     "run_comparison_scenario",
     "clear_program_cache",
 ]
@@ -475,13 +471,7 @@ def _ctl_fingerprint(ctl) -> tuple:
 class _ScenarioTables:
     """Shared per-scenario precomputation: conditions, LUT, ideal replay."""
 
-    def __init__(
-        self,
-        cell,
-        pc,
-        grid_points: Optional[int],
-        rel_budget: float,
-    ):
+    def __init__(self, cell, pc):
         self.cell = cell
         self.pc = pc
         self.dt = float(pc.dt)
@@ -522,10 +512,7 @@ class _ScenarioTables:
         self.vmpp_u = vmpp
         self.pmpp_u = pmpp
 
-        lut_kwargs = {"rel_budget": rel_budget}
-        if grid_points is not None:
-            lut_kwargs["grid_points"] = grid_points
-        self.lut = lut_for_models(unique, voc=self.voc_u, **lut_kwargs)
+        self.lut = lut_for_models(unique, voc=self.voc_u)
         self.params = self.lut.params
         self.lut_report = self.lut.validate()
 
@@ -936,8 +923,6 @@ def _tables_for(
     duration: float,
     dt: float,
     use_thermal: bool,
-    grid_points: Optional[int],
-    rel_budget: float,
     shading=None,
     shading_name: Optional[str] = None,
 ) -> _ScenarioTables:
@@ -945,8 +930,8 @@ def _tables_for(
 
     Programs are expensive (condition precompute + table build), and
     benchmark / sweep workloads re-run identical scenarios, so a small
-    FIFO keyed on (cell parameters, scenario name, horizon, LUT knobs,
-    shadow-map name) amortizes them.  Scenario / shading names are
+    FIFO keyed on (cell parameters, scenario name, horizon, shadow-map
+    name) amortizes them.  Scenario / shading names are
     assumed to identify their factories — true for the registry
     scenarios and shadow maps every experiment uses.
     """
@@ -956,8 +941,6 @@ def _tables_for(
         float(duration),
         float(dt),
         bool(use_thermal),
-        grid_points if grid_points is None else int(grid_points),
-        float(rel_budget),
         None if shading is None else (shading_name or repr(shading)),
     )
     tables = _PROGRAM_CACHE.get(key)
@@ -975,7 +958,7 @@ def _tables_for(
             pc = precompute_conditions(
                 cell, scenario_factory(), duration, dt, thermal=thermal, shading=shading
             )
-            tables = _ScenarioTables(cell, pc, grid_points, rel_budget)
+            tables = _ScenarioTables(cell, pc)
         _PROGRAM_CACHE[key] = tables
         while len(_PROGRAM_CACHE) > _PROGRAM_CACHE_MAX:
             _PROGRAM_CACHE.popitem(last=False)
@@ -1122,8 +1105,6 @@ def run_comparison_scenario(
     dt: float,
     use_thermal: bool = True,
     supply_voltage: float = 3.0,
-    grid_points: Optional[int] = None,
-    rel_budget: Optional[float] = None,
     shading=None,
     shading_name: Optional[str] = None,
 ):
@@ -1139,8 +1120,6 @@ def run_comparison_scenario(
         duration / dt: run horizon, seconds.
         use_thermal: heat the cell from absorbed light.
         supply_voltage: controller rail when no storage is attached.
-        grid_points / rel_budget: LUT knobs (None: module defaults —
-            string populations pick the denser knee-aligned default).
         shading: optional :class:`~repro.env.shading.ShadowMap` driving
             per-cell factors (string cells only).
         shading_name: registry name of the shadow map (cache identity);
@@ -1153,8 +1132,6 @@ def run_comparison_scenario(
         photodiode calibration valve), which the caller should re-run on
         the scalar engine against the returned precomputed conditions.
     """
-    gp = grid_points if grid_points is None else int(grid_points)
-    rb = DEFAULT_REL_BUDGET if rel_budget is None else float(rel_budget)
     tables = _tables_for(
         cell,
         scenario_name,
@@ -1162,8 +1139,6 @@ def run_comparison_scenario(
         duration,
         dt,
         use_thermal,
-        gp,
-        rb,
         shading=shading,
         shading_name=shading_name,
     )
@@ -1191,50 +1166,3 @@ def run_comparison_scenario(
     if h is not None and steps_done:
         h.inc(steps_done)
     return results, tables.pc
-
-
-# --------------------------------------------------------------------------
-# Compiled fleet simulator
-# --------------------------------------------------------------------------
-
-
-class CompiledFleetSimulator(FleetSimulator):
-    """Fleet engine with a validated power LUT in place of Lambert-W.
-
-    Construction, member support, checkpoint protocol and the per-step
-    NumPy path are inherited from :class:`FleetSimulator`; this subclass
-    only swaps the per-step Lambert-W batch solve for a
-    :class:`~repro.pv.lut.CellPowerLUT` lookup, validated against the
-    declared error budget before any stepping.
-
-    Args:
-        members: as for :class:`FleetSimulator`.
-        grid_points / rel_budget: LUT knobs (None: module defaults).
-        validate_lut: run the pre-run validation gate (raises
-            :class:`~repro.errors.LUTValidationError` on an undersized
-            table).  Disabling skips the gate, not the table.
-    """
-
-    engine_name = "compiled"
-
-    def __init__(
-        self,
-        members: Sequence[FleetMember],
-        *,
-        grid_points: Optional[int] = None,
-        rel_budget: Optional[float] = None,
-        validate_lut: bool = True,
-    ):
-        super().__init__(members)
-        rb = DEFAULT_REL_BUDGET if rel_budget is None else float(rel_budget)
-        lut_kwargs = {"rel_budget": rb}
-        if grid_points is not None:
-            lut_kwargs["grid_points"] = int(grid_points)
-        self.lut = lut_for_models(
-            self._unique_models, voc=self._voc_all, **lut_kwargs
-        )
-        self.lut_report = self.lut.validate() if validate_lut else None
-
-    def _pv_power(self, u_sel, v_sel, duty_sel):
-        """LUT lookup in place of the exact Lambert-W solve."""
-        return self.lut.power_many(u_sel, v_sel) * duty_sel

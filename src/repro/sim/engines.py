@@ -5,12 +5,12 @@ Three tiers advance the same physics at different throughput:
 * ``scalar`` — one :class:`~repro.sim.quasistatic.QuasiStaticSimulator`
   per chain.  The bitwise reference; the golden traces encode its bits.
 * ``fleet`` — :class:`~repro.sim.fleet.FleetSimulator`, the population
-  as a NumPy axis.  Matches scalar to a-few-ulp tolerance.
-* ``compiled`` — :mod:`repro.sim.compiled`: a fused lane kernel
-  (Numba-jitted when numba is importable, pure-Python otherwise) and the
-  LUT-backed fleet, both over a validated power LUT
-  (:mod:`repro.pv.lut`).  Matches fleet/scalar within the table's
-  declared error budget.
+  as a NumPy axis (resilience S&H lanes, Monte Carlo boards).  Matches
+  scalar to a-few-ulp tolerance.
+* ``compiled`` — :mod:`repro.sim.compiled`: a fused comparison/strings
+  lane kernel (Numba-jitted when numba is importable, pure-Python
+  otherwise) over a validated power LUT (:mod:`repro.pv.lut`).  Matches
+  scalar within the table's declared error budget.
 
 :data:`EXPERIMENT_ENGINES` is the one table of which tiers each
 experiment implements; the entry points, the CLI ``--engine`` choices and
@@ -28,7 +28,7 @@ Every experiment entry point funnels its ``engine=`` argument through
 
 from __future__ import annotations
 
-from typing import Sequence, Type
+from typing import Sequence
 
 from repro.errors import ModelParameterError
 
@@ -41,15 +41,15 @@ AUTO = "auto"
 EXPERIMENT_ENGINES = {
     "comparison": ("scalar", "compiled"),
     "strings": ("scalar", "compiled"),
-    "resilience": ("scalar", "fleet", "compiled"),
+    "resilience": ("scalar", "fleet"),
     "montecarlo": ("scalar", "fleet"),
-    "endurance": ("scalar", "fleet", "compiled"),
 }
-"""Tiers each experiment implements.  ``fleet`` stays only where a
-population axis needs its <= 1e-12 parity with scalar; for comparison
-lanes ``compiled`` dominates it.  Monte Carlo has no ``compiled`` tier:
-its fleet pass is already one vectorized shot per chunk, with no
-per-step loop to compile."""
+"""Tiers each experiment implements.  ``compiled`` is the comparison and
+strings lane kernel; ``fleet`` is the population axis, kept where it
+needs its <= 1e-12 parity with scalar.  Monte Carlo has no ``compiled``
+tier (its fleet pass is one vectorized shot per chunk, with no per-step
+loop to compile), nor has resilience (only its S&H lanes ride the fleet,
+and a LUT build per batch never beat it)."""
 
 _SPEED_ORDER = ("compiled", "fleet", "scalar")
 
@@ -107,22 +107,3 @@ def resolve_engine(
             f"{', '.join(repr(e) for e in allowed)} or 'auto'"
         )
     return engine
-
-
-def fleet_class(engine: str) -> Type:
-    """The fleet-shaped simulator class backing a tier.
-
-    ``"fleet"`` maps to :class:`~repro.sim.fleet.FleetSimulator`;
-    ``"compiled"`` to its LUT-backed subclass
-    :class:`~repro.sim.compiled.CompiledFleetSimulator` (same
-    constructor, same checkpoint protocol).
-    """
-    if engine == "compiled":
-        from repro.sim.compiled import CompiledFleetSimulator
-
-        return CompiledFleetSimulator
-    if engine == "fleet":
-        from repro.sim.fleet import FleetSimulator
-
-        return FleetSimulator
-    raise ModelParameterError(f"engine {engine!r} has no fleet-shaped simulator")

@@ -1,17 +1,17 @@
 """Structure-of-arrays fleet engine: N nodes advanced in lockstep NumPy.
 
-Population workloads — tolerance Monte-Carlo boards, endurance
-ensembles, resilience campaign grids — are embarrassingly parallel over
-*nodes*, but the scalar path pays for that parallelism with one
+Population workloads — tolerance Monte-Carlo boards, resilience
+campaign grids — are embarrassingly parallel over *nodes*, but the
+scalar path pays for that parallelism with one
 :class:`~repro.sim.quasistatic.QuasiStaticSimulator` per node plus
 process-pool pickling.  This module turns the population into a NumPy
 axis instead: one Python-level time loop, with every per-step quantity
 (S&H held voltage, comparator latch, converter transfer, supercap state,
-scheduler bookkeeping, fault masks) held in arrays of shape ``(n,)``.
+fault masks) held in arrays of shape ``(n,)``.
 
 The engine is built *from* the scalar objects: a
-:class:`FleetMember` carries the same controller / converter / storage /
-load instances the scalar engine would step, and the fleet extracts
+:class:`FleetMember` carries the same controller / converter / storage
+instances the scalar engine would step, and the fleet extracts
 their constants and initial state.  That construction rule is what makes
 the equivalence gate meaningful — both engines consume identical
 parameters, so any disagreement is numerics, not configuration.
@@ -32,13 +32,12 @@ Supported member shape: a :class:`~repro.core.system.SampleHoldMPPT`
 controller (optionally wrapped in
 :class:`~repro.faults.components.HoldLeakageFault`), optional
 :class:`~repro.converter.buck_boost.BuckBoostConverter` (optionally
-brownout-wrapped), optional
+brownout-wrapped) and optional
 :class:`~repro.storage.supercap.Supercapacitor` (optionally
-open/short-wrapped), and an optional
-:class:`~repro.node.scheduler.EnergyAwareScheduler` load — exactly the
-combinations the population experiments build.  ``fleet_supported``
-reports whether a combination qualifies; callers fall back to the
-scalar engine otherwise.
+open/short-wrapped), with no load — exactly the combinations the
+population experiments build.  ``fleet_supported`` reports whether a
+combination qualifies; callers fall back to the scalar engine
+otherwise.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from repro.faults.components import (
     HoldLeakageFault,
     StorageFault,
 )
-from repro.node.scheduler import EnergyAwareScheduler
 from repro.obs import journal as _journal
 from repro.obs.metrics import HOOKS as _OBS
 from repro.obs.tracing import TRACER
@@ -194,7 +192,6 @@ class FleetMember:
             brownout-wrapped).
         storage: optional :class:`Supercapacitor` (optionally
             :class:`StorageFault`-wrapped).
-        load: optional :class:`EnergyAwareScheduler`.
         supply_voltage: rail used when no storage is attached, volts.
     """
 
@@ -202,7 +199,6 @@ class FleetMember:
     precomputed: PrecomputedConditions
     converter: Optional[object] = None
     storage: Optional[object] = None
-    load: Optional[object] = None
     supply_voltage: float = 3.3
 
 
@@ -227,17 +223,12 @@ def _unwrap_storage(storage):
     return storage, None, None, 0.0
 
 
-def fleet_supported(
-    controller,
-    converter=None,
-    storage=None,
-    load=None,
-) -> bool:
+def fleet_supported(controller, converter=None, storage=None) -> bool:
     """Whether this node combination can run on the vectorized fleet engine.
 
     The fleet covers the proposed-S&H platform (already started, so no
-    cold-start chain) with the converter / storage / scheduler shapes
-    the population experiments build.  Anything else — baseline
+    cold-start chain) with the converter / storage shapes the
+    population experiments build.  Anything else — baseline
     controllers, setpoint-drift wrappers, cold-start studies — takes
     the scalar engine.
     """
@@ -249,8 +240,6 @@ def fleet_supported(
         return False
     store, _, _, _ = _unwrap_storage(storage)
     if store is not None and type(store) is not Supercapacitor:
-        return False
-    if load is not None and not isinstance(load, EnergyAwareScheduler):
         return False
     return True
 
@@ -276,9 +265,6 @@ class FleetSimulator:
         members: the fleet's nodes; all must share one time base and
             satisfy :func:`fleet_supported`.
     """
-
-    engine_name = "fleet"
-    """Tier label stamped into journal ``engine-run`` events."""
 
     def __init__(self, members: Sequence[FleetMember]):
         members = list(members)
@@ -351,22 +337,6 @@ class FleetSimulator:
         self._cap_leak = np.zeros(n)
         self._v_store = np.zeros(n)
 
-        # --- scheduler load ------------------------------------------------
-        self._has_load = np.zeros(n, dtype=bool)
-        self._scheds: List[Optional[EnergyAwareScheduler]] = [None] * n
-        self._sleep_power = np.zeros(n)
-        self._report_energy = np.zeros(n)
-        self._upd_int = np.ones(n)
-        self._v_surv = np.zeros(n)
-        self._v_comf = np.ones(n)
-        self._min_per = np.ones(n)
-        self._max_per = np.ones(n)
-        self._cur_period = np.zeros(n)
-        self._next_update = np.zeros(n)
-        self._hibernating = np.zeros(n, dtype=bool)
-        self._reports = np.zeros(n, dtype=np.int64)
-        self._next_report = np.zeros(n)
-
         unique_models: List[object] = []
         unique_lux: List[float] = []
         unique_rtot: List[float] = []
@@ -376,7 +346,7 @@ class FleetSimulator:
 
         for j, m in enumerate(members):
             base, leak_sched, leak_mult = _unwrap_controller(m.controller)
-            if not fleet_supported(m.controller, m.converter, m.storage, m.load):
+            if not fleet_supported(m.controller, m.converter, m.storage):
                 raise ModelParameterError(
                     f"fleet member {j} is not fleet-supported; use the scalar engine"
                 )
@@ -441,23 +411,6 @@ class FleetSimulator:
                 self._cap_leak[j] = store.leakage_current
                 self._v_store[j] = store.voltage
 
-            if m.load is not None:
-                sched = m.load
-                self._has_load[j] = True
-                self._scheds[j] = sched
-                self._sleep_power[j] = sched.node.sleep_power
-                self._report_energy[j] = sched.node.energy_per_report()
-                self._upd_int[j] = sched.update_interval
-                self._v_surv[j] = sched.v_survival
-                self._v_comf[j] = sched.v_comfort
-                self._min_per[j] = sched.min_period
-                self._max_per[j] = sched.max_period
-                self._cur_period[j] = sched._current_period
-                self._next_update[j] = sched._next_update
-                self._hibernating[j] = sched._hibernating
-                self._reports[j] = sched._reports_sent
-                self._next_report[j] = sched._next_report
-
             # Per-node unique conditions, in first-encounter (step) order.
             pc = m.precomputed
             lux = np.asarray(pc.lux, dtype=float)
@@ -504,7 +457,6 @@ class FleetSimulator:
         # series strings; each family gets its own stacked-parameter
         # block, with index maps from the global condition index.
         n_unique = len(unique_models)
-        self._unique_models = unique_models
         is_string = np.array(
             [getattr(model, "cells", None) is not None for model in unique_models],
             dtype=bool,
@@ -571,7 +523,6 @@ class FleetSimulator:
         self._short_mask = np.column_stack(short_masks)
         self._any_leak = bool(self._leak_mask.any())
         self._any_store = bool(self._has_store.any())
-        self._any_load = bool(self._has_load.any())
 
         # --- run state -----------------------------------------------------
         self.time = float(self.times[0]) if steps else 0.0
@@ -581,7 +532,7 @@ class FleetSimulator:
         self._e_cell = np.zeros(n)
         self._e_del = np.zeros(n)
         self._e_over = np.zeros(n)
-        self._e_load = np.zeros(n)
+        self._e_load = np.zeros(n)  # fleet members carry no load; stays 0.0
         self._final_v = np.where(self._has_store, self._v_store, self._supply_voltage)
 
         h = _OBS.fleet_nodes
@@ -647,73 +598,12 @@ class FleetSimulator:
         self._v_store = np.where(update, v_new, v)
         return np.where(update, requested, 0.0)
 
-    # --- scheduler helper --------------------------------------------------
-
-    def _scheduler_power(self, t: float, storage_v: np.ndarray) -> np.ndarray:
-        """Vectorized EnergyAwareScheduler.power across the fleet."""
-        update = self._has_load & (t >= self._next_update)
-        if update.any():
-            idx = np.nonzero(update)[0]
-            v = storage_v[idx]
-            if np.isnan(v).any():
-                raise NumericalGuardError(
-                    "storage voltage is NaN; refusing to schedule on it",
-                    signal="v_storage",
-                )
-            surv = self._v_surv[idx]
-            comf = self._v_comf[idx]
-            hibernate = v < surv
-            period = self._min_per[idx].copy()
-            mid = ~hibernate & (v < comf)
-            if mid.any():
-                # math.log/exp on python floats keeps the log-interpolated
-                # period bitwise equal to the scalar policy (np.log differs
-                # in the last ulp on some hosts); all the placement and
-                # bookkeeping around it is vectorized.
-                n_clamped = 0
-                vals = []
-                for vj, sj, cj, lo, hi in zip(
-                    v[mid].tolist(), surv[mid].tolist(), comf[mid].tolist(),
-                    self._min_per[idx][mid].tolist(),
-                    self._max_per[idx][mid].tolist(),
-                ):
-                    fraction = (vj - sj) / (cj - sj)
-                    p = math.exp(math.log(hi) + fraction * (math.log(lo) - math.log(hi)))
-                    if p < lo or p > hi:
-                        n_clamped += 1
-                        p = min(hi, max(lo, p))
-                    vals.append(p)
-                period[mid] = vals
-                clamps = _OBS.scheduler_clamps
-                if n_clamped and clamps is not None:
-                    clamps.inc(n_clamped)
-            awake = ~hibernate
-            was_hibernating = self._hibernating[idx]
-            self._hibernating[idx] = hibernate
-            self._cur_period[idx] = np.where(awake, period, self._cur_period[idx])
-            self._next_report[idx] = np.where(
-                awake & was_hibernating, t + period, self._next_report[idx]
-            )
-            self._next_update[idx] = t + self._upd_int[idx]
-        power = np.where(self._has_load, self._sleep_power, 0.0)
-        report = self._has_load & ~self._hibernating & (t >= self._next_report)
-        if report.any():
-            self._reports += report
-            self._next_report = np.where(report, t + self._cur_period, self._next_report)
-            power = power + np.where(report, self._report_energy / self._upd_int, 0.0)
-        return power
-
-    # --- harvest hook -------------------------------------------------------
+    # --- harvest -------------------------------------------------------------
 
     def _pv_power(
         self, u_sel: np.ndarray, v_sel: np.ndarray, duty_sel: np.ndarray
     ) -> np.ndarray:
-        """Harvested power at the selected (condition, voltage) points.
-
-        The engine-tier hook: this base implementation is the exact
-        Lambert-W solve; the compiled tier overrides it with a validated
-        interpolation-table lookup (:mod:`repro.sim.compiled`).
-        """
+        """Harvested power at the selected (condition, voltage) points."""
         if not self._any_string:
             current = batch_current_at(take_params(self._params_all, u_sel), v_sel)
             return np.maximum(0.0, v_sel * current) * duty_sel
@@ -756,8 +646,7 @@ class FleetSimulator:
                     self._exchange(bleed, dt, apply=bleeding, open_mask=None)
             open_now = self._open_mask[i]
 
-        storage_v = np.where(self._has_store, self._v_store, self._supply_voltage)
-        supply_v = storage_v
+        supply_v = np.where(self._has_store, self._v_store, self._supply_voltage)
 
         # --- controller decide (SampleHoldMPPT, vectorized) ---------------
         u_row = self._u_global[i]
@@ -844,15 +733,12 @@ class FleetSimulator:
             )
 
         overhead = overhead_current * supply_v
-        load_power = (
-            self._scheduler_power(t, storage_v) if self._any_load else np.zeros(n)
-        )
         ideal = self._ideal_all[u_row]
 
         # --- storage bookkeeping ------------------------------------------
         if self._any_store:
             accepted = self._exchange(delivered, dt, apply=self._has_store, open_mask=open_now)
-            self._exchange(-(overhead + load_power), dt, apply=self._has_store, open_mask=open_now)
+            self._exchange(-overhead, dt, apply=self._has_store, open_mask=open_now)
             accepted = np.where(self._has_store, accepted, delivered)
         else:
             accepted = delivered
@@ -870,7 +756,6 @@ class FleetSimulator:
         self._e_cell += pv_power * dt
         self._e_del += accepted * dt
         self._e_over += overhead * dt
-        self._e_load += load_power * dt
         self._final_v = final_v
         self.time = t + dt
         self._step_index = i + 1
@@ -886,7 +771,7 @@ class FleetSimulator:
         if j is not None:
             j.emit(
                 _journal.ENGINE_RUN,
-                engine=self.engine_name,
+                engine="fleet",
                 steps=remaining,
                 nodes=self.n,
             )
@@ -897,36 +782,6 @@ class FleetSimulator:
         return self.summaries()
 
     # --- results -----------------------------------------------------------
-
-    @property
-    def step_index(self) -> int:
-        """Steps advanced so far."""
-        return self._step_index
-
-    @property
-    def storage_voltages(self) -> np.ndarray:
-        """Per-node store voltage (supply rail where no store is fitted)."""
-        return np.where(self._has_store, self._v_store, self._supply_voltage)
-
-    @property
-    def reports_sent(self) -> np.ndarray:
-        """Per-node report counters (zeros for nodes without a scheduler)."""
-        return self._reports.copy()
-
-    @property
-    def hibernating(self) -> np.ndarray:
-        """Per-node scheduler hibernation flags."""
-        return self._hibernating.copy()
-
-    @property
-    def energy_delivered(self) -> np.ndarray:
-        """Per-node delivered-energy accumulators, joules."""
-        return self._e_del.copy()
-
-    @property
-    def energy_load(self) -> np.ndarray:
-        """Per-node load-energy accumulators, joules."""
-        return self._e_load.copy()
 
     def summaries(self) -> List[HarvestSummary]:
         """Per-node harvest summaries, in member order."""
@@ -960,11 +815,6 @@ class FleetSimulator:
         ("sample_count", "_sample_count", int),
         ("comparator_high", "_cmp_high", bool),
         ("storage_voltage", "_v_store", float),
-        ("current_period", "_cur_period", float),
-        ("next_update", "_next_update", float),
-        ("hibernating", "_hibernating", bool),
-        ("reports_sent", "_reports", int),
-        ("next_report", "_next_report", float),
         ("duration", "_duration", float),
         ("energy_ideal", "_e_ideal", float),
         ("energy_at_cell", "_e_cell", float),

@@ -2,7 +2,7 @@
 
 The repo carries three executions of the same physics — the scalar
 reference walk, the vectorized fleet engine, and the LUT-backed compiled
-tier — plus per-suite spot checks that grew up ad hoc.  This harness
+lane kernel — plus per-suite spot checks that grew up ad hoc.  This harness
 makes the equivalence contract first-class and reusable:
 
 * :class:`DifferentialSpec` — a declarative description of one
@@ -15,8 +15,8 @@ makes the equivalence contract first-class and reusable:
   perturb/observe probes compound table error before self-correcting).
 * :func:`assert_engines_agree` — run the spec through every engine its
   experiment implements (:data:`repro.sim.engines.EXPERIMENT_ENGINES`:
-  comparison specs on scalar and compiled, resilience specs on all
-  three) and diff the harvest summaries field by field, failing with a
+  comparison specs on scalar and compiled, resilience specs on scalar
+  and fleet) and diff the harvest summaries field by field, failing with a
   readable per-field report.
 
 Tests (including Hypothesis-generated specs) compose these; see

@@ -74,21 +74,6 @@ class TestFixedSpecs:
             engines=("scalar", "fleet"),
         )
 
-    def test_faulted_string_compiled_within_budget(self):
-        assert_engines_agree(
-            DifferentialSpec(
-                experiment="resilience",
-                n_cells=3,
-                mismatch=(1.0, 0.8, 1.1),
-                shading="venetian",
-                scenario="office-desk",
-                techniques=("proposed-S&H-FOCV",),
-                campaigns=("light-dropout",),
-                seed=7,
-            ),
-            engines=("scalar", "compiled"),
-        )
-
     def test_tolerance_violation_is_reported_per_field(self):
         """The harness fails loudly, naming lane and field."""
         spec = DifferentialSpec(techniques=("proposed-S&H-FOCV",))

@@ -22,7 +22,8 @@ import pytest
 
 from repro.analysis.montecarlo import run_sample_hold_montecarlo
 from repro.ckpt import load_checkpoint
-from repro.errors import CheckpointError
+from repro.ckpt.drain import clear_drain, request_drain
+from repro.errors import CheckpointError, RunDrainedError
 from repro.experiments.endurance import run_week
 from repro.experiments.resilience import run_resilience
 
@@ -152,6 +153,27 @@ class TestResilienceResume:
         resumed = run_resilience(
             **self.KWARGS, checkpoint_path=str(ckpt), resume_from=str(ckpt)
         )
+        assert [c.to_dict() for c in resumed.cells] == [
+            c.to_dict() for c in reference.cells
+        ]
+
+    def test_drained_run_resumes_identically(self, tmp_path):
+        reference = run_resilience(**self.KWARGS)
+
+        ckpt = str(tmp_path / "res.ckpt.json")
+        request_drain()
+        try:
+            with pytest.raises(RunDrainedError) as excinfo:
+                run_resilience(**self.KWARGS, checkpoint_path=ckpt)
+        finally:
+            clear_drain()
+        # The drain stops at the first batch boundary, checkpoint written.
+        assert excinfo.value.step == 1
+        assert excinfo.value.checkpoint_path == ckpt
+        envelope = load_checkpoint(ckpt, kind="resilience")
+        assert len(envelope["state"]["batches"]) == 1
+
+        resumed = run_resilience(**self.KWARGS, checkpoint_path=ckpt, resume_from=ckpt)
         assert [c.to_dict() for c in resumed.cells] == [
             c.to_dict() for c in reference.cells
         ]

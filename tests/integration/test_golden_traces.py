@@ -151,14 +151,14 @@ class TestGoldenComparison:
                     engine, scenario, technique, pivot[scenario][technique], fields
                 )
 
-    @pytest.mark.parametrize("engine", ("scalar", "fleet", "compiled"))
+    @pytest.mark.parametrize("engine", ("scalar", "fleet"))
     def test_resilience_clean_campaign_reproduces_golden(self, engine, update_golden):
         """The resilience harness's no-fault run IS the golden comparison.
 
-        Scalar reproduces the golden bits exactly; fleet and compiled
-        are held to the same fixtures at their declared tolerances (the
-        non-scalar tiers only batch the S&H lanes — the rest of the
-        techniques take the scalar walk inside the harness).
+        Scalar reproduces the golden bits exactly; fleet is held to the
+        same fixtures at its declared tolerance (it only batches the S&H
+        lanes — the rest of the techniques take the scalar walk inside
+        the harness).
         """
         from repro.experiments.resilience import run_resilience
 

@@ -1,8 +1,9 @@
 """The fast paths change wall time, not physics.
 
-Two layers are asserted bit-for-bit against the original per-step
-path: the precomputed condition trace consumed by the simulator, and
-the precompute+batch path inside ``run_comparison``.
+The precomputed condition trace the simulator consumes is asserted
+bit-for-bit against the live per-step path — generically, and for every
+(technique, scenario) lane of the comparison with that lane's thermal
+model, storage and converter.
 """
 
 import pytest
@@ -12,7 +13,7 @@ from repro.converter.buck_boost import BuckBoostConverter
 from repro.env.profiles import HOURS
 from repro.env.scenarios import office_desk_24h, outdoor_day
 from repro.errors import ModelParameterError
-from repro.experiments.comparison import run_comparison
+from repro.experiments.comparison import default_controllers, default_scenarios
 from repro.pv.cells import am_1815
 from repro.pv.thermal import CellThermalModel
 from repro.sim.precompute import precompute_conditions
@@ -83,14 +84,28 @@ def test_precomputed_and_thermal_are_mutually_exclusive():
         )
 
 
-def test_run_comparison_fast_path_is_bitwise_identical():
-    kwargs = dict(duration=0.5 * HOURS, dt=10.0)
-    fast = run_comparison(precompute=True, **kwargs)
-    slow = run_comparison(precompute=False, **kwargs)
-    assert len(fast) == len(slow) == 27
-    for f, s in zip(fast, slow):
-        assert (f.technique, f.scenario) == (s.technique, s.scenario)
-        _summaries_identical(f.summary, s.summary)
+@pytest.mark.parametrize("scenario", list(default_scenarios()))
+@pytest.mark.parametrize("technique", list(default_controllers()))
+def test_comparison_lane_precomputed_is_bitwise_identical(technique, scenario):
+    duration, dt = 0.5 * HOURS, 10.0
+    cell = am_1815()
+    controller = default_controllers(cell)[technique]
+    environment = default_scenarios()[scenario]
+    live = _make_sim(
+        cell,
+        controller(),
+        environment(),
+        thermal=CellThermalModel(area_cm2=cell.parameters.area_cm2),
+    )
+    pc = precompute_conditions(
+        cell,
+        environment(),
+        duration,
+        dt,
+        thermal=CellThermalModel(area_cm2=cell.parameters.area_cm2),
+    )
+    fast = _make_sim(cell, controller(), environment(), precomputed=pc)
+    _summaries_identical(fast.run(duration, dt=dt), live.run(duration, dt=dt))
 
 
 def test_run_beyond_precomputed_trace_falls_back_to_live_path():

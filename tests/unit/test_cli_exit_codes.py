@@ -87,12 +87,13 @@ class TestMainExitCodes:
             pytest.param("comparison", "fleet", id="comparison"),
             pytest.param("strings", "fleet", id="strings"),
             pytest.param("montecarlo", "compiled", id="montecarlo-compiled"),
+            pytest.param("resilience", "compiled", id="resilience-compiled"),
         ],
     )
     def test_fleet_engine_is_a_usage_error(self, command, engine, capsys):
-        # The comparison tiers are scalar and compiled, the Monte Carlo
-        # tiers scalar and fleet; argparse refuses any other tier before
-        # any work runs.
+        # The comparison tiers are scalar and compiled, the resilience and
+        # Monte Carlo tiers scalar and fleet; argparse refuses any other
+        # tier before any work runs.
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--engine", engine])
         assert excinfo.value.code == EXIT_USAGE

@@ -5,56 +5,25 @@ Contracts covered here:
 * every comparison lane run by the compiled tier matches the scalar
   engine within its declared tolerance (hill climbing looser — its
   probes feed back through the table);
-* :class:`~repro.sim.compiled.CompiledFleetSimulator` matches
-  :class:`~repro.sim.fleet.FleetSimulator` within the LUT budget on
-  clean and fully-faulted campaigns;
-* checkpoint/resume of the compiled fleet is bitwise;
-* the LUT validation gate is wired into construction;
+* the LUT validation gate is wired into the comparison path;
 * the photodiode calibration valve falls back to the scalar engine;
 * engine resolution (``auto`` included) behaves across entry points,
-  and comparison/strings refuse the ``fleet`` tier.
+  comparison/strings refuse the ``fleet`` tier and resilience the
+  ``compiled`` tier.
 """
-
-import json
 
 import pytest
 
 from repro.converter.buck_boost import BuckBoostConverter
-from repro.core.config import PlatformConfig
-from repro.core.system import SampleHoldMPPT
 from repro.env.profiles import ConstantProfile
 from repro.errors import LUTValidationError, ModelParameterError
 from repro.experiments.comparison import default_controllers, run_comparison
-from repro.faults.components import (
-    ConverterBrownoutFault,
-    HoldLeakageFault,
-    StorageFault,
-)
-from repro.faults.schedule import FaultSchedule
-from repro.node.scheduler import EnergyAwareScheduler
-from repro.node.sensor_node import SensorNode
 from repro.pv.cells import am_1815
 from repro.pv.thermal import CellThermalModel
-from repro.sim.compiled import CompiledFleetSimulator, run_comparison_scenario
-from repro.sim.engines import (
-    EXPERIMENT_ENGINES,
-    available_engines,
-    fleet_class,
-    resolve_engine,
-)
-from repro.sim.fleet import FleetMember, FleetSimulator
+from repro.sim.compiled import run_comparison_scenario
+from repro.sim.engines import EXPERIMENT_ENGINES, available_engines, resolve_engine
 from repro.sim.precompute import precompute_conditions
 from repro.storage.supercap import Supercapacitor
-
-ENERGY_FIELDS = (
-    "duration",
-    "energy_ideal",
-    "energy_at_cell",
-    "energy_delivered",
-    "energy_overhead",
-    "energy_load",
-    "final_storage_voltage",
-)
 
 DUR = 4 * 3600.0
 DT = 60.0
@@ -72,44 +41,6 @@ def conditions():
     thermal = CellThermalModel(area_cm2=cell.parameters.area_cm2)
     pc = precompute_conditions(cell, env, DUR, DT, thermal=thermal)
     return cell, env, pc
-
-
-def _clean_member(pc):
-    ctl = SampleHoldMPPT(config=PlatformConfig.paper_prototype(), assume_started=True)
-    return FleetMember(
-        controller=ctl,
-        precomputed=pc,
-        converter=BuckBoostConverter(),
-        storage=Supercapacitor(capacitance=25.0, rated_voltage=5.5, voltage=2.7),
-        supply_voltage=3.0,
-    )
-
-
-def _faulted_member(pc):
-    ctl = SampleHoldMPPT(config=PlatformConfig.paper_prototype(), assume_started=True)
-    ctl = HoldLeakageFault(
-        ctl,
-        FaultSchedule.bursts(duration=DUR, rate_per_hour=1.0, mean_width=900.0, seed=401),
-        droop_multiplier=40.0,
-    )
-    conv = ConverterBrownoutFault(
-        BuckBoostConverter(),
-        FaultSchedule.periodic(first=3600.0, period=7200.0, width=300.0, count=2),
-    )
-    store = StorageFault(
-        Supercapacitor(capacitance=25.0, rated_voltage=5.5, voltage=2.7),
-        FaultSchedule.bursts(duration=DUR, rate_per_hour=0.5, mean_width=300.0, seed=307),
-        mode="short",
-        short_resistance=200.0,
-    )
-    node = SensorNode(payload_bytes=16)
-    sched = EnergyAwareScheduler(
-        node, store.base, v_survival=2.3, v_comfort=4.2, min_period=30, max_period=3600
-    )
-    return FleetMember(
-        controller=ctl, precomputed=pc, converter=conv, storage=store,
-        load=sched, supply_voltage=3.0,
-    )
 
 
 def _assert_within_budget(exact, compiled, tol):
@@ -167,41 +98,25 @@ class TestComparisonLanes:
         assert out["photodiode-ref"] is None
         assert pc is not None  # handed back for the scalar rerun
 
+    def test_lut_validation_gate_wired(self, monkeypatch):
+        # An undersized table must fail the run, not silently degrade it.
+        from repro.sim import compiled
 
-class TestCompiledFleet:
-    @pytest.mark.parametrize("build", (_clean_member, _faulted_member))
-    def test_matches_exact_fleet_within_budget(self, conditions, build):
-        _, _, pc = conditions
-        exact = FleetSimulator([build(pc)]).run()
-        compiled = CompiledFleetSimulator([build(pc)]).run()
-        for a, b in zip(exact, compiled):
-            _assert_within_budget(a, b, ENERGY_TOL["default"])
-
-    def test_checkpoint_resume_bitwise(self, conditions):
-        _, _, pc = conditions
-
-        def build():
-            return CompiledFleetSimulator([_faulted_member(pc), _clean_member(pc)])
-
-        full = build().run()
-        first = build()
-        first.run(steps=100)
-        blob = json.loads(json.dumps(first.state_dict()))  # real serialise trip
-        second = build()
-        second.load_state(blob)
-        resumed = second.run()
-        for x, y in zip(full, resumed):
-            for name in ENERGY_FIELDS:
-                assert getattr(x, name) == getattr(y, name), name
-
-    def test_validation_gate_wired_into_construction(self, conditions):
-        _, _, pc = conditions
+        build = compiled.lut_for_models
+        monkeypatch.setattr(
+            compiled,
+            "lut_for_models",
+            lambda models, **kwargs: build(models, grid_points=8, **kwargs),
+        )
+        compiled.clear_program_cache()
         with pytest.raises(LUTValidationError):
-            CompiledFleetSimulator([_clean_member(pc)], grid_points=8)
-        # ...and can be explicitly disarmed without dropping the table.
-        sim = CompiledFleetSimulator([_clean_member(pc)], grid_points=8, validate_lut=False)
-        assert sim.lut_report is None
-        assert sim.lut.grid_points == 8
+            run_comparison(
+                engine="compiled",
+                scenarios=["office-desk"],
+                techniques=["proposed-S&H-FOCV"],
+                duration=12 * 3600.0,
+                dt=600.0,
+            )
 
 
 class TestEngineRegistry:
@@ -224,11 +139,14 @@ class TestEngineRegistry:
         with pytest.raises(ModelParameterError):
             resolve_engine(42)
 
-    def test_fleet_class_mapping(self):
-        assert fleet_class("fleet") is FleetSimulator
-        assert fleet_class("compiled") is CompiledFleetSimulator
-        with pytest.raises(ModelParameterError):
-            fleet_class("scalar")
+    def test_tier_table(self):
+        assert EXPERIMENT_ENGINES == {
+            "comparison": ("scalar", "compiled"),
+            "strings": ("scalar", "compiled"),
+            "resilience": ("scalar", "fleet"),
+            "montecarlo": ("scalar", "fleet"),
+        }
+        assert resolve_engine("auto", EXPERIMENT_ENGINES["resilience"]) == "fleet"
 
     def test_comparison_rejects_unknown_engine(self):
         with pytest.raises(ModelParameterError):
@@ -242,6 +160,12 @@ class TestEngineRegistry:
         with pytest.raises(ModelParameterError, match="fleet"):
             run_strings(duration=600.0, dt=60.0, engine="fleet")
         assert resolve_engine("auto", EXPERIMENT_ENGINES["comparison"]) == "compiled"
+
+    def test_resilience_rejects_compiled_tier(self):
+        from repro.experiments.resilience import run_resilience
+
+        with pytest.raises(ModelParameterError, match="compiled"):
+            run_resilience(duration=600.0, dt=60.0, engine="compiled")
 
 
 def _span_count(node, name):

@@ -8,7 +8,7 @@ to a-few-ulp tolerance on long energy accumulations (the fleet sums the
 population axis in a different association order).
 
 Covered here: a clean run, a fully-faulted run (hold leakage, converter
-brownout, storage short, energy-aware scheduler), an open-mode storage
+brownout, storage short), an open-mode storage
 fault, checkpoint/resume mid-run through a JSON round trip, member-order
 invariance, and the Monte Carlo fleet kernel against the scalar board
 walk.
@@ -31,8 +31,6 @@ from repro.faults.components import (
     StorageFault,
 )
 from repro.faults.schedule import FaultSchedule
-from repro.node.scheduler import EnergyAwareScheduler
-from repro.node.sensor_node import SensorNode
 from repro.pv.cells import am_1815
 from repro.pv.thermal import CellThermalModel
 from repro.sim.fleet import FleetMember, FleetSimulator, fleet_supported
@@ -95,11 +93,7 @@ def _build_faulted():
         mode="short",
         short_resistance=200.0,
     )
-    node = SensorNode(payload_bytes=16)
-    sched = EnergyAwareScheduler(
-        node, store.base, v_survival=2.3, v_comfort=4.2, min_period=30, max_period=3600
-    )
-    return ctl, conv, store, sched
+    return ctl, conv, store
 
 
 class TestFleetEquivalence:
@@ -123,23 +117,21 @@ class TestFleetEquivalence:
 
     def test_faulted_run_matches_scalar(self, conditions):
         cell, env, pc = conditions
-        ctl, conv, store, sched = _build_faulted()
+        ctl, conv, store = _build_faulted()
         sim = QuasiStaticSimulator(
             cell=cell, environment=env, controller=ctl, converter=conv,
-            storage=store, load=sched.power, supply_voltage=3.0,
-            record=False, precomputed=pc,
+            storage=store, supply_voltage=3.0, record=False, precomputed=pc,
         )
         sim.run(duration=DUR, dt=DT)
 
-        ctl2, conv2, store2, sched2 = _build_faulted()
-        assert fleet_supported(ctl2, conv2, store2, sched2)
+        ctl2, conv2, store2 = _build_faulted()
+        assert fleet_supported(ctl2, conv2, store2)
         fleet = FleetSimulator(
             [FleetMember(controller=ctl2, precomputed=pc, converter=conv2,
-                         storage=store2, load=sched2, supply_voltage=3.0)]
+                         storage=store2, supply_voltage=3.0)]
         )
         summary = fleet.run()[0]
         _assert_summaries_match(sim.summary, summary)
-        assert int(fleet.reports_sent[0]) == sched.reports_sent
 
     def test_open_mode_storage_fault_matches_scalar(self, conditions):
         cell, env, pc = conditions
@@ -171,32 +163,30 @@ class TestFleetEquivalence:
 
     def test_checkpoint_resume_mid_run_matches_scalar(self, conditions):
         cell, env, pc = conditions
-        ctl, conv, store, sched = _build_faulted()
+        ctl, conv, store = _build_faulted()
         sim = QuasiStaticSimulator(
             cell=cell, environment=env, controller=ctl, converter=conv,
-            storage=store, load=sched.power, supply_voltage=3.0,
-            record=False, precomputed=pc,
+            storage=store, supply_voltage=3.0, record=False, precomputed=pc,
         )
         sim.run(duration=DUR, dt=DT)
 
-        ctl2, conv2, store2, sched2 = _build_faulted()
+        ctl2, conv2, store2 = _build_faulted()
         fleet = FleetSimulator(
             [FleetMember(controller=ctl2, precomputed=pc, converter=conv2,
-                         storage=store2, load=sched2, supply_voltage=3.0)]
+                         storage=store2, supply_voltage=3.0)]
         )
         for _ in range(fleet.steps // 2):
             fleet.step()
         snap = json.loads(json.dumps(fleet.state_dict()))  # force JSON types
 
-        ctl3, conv3, store3, sched3 = _build_faulted()
+        ctl3, conv3, store3 = _build_faulted()
         resumed = FleetSimulator(
             [FleetMember(controller=ctl3, precomputed=pc, converter=conv3,
-                         storage=store3, load=sched3, supply_voltage=3.0)]
+                         storage=store3, supply_voltage=3.0)]
         )
         resumed.load_state(snap)
         summary = resumed.run()[0]
         _assert_summaries_match(sim.summary, summary)
-        assert int(resumed.reports_sent[0]) == sched.reports_sent
 
     def test_member_order_invariance(self, conditions):
         """Swapping member order swaps summaries and changes nothing else."""
@@ -204,12 +194,12 @@ class TestFleetEquivalence:
 
         def members():
             ctl_a, conv_a, store_a = _build_clean()
-            ctl_b, conv_b, store_b, sched_b = _build_faulted()
+            ctl_b, conv_b, store_b = _build_faulted()
             return (
                 FleetMember(controller=ctl_a, precomputed=pc, converter=conv_a,
                             storage=store_a, supply_voltage=3.0),
                 FleetMember(controller=ctl_b, precomputed=pc, converter=conv_b,
-                            storage=store_b, load=sched_b, supply_voltage=3.0),
+                            storage=store_b, supply_voltage=3.0),
             )
 
         a, b = members()

@@ -78,6 +78,7 @@ class TestBuildSpecRejections:
             ({"kind": "comparison", "params": {"engine": "fleet"}}, "engine"),
             ({"kind": "strings", "params": {"engine": "fleet"}}, "engine"),
             ({"kind": "montecarlo", "params": {"engine": "compiled"}}, "engine"),
+            ({"kind": "resilience", "params": {"engine": "compiled"}}, "engine"),
         ],
     )
     def test_rejects_with_field(self, payload, field):
