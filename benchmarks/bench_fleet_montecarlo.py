@@ -1,13 +1,12 @@
-"""Fleet-engine gate — vectorized Monte Carlo vs the process pool.
+"""Fleet-engine gate — vectorized Monte Carlo vs the serial scalar pass.
 
 The fleet engine's pitch is that one NumPy pass over a population beats
-fanning per-board scalar circuits across a process pool: no pickling,
-no worker start-up, no per-board Python interpreter time.  This bench
-holds it to that pitch at the scale where the pool is supposed to shine
-(256 boards, 4 workers): the fleet path must clear **5x** the pool's
-boards-per-second, the two populations must agree to solver tolerance,
-and both measurements land in ``BENCH_perf.json`` so the ratio is
-tracked across PRs.
+building and solving one scalar circuit per board: no per-board Python
+interpreter time.  This bench holds it to that pitch at 256 boards: the
+fleet path must clear **5x** the serial scalar engine's boards-per-second
+measured in the same run, the two populations must agree to solver
+tolerance, and both measurements land in ``BENCH_perf.json`` so the
+ratio is tracked across changes.
 """
 
 import numpy as np
@@ -16,23 +15,20 @@ from repro.analysis.montecarlo import run_sample_hold_montecarlo
 from repro.sim.telemetry import measure, record_perf
 
 BOARDS = 256
-POOL_WORKERS = 4
 MIN_SPEEDUP = 5.0
 _FLEET_ROUNDS = 3
 
 
 def test_fleet_montecarlo_speedup(benchmark, save_result):
-    # Warm both paths once: imports, the pool's worker spawn machinery,
-    # NumPy's allocator.  The measured rounds then time steady state.
+    # Warm both paths once: imports, NumPy's allocator.  The measured
+    # rounds then time steady state.
     run_sample_hold_montecarlo(boards=8, engine="fleet")
-    run_sample_hold_montecarlo(boards=8, workers=2, engine="scalar")
+    run_sample_hold_montecarlo(boards=8, engine="scalar")
 
     def timed_run():
-        with measure("montecarlo_pool_256", steps=BOARDS) as pool_perf:
-            pool_result = run_sample_hold_montecarlo(
-                boards=BOARDS, workers=POOL_WORKERS, engine="scalar"
-            )
-        record_perf(pool_perf, note="process pool, 4 workers")
+        with measure("montecarlo_scalar_256", steps=BOARDS) as scalar_perf:
+            scalar_result = run_sample_hold_montecarlo(boards=BOARDS, engine="scalar")
+        record_perf(scalar_perf, note="scalar engine, serial")
 
         fleet_result = None
         best = None
@@ -44,9 +40,9 @@ def test_fleet_montecarlo_speedup(benchmark, save_result):
             if best is None or fleet_perf.wall_s < best.wall_s:
                 best = fleet_perf
         record_perf(best, note=f"fleet engine (min of {_FLEET_ROUNDS})")
-        return pool_result, pool_perf, fleet_result, best
+        return scalar_result, scalar_perf, fleet_result, best
 
-    pool_result, pool_perf, fleet_result, fleet_perf = benchmark.pedantic(
+    scalar_result, scalar_perf, fleet_result, fleet_perf = benchmark.pedantic(
         timed_run, rounds=1, iterations=1
     )
 
@@ -54,21 +50,21 @@ def test_fleet_montecarlo_speedup(benchmark, save_result):
     # tolerance (the fleet replaces the per-board MNA solve with a
     # vectorized bisection of the same load line).
     assert np.allclose(
-        np.asarray(pool_result.ratios),
+        np.asarray(scalar_result.ratios),
         np.asarray(fleet_result.ratios),
         rtol=1e-9,
         atol=1e-12,
-    ), "fleet and pool populations diverged"
+    ), "fleet and scalar populations diverged"
 
-    speedup = fleet_perf.steps_per_s / pool_perf.steps_per_s
+    speedup = fleet_perf.steps_per_s / scalar_perf.steps_per_s
     save_result(
         "fleet_montecarlo",
         f"fleet MC: {BOARDS} boards in {fleet_perf.wall_s:.3f} s "
-        f"({fleet_perf.steps_per_s:.0f} boards/s) vs pool "
-        f"{pool_perf.wall_s:.3f} s ({pool_perf.steps_per_s:.0f} boards/s) "
+        f"({fleet_perf.steps_per_s:.0f} boards/s) vs serial scalar "
+        f"{scalar_perf.wall_s:.3f} s ({scalar_perf.steps_per_s:.0f} boards/s) "
         f"— x{speedup:.1f} (gate x{MIN_SPEEDUP:.0f})",
     )
     assert speedup >= MIN_SPEEDUP, (
-        f"fleet engine speedup regressed: x{speedup:.2f} over the pool "
+        f"fleet engine speedup regressed: x{speedup:.2f} over serial scalar "
         f"< required x{MIN_SPEEDUP:.1f}"
     )

@@ -14,7 +14,7 @@ All sampling is seeded and reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -27,7 +27,8 @@ from repro.errors import ModelParameterError
 from repro.obs import journal
 from repro.pv.cells import PVCell, am_1815
 from repro.sim.engines import EXPERIMENT_ENGINES, resolve_engine
-from repro.sim.parallel import parallel_map, scatter
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,36 @@ class MonteCarloResult:
         return float(np.mean(inside))
 
 
+def scatter(items: Sequence[T], parts: int) -> List[Sequence[T]]:
+    """Split ``items`` into at most ``parts`` contiguous, balanced chunks.
+
+    Useful for workloads whose per-item cost is tiny (Monte Carlo
+    boards): parallelise over chunks, keep per-item order inside each.
+
+    Guarantees:
+
+    * every returned chunk is non-empty — asking for more chunks than
+      there are items yields ``len(items)`` singleton chunks, and an
+      empty input yields no chunks at all;
+    * concatenating the chunks reproduces ``items`` exactly, whatever
+      ``parts`` is — chunking never drops, duplicates or reorders.
+    """
+    if parts < 1:
+        raise ModelParameterError(f"parts must be >= 1, got {parts!r}")
+    n = len(items)
+    parts = min(parts, n) if n else 0
+    chunks: List[Sequence[T]] = []
+    start = 0
+    for k in range(parts):
+        size = n // parts + (1 if k < n % parts else 0)
+        chunks.append(items[start : start + size])
+        start += size
+    return [chunk for chunk in chunks if len(chunk)]
+
+
 @dataclass(frozen=True)
 class _BoardBatch:
-    """Picklable chunk of boards: their normal draws plus shared context.
+    """One chunk of boards: their normal draws plus shared context.
 
     ``draws`` is an ``(n, 6)`` slice of the run's pre-drawn standard
     normals; column order is fixed as (top, bottom, u2 offset, u4
@@ -222,7 +250,6 @@ def run_sample_hold_montecarlo(
     pulse_width: float = 39e-3,
     tolerances: ToleranceSpec = ToleranceSpec(),
     seed: int = 20110314,
-    workers: Optional[int] = None,
     checkpoint_path: Optional[str] = None,
     resume_from: Optional[str] = None,
     engine: str = "fleet",
@@ -239,8 +266,8 @@ def run_sample_hold_montecarlo(
     Every board's six normals are drawn up front as a ``(boards, 6)``
     matrix (NumPy's generator produces the same stream in bulk as it
     does one value at a time), which makes each board a pure function of
-    its row — so the population can be split across a process pool with
-    results identical to the serial run.
+    its row — so the population can be split into checkpoint chunks with
+    results identical to the unchunked run.
 
     Args:
         boards: number of Monte Carlo samples.
@@ -252,23 +279,20 @@ def run_sample_hold_montecarlo(
         pulse_width: PULSE width.
         tolerances: distribution widths.
         seed: RNG seed.
-        workers: process-pool size for the board evaluations (None or 1:
-            serial; the result is the same either way).
         checkpoint_path: where to write crash-recovery checkpoints; the
             population is split into chunks and the checkpoint is
-            rewritten (atomically) as each wave of chunks completes.
+            rewritten (atomically) as each chunk completes.
         resume_from: checkpoint to resume; completed chunks are reused
             (each board is a pure function of its pre-drawn normals, so
             the population is identical to an uninterrupted run).
         engine: ``"fleet"`` (default) evaluates each chunk as one
             vectorized population pass; ``"scalar"`` builds one circuit
-            per board and fans chunks over the process pool.  Both
-            consume the same draw matrix; they agree to solver tolerance
-            (the fleet replaces the per-board MNA solve with a
-            vectorized bisection of the same load line).  ``"auto"``
-            resolves to ``"fleet"``.  There is no ``"compiled"`` tier:
-            the board kernel is already a single vectorized shot with no
-            per-step loop to compile.
+            per board.  Both consume the same draw matrix; they agree to
+            solver tolerance (the fleet replaces the per-board MNA solve
+            with a vectorized bisection of the same load line).
+            ``"auto"`` resolves to ``"fleet"``.  There is no
+            ``"compiled"`` tier: the board kernel is already a single
+            vectorized shot with no per-step loop to compile.
         factors: optional per-cell shading factors frozen for the whole
             population (requires a :class:`~repro.pv.string.CellString`)
             — the "how accurate is FOCV sampling on a *mismatched*
@@ -279,7 +303,7 @@ def run_sample_hold_montecarlo(
     engine = resolve_engine(
         engine, EXPERIMENT_ENGINES["montecarlo"], context="sample-hold montecarlo"
     )
-    use_fleet = engine == "fleet"
+    evaluate = _evaluate_boards_fleet if engine == "fleet" else _evaluate_boards
     cell = cell if cell is not None else am_1815()
     if factors is not None:
         model = cell.model_at(lux, factors=tuple(factors))
@@ -292,12 +316,11 @@ def run_sample_hold_montecarlo(
     nominal_bottom = nominal_ratio * total_resistance
 
     draws = rng.standard_normal((boards, 6))
-    parts = workers if workers is not None else 1
     checkpointing = checkpoint_path is not None or resume_from is not None
-    # Finer chunking when checkpointing, so a crash loses at most one
-    # wave of boards; each board depends only on its own draw row, so
-    # the chunk count never changes the population.
-    n_chunks = parts if not checkpointing else max(parts, min(boards, 16))
+    # Chunk only when checkpointing, so a crash loses at most one chunk
+    # of boards; each board depends only on its own draw row, so the
+    # chunk count never changes the population.
+    n_chunks = min(boards, 16) if checkpointing else 1
     chunks_in = scatter(draws, n_chunks)
     batches = [
         _BoardBatch(
@@ -319,16 +342,10 @@ def run_sample_hold_montecarlo(
                   "lux": lux, "seed": seed, "engine": engine},
             total_steps=boards,
         ) as scope:
-            if use_fleet:
-                chunks = []
-                for batch in batches:
-                    chunks.append(_evaluate_boards_fleet(batch))
-                    scope.advance(len(batch.draws))
-            else:
-                chunks = parallel_map(
-                    _evaluate_boards, batches, max_workers=max(1, parts)
-                )
-                scope.advance(boards)
+            chunks = []
+            for batch in batches:
+                chunks.append(evaluate(batch))
+                scope.advance(len(batch.draws))
     else:
         from dataclasses import asdict
 
@@ -364,22 +381,14 @@ def run_sample_hold_montecarlo(
                 for index, values in envelope["state"]["chunks"].items()
             }
         pending = [i for i in range(len(batches)) if i not in done]
-        wave = max(1, parts)
         with journal.run_scope(
             "montecarlo",
             spec=run_spec,
             total_steps=boards,
             resumed_steps=sum(len(done[i]) for i in done),
         ) as scope:
-            for start in range(0, len(pending), wave):
-                indices = pending[start : start + wave]
-                if use_fleet:
-                    fresh = [_evaluate_boards_fleet(batches[i]) for i in indices]
-                else:
-                    fresh = parallel_map(
-                        _evaluate_boards, [batches[i] for i in indices], max_workers=wave
-                    )
-                done.update(zip(indices, fresh))
+            for i in pending:
+                done[i] = evaluate(batches[i])
                 if checkpoint_path is not None:
                     save_checkpoint(
                         checkpoint_path,
@@ -393,7 +402,7 @@ def run_sample_hold_montecarlo(
                         spec=run_spec,
                         meta={"chunks_done": len(done), "chunks_total": len(batches)},
                     )
-                scope.advance(sum(len(done[i]) for i in indices))
+                scope.advance(len(done[i]))
                 if len(done) < len(batches):
                     check_drain(checkpoint_path, "montecarlo", len(done), len(batches))
         chunks = [done[i] for i in range(len(batches))]

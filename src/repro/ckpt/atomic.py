@@ -3,10 +3,9 @@
 Every durable artifact this repo produces — the ``BENCH_perf.json``
 perf ledger, golden traces, profile exports, experiment checkpoints —
 used to be written with a bare ``open(path, "w")``.  A crash (or a
-SIGKILL from the parallel runner's watchdog) mid-write leaves a
-truncated file, and two concurrent runs doing read-modify-write on the
-same ledger silently drop each other's entries.  This module fixes both
-failure modes:
+SIGKILL) mid-write leaves a truncated file, and two concurrent runs
+doing read-modify-write on the same ledger silently drop each other's
+entries.  This module fixes both failure modes:
 
 * :func:`atomic_write_bytes` / :func:`atomic_write_text` /
   :func:`atomic_write_json` — write to a same-directory temp file,
@@ -176,11 +175,12 @@ def locked_append_text(
 
     The append itself goes through a single ``O_APPEND`` write while
     holding the sidecar lock, so concurrent writers (e.g. journal
-    emissions from ``parallel_map`` workers) interleave at line
-    granularity instead of tearing mid-record.  A crash mid-write can
-    still truncate the *final* line — append is not rename — which is
-    why :func:`repro.obs.journal.read_journal` tolerates a partial
-    trailing record.
+    emissions from service threads, or from separate processes sharing
+    one ``REPRO_JOURNAL`` file) interleave at line granularity instead
+    of tearing mid-record.  A crash mid-write can still truncate the
+    *final* line — append is not rename — which is why
+    :func:`repro.obs.journal.read_journal` tolerates a partial trailing
+    record.
 
     Args:
         path: destination file (created, with parents, if absent).

@@ -350,7 +350,7 @@ def _telemetry(args):
     ``--progress`` attaches a stderr ticker to it (creating an
     in-process-only journal when no path was given).  A journal already
     enabled through ``REPRO_JOURNAL`` is reused — and kept alive — so
-    spawn-mode workers and smoke subprocesses behave identically.
+    smoke subprocesses behave identically.
     """
     journal_path = getattr(args, "journal", None)
     progress = bool(getattr(args, "progress", False))

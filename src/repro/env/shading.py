@@ -282,8 +282,8 @@ SHADOW_MAPS: Dict[str, "callable"] = {
 }
 """Registry of named shadow-map factories ``name -> factory(n_cells)``.
 
-The names are the picklable experiment axis: specs carry the name (and
-the target string's cell count), workers rebuild the map locally via
+The names are the serialisable experiment axis: specs carry the name (and
+the target string's cell count), runs rebuild the map locally via
 :func:`build_shadow_map`, and the determinism contract guarantees every
 rebuild yields the same factors.
 """

@@ -45,7 +45,6 @@ from repro.env.scenarios import office_desk_24h, outdoor_day, semi_mobile_24h
 from repro.pv.cells import PVCell, am_1815
 from repro.pv.thermal import CellThermalModel
 from repro.sim.engines import EXPERIMENT_ENGINES, resolve_engine
-from repro.sim.parallel import parallel_map
 from repro.sim.precompute import precompute_conditions
 from repro.sim.quasistatic import HarvestSummary, QuasiStaticSimulator
 from repro.storage.supercap import Supercapacitor
@@ -118,7 +117,7 @@ class ComparisonCell:
 
 @dataclass(frozen=True)
 class _ScenarioSpec:
-    """Picklable description of one scenario's batch of runs."""
+    """Description of one scenario's batch of runs."""
 
     cell: PVCell
     scenario: str
@@ -216,8 +215,7 @@ def _run_scenario(spec: _ScenarioSpec) -> List[ComparisonCell]:
     The scenario's condition chain — lux trace, thermal trace, per-step
     models and their Voc/MPP solves — is identical for every technique,
     so it is computed once and shared; each controller then replays it
-    against its own storage/converter state.  This is the serial *and*
-    the per-worker parallel code path.
+    against its own storage/converter state.
 
     Engine tiers: ``scalar`` steps each lane through
     :class:`QuasiStaticSimulator`; ``compiled`` fuses each lane into
@@ -296,8 +294,6 @@ def run_comparison(
     scenarios: Sequence[str] | None = None,
     use_storage: bool = True,
     use_thermal: bool = True,
-    parallel: bool = False,
-    max_workers: int | None = None,
     engine: str = "scalar",
     shading: str | None = None,
 ) -> List[ComparisonCell]:
@@ -312,10 +308,6 @@ def run_comparison(
         use_storage: charge a real supercapacitor (vs an ideal 3 V sink).
         use_thermal: let sunlight heat the cell (the fixed-voltage
             technique's weak spot).
-        parallel: fan the scenarios out over a process pool
-            (:mod:`repro.sim.parallel`); results are identical to the
-            serial path and come back in the same order.
-        max_workers: pool size when ``parallel`` (None: one per CPU).
         engine: ``"scalar"`` (the bitwise reference — golden traces
             encode its bits), ``"compiled"`` (fused lane kernels over a
             validated power LUT — fastest, matches scalar within the
@@ -360,18 +352,10 @@ def run_comparison(
         "comparison", spec=spec_summary, total_steps=total_steps
     ) as scope:
         batch_steps = steps_per_run * len(selected_techniques)
-        if parallel:
-            batches = parallel_map(_run_scenario, specs, max_workers=max_workers)
-            scope.advance(batch_steps * len(batches))
-        else:
-            batches = []
-            for spec in specs:
-                batches.append(_run_scenario(spec))
-                scope.advance(batch_steps)
-
-    results: List[ComparisonCell] = []
-    for batch in batches:
-        results.extend(batch)
+        results: List[ComparisonCell] = []
+        for spec in specs:
+            results.extend(_run_scenario(spec))
+            scope.advance(batch_steps)
     return results
 
 

@@ -24,10 +24,11 @@ Envelope (one JSON object per line, schema-versioned like
 
 Appends go through :func:`repro.ckpt.atomic.locked_append_text` — a
 single ``O_APPEND`` write under the advisory sidecar lock — so
-concurrent writers (``parallel_map`` workers forked with the journal
-enabled) interleave at line granularity.  A SIGKILL mid-append can
-still truncate the *final* line; :func:`read_journal` tolerates that by
-default (``strict=True`` raises :class:`~repro.errors.JournalError`).
+concurrent writers (service threads, forked children, or separate
+processes sharing one ``REPRO_JOURNAL`` path) interleave at line
+granularity.  A SIGKILL mid-append can still truncate the *final*
+line; :func:`read_journal` tolerates that by default (``strict=True``
+raises :class:`~repro.errors.JournalError`).
 
 Enable around a run::
 
@@ -122,7 +123,7 @@ class RunJournal:
             Off by default — the journal is advisory telemetry; a
             checkpoint, not the journal, is the durability story.
         run_id: override the generated id (tests); one id spans a
-            parent and its forked workers.
+            parent and any children it forks with the journal enabled.
     """
 
     def __init__(
@@ -510,8 +511,8 @@ def run_scope(
 
 
 # ``REPRO_JOURNAL=<path>`` enables journaling at import time — the knob
-# spawned workers and CLI smoke subprocesses inherit through the
-# environment (mirrors ``REPRO_OBS``).
+# CLI smoke subprocesses inherit through the environment (mirrors
+# ``REPRO_OBS``).
 _env_path = os.environ.get("REPRO_JOURNAL", "").strip()
 if _env_path:
     enable_journal(_env_path)

@@ -10,8 +10,7 @@ the engine needs:
   hits, fault-window activations, per-technique energy totals).
 * :class:`Gauge` — last-value instrument (cache size, current report
   period).
-* :class:`Histogram` — bucketed distribution (sampled step durations,
-  per-spec worker wall time).
+* :class:`Histogram` — bucketed distribution (sampled step durations).
 
 Zero-overhead-when-disabled contract
 ------------------------------------
@@ -30,17 +29,6 @@ Disabled cost is one attribute load and an ``is None`` test — far below
 the 5 % perf-smoke budget.  Direct ``REGISTRY.counter(...)`` use always
 works regardless of the enabled flag; the flag only controls the hook
 wiring and the engines' instrumented code paths.
-
-Cross-process aggregation
--------------------------
-
-:func:`MetricsRegistry.snapshot` / :func:`diff_snapshots` /
-:func:`MetricsRegistry.merge` implement the worker-side protocol used
-by :func:`repro.sim.parallel.parallel_map`: a worker snapshots before a
-spec, runs it, and ships back the *delta*, which the parent merges
-exactly once.  Deltas (not absolute snapshots) make the scheme correct
-under ``fork`` start methods, where a worker inherits the parent's
-pre-fork counts.
 """
 
 from __future__ import annotations
@@ -191,81 +179,6 @@ class MetricsRegistry:
         with self._lock:
             self._instruments.clear()
 
-    # --- cross-process aggregation protocol -----------------------------------
-
-    def snapshot(self) -> dict:
-        """A plain-data copy of every instrument's state (picklable)."""
-        out = {}
-        for (name, labels), inst in self._instruments.items():
-            key = (name, labels)
-            if isinstance(inst, Counter):
-                out[key] = {"kind": "counter", "description": inst.description,
-                            "value": inst.value}
-            elif isinstance(inst, Gauge):
-                out[key] = {"kind": "gauge", "description": inst.description,
-                            "value": inst.value}
-            elif isinstance(inst, Histogram):
-                out[key] = {"kind": "histogram", "description": inst.description,
-                            "buckets": inst.buckets, "counts": list(inst.counts),
-                            "sum": inst.sum, "count": inst.count}
-        return out
-
-    def merge(self, delta: Mapping) -> None:
-        """Fold a snapshot/delta (from :func:`diff_snapshots`) into this registry.
-
-        Counters and histogram contents add; gauges take the incoming
-        value (last writer wins).
-        """
-        for (name, labels), data in delta.items():
-            label_map = dict(labels)
-            kind = data["kind"]
-            if kind == "counter":
-                if data["value"] != 0.0:
-                    self.counter(name, data.get("description", ""), label_map).inc(data["value"])
-            elif kind == "gauge":
-                self.gauge(name, data.get("description", ""), label_map).set(data["value"])
-            elif kind == "histogram":
-                hist = self.histogram(
-                    name, data.get("description", ""), buckets=data["buckets"], labels=label_map
-                )
-                if hist.buckets != tuple(data["buckets"]):
-                    raise ModelParameterError(
-                        f"histogram {name!r} bucket mismatch on merge"
-                    )
-                for i, c in enumerate(data["counts"]):
-                    hist.counts[i] += c
-                hist.sum += data["sum"]
-                hist.count += data["count"]
-
-
-def diff_snapshots(before: Mapping, after: Mapping) -> dict:
-    """The instrument-state delta between two :meth:`~MetricsRegistry.snapshot` calls.
-
-    Counters/histograms subtract; gauges carry the ``after`` value.
-    Instruments absent from ``before`` contribute their full ``after``
-    state.
-    """
-    delta = {}
-    for key, data in after.items():
-        base = before.get(key)
-        kind = data["kind"]
-        if base is None:
-            delta[key] = data
-            continue
-        if kind == "counter":
-            d = data["value"] - base["value"]
-            if d != 0.0:
-                delta[key] = {**data, "value": d}
-        elif kind == "gauge":
-            delta[key] = data
-        elif kind == "histogram":
-            counts = [a - b for a, b in zip(data["counts"], base["counts"])]
-            if any(counts):
-                delta[key] = {**data, "counts": counts,
-                              "sum": data["sum"] - base["sum"],
-                              "count": data["count"] - base["count"]}
-    return delta
-
 
 REGISTRY = MetricsRegistry()
 """The process-wide registry every instrumented path reports into."""
@@ -304,6 +217,8 @@ class Hooks:
     * ``compiled_program_hits`` / ``compiled_program_misses`` — compiled
       comparison-program cache traffic (:mod:`repro.sim.compiled`); a
       miss pays LUT build + validation + lane compilation.
+    * ``compiled_lane_steps`` — lane-steps advanced by the compiled
+      comparison kernel (declined lanes run scalar and are not counted).
     * ``service_submitted`` / ``service_coalesced`` /
       ``service_rejected`` / ``service_retries`` /
       ``service_quarantined`` / ``service_completed`` /
@@ -336,6 +251,7 @@ class Hooks:
         "lut_validations",
         "compiled_program_hits",
         "compiled_program_misses",
+        "compiled_lane_steps",
         "service_submitted",
         "service_coalesced",
         "service_rejected",
@@ -398,6 +314,10 @@ _HOOK_INSTRUMENTS = {
         "compiled.program_cache_misses",
         "compiled comparison programs built from scratch (LUT + lanes)",
     ),
+    "compiled_lane_steps": (
+        "compiled.lane_steps",
+        "lane-steps advanced by the compiled comparison kernel",
+    ),
     "service_submitted": ("service.jobs_submitted", "jobs admitted into the service queue"),
     "service_coalesced": (
         "service.jobs_coalesced",
@@ -442,6 +362,5 @@ __all__ = [
     "HOOKS",
     "install_hooks",
     "uninstall_hooks",
-    "diff_snapshots",
     "DEFAULT_TIME_BUCKETS",
 ]

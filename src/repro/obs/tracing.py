@@ -18,21 +18,12 @@ Sampling is decided at the call site: hot loops open a ``"step"`` span
 for one in N iterations (the quasi-static engine samples ~16 steps per
 run) and report exact step counts through a counter instead.  The tree
 then carries *timing shape* while counters carry *exact totals*.
-
-Worker traces
--------------
-
-:meth:`Tracer.capture` redirects recording into a fresh, detached root
-for the duration of a block — that subtree is what a
-:func:`repro.sim.parallel.parallel_map` worker ships back, and
-:meth:`Tracer.merge_subtree` grafts it under the parent's current span
-on join, so a fanned-out run reassembles into one coherent trace.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import ModelParameterError
 
@@ -82,7 +73,7 @@ class TraceNode:
         return max(0.0, self.total_s - child_total)
 
     def to_dict(self) -> dict:
-        """Plain-data (picklable, JSON-able) form of the subtree."""
+        """Plain-data (JSON-able) form of the subtree."""
         return {
             "name": self.name,
             "count": self.count,
@@ -91,28 +82,6 @@ class TraceNode:
             "max_s": self.max_s,
             "children": [c.to_dict() for c in self.children.values()],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceNode":
-        """Rebuild a subtree from :meth:`to_dict` output."""
-        node = cls(data["name"])
-        node.count = data["count"]
-        node.total_s = data["total_s"]
-        node.min_s = data["min_s"] if data["count"] else float("inf")
-        node.max_s = data["max_s"]
-        for child in data.get("children", ()):
-            node.children[child["name"]] = cls.from_dict(child)
-        return node
-
-    def merge(self, other: "TraceNode") -> None:
-        """Fold ``other``'s aggregates (and subtree) into this node."""
-        self.count += other.count
-        self.total_s += other.total_s
-        if other.count:
-            self.min_s = min(self.min_s, other.min_s)
-            self.max_s = max(self.max_s, other.max_s)
-        for name, theirs in other.children.items():
-            self.child(name).merge(theirs)
 
 
 class _NullSpan:
@@ -155,28 +124,6 @@ class _SpanContext:
         return False
 
 
-class _CaptureContext:
-    """Redirects recording into a detached root for the block's duration."""
-
-    __slots__ = ("_tracer", "_saved_root", "_saved_stack", "root")
-
-    def __init__(self, tracer: "Tracer"):
-        self._tracer = tracer
-
-    def __enter__(self) -> TraceNode:
-        self.root = TraceNode("capture")
-        self._saved_root = self._tracer.root
-        self._saved_stack = self._tracer._stack
-        self._tracer.root = self.root
-        self._tracer._stack = [self.root]
-        return self.root
-
-    def __exit__(self, exc_type, exc, tb):
-        self._tracer.root = self._saved_root
-        self._tracer._stack = self._saved_stack
-        return False
-
-
 class Tracer:
     """The span recorder: a root tree plus the currently-open span stack.
 
@@ -213,30 +160,6 @@ class Tracer:
         if not self.enabled:
             return
         self._stack[-1].child(name).add(duration_s)
-
-    def capture(self) -> _CaptureContext:
-        """Record the block into a detached subtree (worker-side buffer).
-
-        Returns a context manager yielding the detached root; the
-        ambient trace is untouched and restored on exit.
-        """
-        return _CaptureContext(self)
-
-    def merge_subtree(self, data, under: Optional[str] = None) -> None:
-        """Graft a worker's captured subtree under the current span.
-
-        Args:
-            data: a :class:`TraceNode` or its :meth:`~TraceNode.to_dict`
-                form (what travels back over the process boundary).
-            under: optional intermediate span name to group the graft
-                (e.g. ``"worker"``); children merge directly when None.
-        """
-        node = data if isinstance(data, TraceNode) else TraceNode.from_dict(data)
-        target = self._stack[-1]
-        if under is not None:
-            target = target.child(under)
-        for child in node.children.values():
-            target.child(child.name).merge(child)
 
     def reset(self) -> None:
         """Drop the recorded tree (open spans would dangle — reset between runs)."""

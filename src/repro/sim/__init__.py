@@ -14,9 +14,8 @@ Signals are recorded into :class:`~repro.sim.traces.TraceSet` objects
 that behave like named time series with numpy views.
 
 Performance layers: :mod:`repro.sim.precompute` solves a whole run's
-conditions once for sharing across controllers,
-:mod:`repro.sim.parallel` fans independent runs over a process pool,
-and :mod:`repro.sim.telemetry` keeps the ``BENCH_perf.json`` wall-time
+conditions once for sharing across controllers, and
+:mod:`repro.sim.telemetry` keeps the ``BENCH_perf.json`` wall-time
 ledger.  Two engine tiers sit beside the scalar reference
 (:mod:`repro.sim.engines` lists which experiment takes which):
 :mod:`repro.sim.compiled` fuses comparison/strings lanes into one
@@ -30,7 +29,6 @@ from repro.sim.events import EventQueue, Event
 from repro.sim.transient import TransientSimulator
 from repro.sim.quasistatic import QuasiStaticSimulator, StepResult, HarvestSummary
 from repro.sim.precompute import PrecomputedConditions, precompute_conditions
-from repro.sim.parallel import parallel_map, scatter, default_worker_count
 from repro.sim.telemetry import PerfSample, measure, record_perf, load_ledger, latest
 
 _FLEET_EXPORTS = ("FleetMember", "FleetSimulator", "fleet_supported")
@@ -58,9 +56,6 @@ __all__ = [
     "HarvestSummary",
     "PrecomputedConditions",
     "precompute_conditions",
-    "parallel_map",
-    "scatter",
-    "default_worker_count",
     "FleetMember",
     "FleetSimulator",
     "fleet_supported",

@@ -1162,7 +1162,7 @@ def run_comparison_scenario(
         results[name] = summary
         if summary is not None:
             steps_done += tables.steps
-    h = _OBS.fleet_steps
+    h = _OBS.compiled_lane_steps
     if h is not None and steps_done:
         h.inc(steps_done)
     return results, tables.pc

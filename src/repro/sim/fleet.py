@@ -3,8 +3,7 @@
 Population workloads — tolerance Monte-Carlo boards, resilience
 campaign grids — are embarrassingly parallel over *nodes*, but the
 scalar path pays for that parallelism with one
-:class:`~repro.sim.quasistatic.QuasiStaticSimulator` per node plus
-process-pool pickling.  This module turns the population into a NumPy
+:class:`~repro.sim.quasistatic.QuasiStaticSimulator` per node.  This module turns the population into a NumPy
 axis instead: one Python-level time loop, with every per-step quantity
 (S&H held voltage, comparator latch, converter transfer, supercap state,
 fault masks) held in arrays of shape ``(n,)``.

@@ -165,7 +165,7 @@ def record_perf(
 
     The read-modify-write cycle holds an advisory lock and the rewrite
     is atomic (write-temp, fsync, rename), so concurrent recorders —
-    the parallel experiment runner, two CI jobs on one runner — cannot
+    two CLI runs on one host, two CI jobs on one runner — cannot
     interleave into a corrupt or half-written ledger, and readers never
     observe a torn file.
 

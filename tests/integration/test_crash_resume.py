@@ -181,10 +181,10 @@ class TestResilienceResume:
 
 class TestMonteCarloResume:
     def test_partial_chunks_resume_identically(self, tmp_path):
-        reference = run_sample_hold_montecarlo(boards=40, workers=2)
+        reference = run_sample_hold_montecarlo(boards=40)
 
         ckpt = tmp_path / "mc.ckpt.json"
-        run_sample_hold_montecarlo(boards=40, workers=2, checkpoint_path=str(ckpt))
+        run_sample_hold_montecarlo(boards=40, checkpoint_path=str(ckpt))
         envelope = json.loads(ckpt.read_text())
         chunks = envelope["state"]["chunks"]
         kept = {k: chunks[k] for k in list(chunks)[: len(chunks) // 2]}
@@ -192,7 +192,7 @@ class TestMonteCarloResume:
         ckpt.write_text(json.dumps(envelope))
 
         resumed = run_sample_hold_montecarlo(
-            boards=40, workers=2, checkpoint_path=str(ckpt), resume_from=str(ckpt)
+            boards=40, checkpoint_path=str(ckpt), resume_from=str(ckpt)
         )
         assert np.array_equal(resumed.ratios, reference.ratios)
 

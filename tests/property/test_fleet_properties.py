@@ -15,9 +15,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.montecarlo import scatter
 from repro.pv.cells import am_1815
 from repro.sim.fleet import evaluate_sample_hold_boards
-from repro.sim.parallel import scatter
 
 _CELL = am_1815()
 _MODEL = _CELL.model_at(1000.0)

@@ -9,7 +9,8 @@ Contracts covered here:
 * the photodiode calibration valve falls back to the scalar engine;
 * engine resolution (``auto`` included) behaves across entry points,
   comparison/strings refuse the ``fleet`` tier and resilience the
-  ``compiled`` tier.
+  ``compiled`` tier;
+* compiled lanes count into ``compiled.lane_steps``, not ``fleet.steps``.
 """
 
 import pytest
@@ -200,3 +201,27 @@ class TestKernelCompileSpan:
             obs.REGISTRY.reset()
         assert cold == 1
         assert warm == 0
+
+
+class TestLaneStepCounter:
+    def test_compiled_lanes_count_into_their_own_counter(self):
+        import repro.obs as obs
+
+        techniques = ["proposed-S&H-FOCV", "no-MPPT-direct"]
+        obs.enable()
+        obs.reset()
+        try:
+            run_comparison(
+                duration=3600.0,
+                dt=60.0,
+                scenarios=["office-desk"],
+                techniques=techniques,
+                engine="compiled",
+            )
+            lane_steps = obs.REGISTRY.counter("compiled.lane_steps").value
+            fleet_steps = obs.REGISTRY.counter("fleet.steps").value
+        finally:
+            obs.disable()
+            obs.reset()
+        assert lane_steps == len(techniques) * 60
+        assert fleet_steps == 0

@@ -7,6 +7,7 @@ from repro.analysis.montecarlo import (
     ToleranceSpec,
     render_montecarlo,
     run_sample_hold_montecarlo,
+    scatter,
 )
 from repro.core.design import DesignSpec, synthesise_platform
 from repro.errors import ModelParameterError
@@ -119,3 +120,20 @@ class TestMonteCarlo:
         text = render_montecarlo(result)
         assert "mean k" in text
         assert "Table I" in text
+
+
+class TestScatter:
+    def test_balanced_contiguous_chunks(self):
+        chunks = scatter(list(range(7)), 3)
+        assert [list(c) for c in chunks] == [[0, 1, 2], [3, 4], [5, 6]]
+
+    def test_more_parts_than_items(self):
+        chunks = scatter([1, 2], 5)
+        assert [list(c) for c in chunks] == [[1], [2]]
+
+    def test_empty_items(self):
+        assert scatter([], 3) == []
+
+    def test_invalid_parts_rejected(self):
+        with pytest.raises(ModelParameterError):
+            scatter([1], 0)

@@ -10,7 +10,7 @@ The contract under test:
   guard-error / run-error and **no** run-end on exceptions, and costs
   nothing when journaling is off;
 - fork-inherited journals give exactly one line per event across
-  ``parallel_map`` workers (locked O_APPEND writes).
+  forked pool workers (locked O_APPEND writes).
 """
 
 import json
@@ -21,7 +21,6 @@ import pytest
 
 from repro.errors import JournalError, NumericalGuardError
 from repro.obs import journal
-from repro.sim.parallel import parallel_map
 
 
 @pytest.fixture(autouse=True)
@@ -249,7 +248,8 @@ class TestConcurrentWriters:
         path = tmp_path / "run.jsonl"
         journal.enable_journal(path)
         n = 24
-        results = parallel_map(_journal_work, list(range(n)), max_workers=4)
+        with multiprocessing.get_context("fork").Pool(4) as pool:
+            results = pool.map(_journal_work, range(n))
         assert results == list(range(n))
         lines = path.read_text().splitlines()
         assert len(lines) == n

@@ -1,4 +1,4 @@
-"""The metrics registry: instruments, labels, snapshots, hook wiring."""
+"""The metrics registry: instruments, labels, hook wiring."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     REGISTRY,
-    diff_snapshots,
     install_hooks,
     uninstall_hooks,
 )
@@ -91,70 +90,6 @@ class TestRegistry:
         registry.counter("b")
         registry.counter("a")
         assert [i.name for i in registry.instruments()] == ["a", "b"]
-
-
-class TestSnapshotProtocol:
-    """The worker-side aggregation scheme parallel_map relies on."""
-
-    def test_counter_delta_merges_additively(self, registry):
-        registry.counter("c").inc(2)
-        before = registry.snapshot()
-        registry.counter("c").inc(5)
-        delta = diff_snapshots(before, registry.snapshot())
-
-        parent = MetricsRegistry()
-        parent.counter("c").inc(1)
-        parent.merge(delta)
-        assert parent.counter("c").value == 6.0  # 1 + the 5-wide delta
-
-    def test_unchanged_counter_is_absent_from_delta(self, registry):
-        registry.counter("quiet").inc(4)
-        before = registry.snapshot()
-        delta = diff_snapshots(before, registry.snapshot())
-        assert delta == {}
-
-    def test_new_instrument_ships_whole(self, registry):
-        before = registry.snapshot()
-        registry.counter("fresh").inc(7)
-        delta = diff_snapshots(before, registry.snapshot())
-        parent = MetricsRegistry()
-        parent.merge(delta)
-        assert parent.counter("fresh").value == 7.0
-
-    def test_gauge_carries_last_value(self, registry):
-        registry.gauge("g").set(1.0)
-        before = registry.snapshot()
-        registry.gauge("g").set(9.0)
-        delta = diff_snapshots(before, registry.snapshot())
-        parent = MetricsRegistry()
-        parent.gauge("g").set(2.0)
-        parent.merge(delta)
-        assert parent.gauge("g").value == 9.0
-
-    def test_histogram_delta_adds_counts_and_sum(self, registry):
-        h = registry.histogram("h", buckets=(1.0,))
-        h.observe(0.5)
-        before = registry.snapshot()
-        h.observe(0.5)
-        h.observe(2.0)
-        delta = diff_snapshots(before, registry.snapshot())
-
-        parent = MetricsRegistry()
-        ph = parent.histogram("h", buckets=(1.0,))
-        ph.observe(0.1)
-        parent.merge(delta)
-        assert ph.count == 3
-        assert ph.counts == [2, 1]
-        assert ph.sum == pytest.approx(0.1 + 0.5 + 2.0)
-
-    def test_histogram_bucket_mismatch_raises(self, registry):
-        h = registry.histogram("h", buckets=(1.0, 2.0))
-        h.observe(0.5)
-        delta = diff_snapshots({}, registry.snapshot())
-        parent = MetricsRegistry()
-        parent.histogram("h", buckets=(5.0,))
-        with pytest.raises(ModelParameterError):
-            parent.merge(delta)
 
 
 class TestHooks:
