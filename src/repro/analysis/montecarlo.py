@@ -289,7 +289,7 @@ def run_sample_hold_montecarlo(
             vectorized population pass; ``"scalar"`` builds one circuit
             per board.  Both consume the same draw matrix; they agree to
             solver tolerance (the fleet replaces the per-board MNA solve
-            with a vectorized bisection of the same load line).
+            with a closed-form solution of the same load line).
             ``"auto"`` resolves to ``"fleet"``.  There is no
             ``"compiled"`` tier: the board kernel is already a single
             vectorized shot with no per-step loop to compile.

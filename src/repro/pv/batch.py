@@ -336,16 +336,14 @@ def batch_loaded_point(
     p: _ParamArrays,
     voc: np.ndarray,
     load_resistance: np.ndarray,
-    iterations: int = 80,
 ) -> np.ndarray:
     """Operating voltage of each cell loaded by a resistor to ground.
 
-    Solves ``I_cell(v) = v / R_load`` per element by bisection on
-    ``[0, voc]``.  ``f(v) = I_cell(v) - v/R`` is strictly decreasing
-    (the diode curve's current falls with voltage, the load line rises),
-    positive at 0 (``isc``) and negative at ``voc``, so the root is
-    unique; 80 halvings of a <6 V bracket converge to well below one
-    ulp, matching the scalar MNA Newton solve used by
+    Closed-form: a cell loaded by ``R`` to ground carries the
+    short-circuit current of the same cell with series resistance
+    ``Rs + R``, and its terminal sits at ``v = R·I``.  That is one
+    explicit Lambert-W evaluation per element (the single-diode solution
+    pvlib also uses), agreeing with the scalar MNA Newton solve in
     :meth:`repro.core.sample_hold.SampleHoldCircuit.loaded_sample_point`
     to ~1e-12 V.
 
@@ -353,9 +351,8 @@ def batch_loaded_point(
 
     Args:
         p: stacked parameters, one row per element.
-        voc: open-circuit voltage per element (bracket top).
+        voc: open-circuit voltage per element (selects the lit ones).
         load_resistance: load-to-ground resistance per element, ohms.
-        iterations: bisection halvings.
 
     Returns:
         The loaded terminal voltage per element, volts.
@@ -368,22 +365,15 @@ def batch_loaded_point(
 
     pa = _take(p, active)
     r_a = r[active]
-    lo = np.zeros(int(np.count_nonzero(active)))
-    hi = voc[active].copy()
     solves = _OBS.batch_solves
     if solves is not None:
         solves.inc()
         conditions = _OBS.batch_conditions
         if conditions is not None:
-            conditions.inc(len(lo))
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        f = _batch_current_at(pa, mid) - mid / r_a
-        above = f > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
+            conditions.inc(len(r_a))
+    loaded = _ParamArrays(iph=pa.iph, i0=pa.i0, a=pa.a, rs=pa.rs + r_a, rsh=pa.rsh)
     out = np.zeros_like(voc)
-    out[active] = 0.5 * (lo + hi)
+    out[active] = r_a * _batch_isc(loaded)
     return out
 
 

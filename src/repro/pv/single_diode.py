@@ -36,21 +36,26 @@ _LAMBERTW_DIRECT_MAX_LOG = 100.0
 iteration instead of scipy's lambertw (whose argument would overflow)."""
 
 
-def _lambertw_of_exp_scalar(x: float) -> float:
+def _lambertw_of_exp_scalar(x: float, exp=math.exp, log=math.log) -> float:
     """Scalar ``W(exp(x))`` without any array machinery.
 
     The quasi-static engine solves millions of scalar operating points
     per 24-hour run; going through ``np.asarray``/``atleast_1d``/boolean
     masks costs more than the solve itself, so scalars take this path.
+
+    ``exp``/``log`` default to :mod:`math`, the fastest on a float.
+    numpy's vectorized ``exp`` rounds differently from libm's in the
+    last ulp for a few percent of arguments; pass ``np.exp``/``np.log``
+    to reproduce :func:`lambertw_of_exp`'s array path bit for bit.
     """
     calls = _OBS.lambertw_calls
     if calls is not None:
         calls.inc()
     if x <= _LAMBERTW_DIRECT_MAX_LOG:
-        return lambertw(math.exp(x)).real
-    w = x - math.log(x)
+        return lambertw(exp(x)).real
+    w = x - log(x)
     for iteration in range(24):
-        f = w + math.log(w) - x
+        f = w + log(w) - x
         dw = -f / (1.0 + 1.0 / w)
         w = w + dw
         if abs(dw) <= 1e-14 * max(abs(w), 1.0):
@@ -297,7 +302,7 @@ class SingleDiodeModel:
             v = a * np.log(ratio) - i * rs
         else:
             # V = Rsh*(Iph + I0 - I) - I*Rs - a*W((I0*Rsh/a) * exp(Rsh*(Iph+I0-I)/a))
-            log_theta = math.log(i0 * rsh / a) + rsh * (iph + i0 - i) / a
+            log_theta = np.log(i0 * rsh / a) + rsh * (iph + i0 - i) / a
             w = lambertw_of_exp(log_theta)
             v = rsh * (iph + i0 - i) - i * rs - a * w
 
@@ -305,7 +310,12 @@ class SingleDiodeModel:
         return float(v[0]) if scalar else v
 
     def _voltage_at_scalar(self, i: float) -> float:
-        """Pure-scalar :meth:`voltage_at` (shares the Isc guard)."""
+        """Pure-scalar :meth:`voltage_at` (shares the Isc guard).
+
+        Uses numpy's ``exp``/``log`` so the result (Voc in particular)
+        is bitwise the array path's, and so the per-cell voltage the
+        string and batch solvers sum.
+        """
         isc = self.isc()
         if i > isc * (1.0 + 1e-9) + 1e-15:
             raise OperatingPointError(f"requested current {i:.4g} A exceeds Isc {isc:.4g} A")
@@ -318,9 +328,9 @@ class SingleDiodeModel:
         )
         if not math.isfinite(rsh):
             ratio = max((iph + i0 - i) / i0, 1e-300)
-            return a * math.log(ratio) - i * rs
-        log_theta = math.log(i0 * rsh / a) + rsh * (iph + i0 - i) / a
-        w = _lambertw_of_exp_scalar(log_theta)
+            return a * float(np.log(ratio)) - i * rs
+        log_theta = float(np.log(i0 * rsh / a)) + rsh * (iph + i0 - i) / a
+        w = float(_lambertw_of_exp_scalar(log_theta, np.exp, np.log))
         return rsh * (iph + i0 - i) - i * rs - a * w
 
     def power_at(self, voltage: ArrayLike) -> ArrayLike:

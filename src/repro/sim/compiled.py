@@ -37,16 +37,15 @@ import math
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ModelParameterError, NumericalGuardError
 from repro.obs import journal as _journal
 from repro.obs.metrics import HOOKS as _OBS
 from repro.obs.tracing import TRACER
 from repro.pv.lut import lut_for_models
-from repro.sim.fleet import FleetMember, FleetSimulator
+from repro.sim.fleet import fleet_supported, sample_hold_constants
 from repro.sim.quasistatic import HarvestSummary
 
 __all__ = [
@@ -479,33 +478,19 @@ class _ScenarioTables:
         self.steps = int(self.times.shape[0])
         lux_arr = np.asarray(pc.lux, dtype=float)
 
-        # Unique conditions in first-encounter (step) order — the same
-        # dedup the fleet engine performs, so quantised-cache replay of
-        # energy_ideal lands on identical values.
-        seen: dict = {}
-        unique: List[object] = []
-        lux_u: List[float] = []
-        u_row = np.empty(self.steps, dtype=np.int64)
-        for i, model in enumerate(pc.models):
-            key = id(model)
-            u = seen.get(key)
-            if u is None:
-                u = len(unique)
-                seen[key] = u
-                unique.append(model)
-                lux_u.append(float(lux_arr[i]))
-            u_row[i] = u
-        self.models = unique
-        self.u_row = u_row
-        self.lux_u = np.array(lux_u)
+        # Unique conditions in first-encounter (step) order, as the
+        # precompute indexed them.
+        self.models = unique = pc.unique
+        self.u_row = u_row = pc.u_row
+        self.lux_u = pc.unique_lux
         self.voc_u = np.array([m.voc() for m in unique])
         self.lit_row = lux_arr > 0.0
         self.voc_row = np.ascontiguousarray(self.voc_u[u_row])
 
         vmpp = np.zeros(len(unique))
         pmpp = np.zeros(len(unique))
-        for k, m in enumerate(unique):
-            if lux_u[k] > 0.0 and self.voc_u[k] > 0.0:
+        for k, (m, lux, voc) in enumerate(zip(unique, self.lux_u.tolist(), self.voc_u.tolist())):
+            if lux > 0.0 and voc > 0.0:
                 r = m.mpp()
                 vmpp[k] = r.voltage
                 pmpp[k] = r.power
@@ -513,27 +498,10 @@ class _ScenarioTables:
         self.pmpp_u = pmpp
 
         self.lut = lut_for_models(unique, voc=self.voc_u)
-        self.params = self.lut.params
         self.lut_report = self.lut.validate()
 
-        # energy_ideal replay: quantised (Iph, T) MPP cache, first claim
-        # wins, in step order — bitwise the scalar engine's accumulator.
-        mpp_cache: dict = {}
-        ideal_u = np.empty(len(unique))
-        for k, m in enumerate(unique):
-            iph = m.photocurrent
-            if lux_u[k] <= 0.0 or iph <= 0.0:
-                ideal_u[k] = 0.0
-            else:
-                qkey = getattr(m, "ideal_cache_key", None)
-                if qkey is None:
-                    qkey = (round(math.log(iph) * 400.0), round(m.temperature * 2.0))
-                cached = mpp_cache.get(qkey)
-                if cached is None:
-                    cached = m.mpp().power
-                    mpp_cache[qkey] = cached
-                ideal_u[k] = cached
-        ideal_row = np.where(self.lit_row, ideal_u[u_row], 0.0).tolist()
+        # energy_ideal replay, bitwise the scalar engine's accumulator.
+        ideal_row = pc.ideal_power()[u_row].tolist()
         dt = self.dt
         e_id = 0.0
         dur = 0.0
@@ -750,41 +718,20 @@ class _ScenarioTables:
     def _sample_hold_lane(self, ctl, conv) -> Optional[_LaneProgram]:
         """Replay the S&H platform chain into a precomputed series.
 
-        A throwaway one-member :class:`FleetSimulator` performs the same
-        constant extraction and loaded-point vector solve the fleet
-        engine uses; the pulse/droop/sample/comparator chain — which
-        never reads storage state — is then replayed once in Python.
+        :func:`~repro.sim.fleet.sample_hold_constants` — the fleet
+        engine's own constant extraction and loaded-point vector solve —
+        supplies the chain's parameters and per-condition targets; the
+        pulse/droop/sample/comparator chain, which never reads storage
+        state, is then replayed once in Python.
         """
-        if not (getattr(ctl, "assume_started", False) and getattr(ctl, "powered", True)):
+        if not fleet_supported(ctl):
             return None
-        try:
-            probe = FleetSimulator([FleetMember(controller=ctl, precomputed=self.pc)])
-        except (ModelParameterError, NumericalGuardError):
-            return None
+        c = sample_hold_constants(ctl, self.models, self.voc_u)
 
-        alpha = float(probe._alpha[0])
-        t_on = float(probe._t_on[0])
-        period = float(probe._period[0])
-        metrology = float(probe._metrology[0])
-        min_vin = float(probe._min_vin_cfg[0])
-        sh_supply = float(probe._sh_supply[0])
-        rtot = float(probe._rtot[0])
-        sf = float(probe._sf[0])
-        kick = float(probe._kick[0])
-        soak = float(probe._soak[0])
-        tau = float(probe._droop_tau[0])
-        bias_c = float(probe._droop_bias_c[0])
-        u4_off = float(probe._u4_off[0])
-        u4_alive = bool(probe._u4_alive[0])
-        cmp_thresh = float(probe._cmp_thresh[0])
-        cmp_off = float(probe._cmp_off[0])
-        cmp_half = float(probe._cmp_half[0])
-        cmp_alive = bool(probe._cmp_alive[0])
-
-        held = float(probe._held[0])
-        pulse = float(probe._next_pulse[0])
-        cmp_prev = bool(probe._cmp_high[0])
-        target_l = probe._target_all[probe._u_global[:, 0]].tolist()
+        held = c.held
+        pulse = c.next_pulse
+        cmp_prev = c.cmp_high
+        target_l = c.target[self.u_row].tolist()
 
         dt = self.dt
         times_l = self.times_l
@@ -806,49 +753,49 @@ class _ScenarioTables:
                 d = pulse_at - cursor
                 if d < 0.0:
                     d = 0.0
-                held = held * exp(-d / tau) - bias_c * d
+                held = held * exp(-d / c.droop_tau) - c.droop_bias_c * d
                 if held < 0.0:
                     held = 0.0
-                new = held + (target_l[i] - held) * sf
-                new = new + kick
-                new = new + soak * (held - new)
+                new = held + (target_l[i] - held) * c.settle_fraction
+                new = new + c.kick
+                new = new + c.soak * (held - new)
                 if new < 0.0:
                     new = 0.0
-                if new > sh_supply:
-                    new = sh_supply
+                if new > c.sh_supply:
+                    new = c.sh_supply
                 held = new
-                sampling += t_on
+                sampling += c.t_on
                 cursor = pulse_at
-                pulse += period
+                pulse += c.period
             d = t_end - cursor
             if d < 0.0:
                 d = 0.0
-            held = held * exp(-d / tau) - bias_c * d
+            held = held * exp(-d / c.droop_tau) - c.droop_bias_c * d
             if held < 0.0:
                 held = 0.0
 
-            he = held + u4_off
+            he = held + c.u4_offset
             if he < 0.0:
                 he = 0.0
-            if he > sh_supply:
-                he = sh_supply
-            if not u4_alive:
+            if he > c.sh_supply:
+                he = c.sh_supply
+            if not c.u4_alive:
                 he = 0.0
             duty = 1.0 - sampling / dt
             if duty < 0.0:
                 duty = 0.0
-            oh = metrology
+            oh = c.metrology
             if sampling > 0.0:
-                oh = oh + (voc_l[i] / rtot) * sampling / dt
+                oh = oh + (voc_l[i] / c.rtot) * sampling / dt
 
-            diff = (he - cmp_thresh) + cmp_off
+            diff = (he - c.cmp_threshold) + c.cmp_offset
             if cmp_prev:
-                latched = not (diff < -cmp_half)
+                latched = not (diff < -c.cmp_half)
             else:
-                latched = diff > cmp_half
-            cmp_prev = cmp_alive and latched
-            v_op = he / alpha
-            valid_row[i] = cmp_prev and (v_op >= min_vin) and (v_op < voc_l[i])
+                latched = diff > c.cmp_half
+            cmp_prev = c.cmp_alive and latched
+            v_op = he / c.alpha
+            valid_row[i] = cmp_prev and (v_op >= c.min_vin) and (v_op < voc_l[i])
             vop_row[i] = v_op
             duty_row[i] = duty
             oh_row[i] = oh

@@ -11,16 +11,19 @@ fault masks) held in arrays of shape ``(n,)``.
 The engine is built *from* the scalar objects: a
 :class:`FleetMember` carries the same controller / converter / storage
 instances the scalar engine would step, and the fleet extracts
-their constants and initial state.  That construction rule is what makes
-the equivalence gate meaningful — both engines consume identical
-parameters, so any disagreement is numerics, not configuration.
+their constants and initial state (:func:`sample_hold_constants` for
+the S&H chain, which the compiled tier reads too).  That construction
+rule is what makes the equivalence gate meaningful — both engines
+consume identical parameters, so any disagreement is numerics, not
+configuration.
 
 Numerics contract (mirrors ``QuasiStaticSimulator.step`` order):
 
 * ``energy_ideal`` and per-step ``Voc`` replay the scalar path's
-  batch-solver memos and quantised MPP cache exactly — bitwise equal.
+  batch-solver memos and quantised MPP cache exactly — bitwise equal
+  (:meth:`~repro.sim.precompute.PrecomputedConditions.ideal_power`).
 * The sample-and-hold chain replaces the per-sample MNA Newton solve
-  with a vectorized bisection of the identical load line
+  with the closed-form solution of the identical load line
   (``I_cell(v) = v / R_divider``), agreeing to solver tolerance
   (~1e-12 V); everything downstream is the same IEEE arithmetic
   evaluated elementwise, so summaries match to tight tolerance.
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -75,8 +78,10 @@ from repro.storage.supercap import Supercapacitor
 __all__ = [
     "FleetMember",
     "FleetSimulator",
+    "SampleHoldConstants",
     "evaluate_sample_hold_boards",
     "fleet_supported",
+    "sample_hold_constants",
 ]
 
 
@@ -252,6 +257,133 @@ def _schedule_mask(schedule, times: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _stack_conditions(models: Sequence[object]):
+    """Partition conditions into single-diode cells and series strings.
+
+    Returns ``(is_string, plain_idx, string_idx, params, sp)``: each
+    family's stacked-parameter block (None when the family is absent)
+    and its positions in ``models``.
+    """
+    is_string = np.array(
+        [getattr(model, "cells", None) is not None for model in models], dtype=bool
+    )
+    plain_idx = np.nonzero(~is_string)[0]
+    string_idx = np.nonzero(is_string)[0]
+    params = (
+        stack_model_params([models[int(u)] for u in plain_idx]) if len(plain_idx) else None
+    )
+    sp = (
+        stack_string_params(
+            [models[int(u)].cells for u in string_idx],
+            [models[int(u)].bypass_drop for u in string_idx],
+        )
+        if len(string_idx)
+        else None
+    )
+    return is_string, plain_idx, string_idx, params, sp
+
+
+@dataclass(frozen=True)
+class SampleHoldConstants:
+    """One S&H controller's chain constants, initial state and targets,
+    each read off the scalar objects the controller steps."""
+
+    alpha: float  # Vop / Voc ratio the held sample is divided by
+    t_on: float  # astable PULSE width, seconds
+    period: float  # astable period, seconds
+    metrology: float  # static metrology current, amps
+    min_vin: float  # converter minimum input voltage, volts
+    sh_supply: float  # S&H rail, volts
+    rtot: float  # divider total resistance, ohms
+    settle_fraction: float  # RC charge fraction reached in one pulse
+    kick: float  # switch charge injection per sample, volts
+    soak: float  # dielectric-absorption fraction
+    droop_tau: float  # hold-capacitor leakage time constant, seconds
+    droop_bias_c: float  # (U4 bias + switch off-leakage) / C, volts per second
+    u4_offset: float  # output buffer offset, volts
+    u4_alive: bool
+    cmp_threshold: float  # ACTIVE comparator (U5) threshold, volts
+    cmp_offset: float
+    cmp_half: float  # half hysteresis, volts
+    cmp_alive: bool
+    held: float  # initial state from here on
+    next_pulse: float
+    sample_count: int
+    cmp_high: bool
+    target: np.ndarray  # per-condition U2 output: loaded tap + offset, clamped
+
+
+def sample_hold_constants(controller, models: Sequence[object], voc) -> SampleHoldConstants:
+    """Extract an S&H controller's constants and solve its sample targets.
+
+    Args:
+        controller: an unwrapped :class:`SampleHoldMPPT`.
+        models: the run's unique condition models (cells or strings).
+        voc: open-circuit voltage of each model, volts.
+
+    Returns:
+        The chain's :class:`SampleHoldConstants`, with ``target``
+        aligned with ``models``.
+    """
+    cfg = controller.config
+    sh = cfg.sample_hold
+    cap = sh.hold_capacitor
+    spec = sh.switch.spec
+    u5 = cfg.active._u5
+    rtot = sh.divider.total_resistance
+
+    tau = sh.settle_time_constant()
+    effective = max(0.0, cfg.astable.t_on - spec.turn_on_time)
+
+    # Loaded sample points: one closed-form (cells) / bisection (strings)
+    # vector solve covers every condition — the counterpart of the
+    # scalar engine's per-sample MNA solve.
+    t0 = _time.perf_counter()
+    voc = np.asarray(voc, dtype=float)
+    _, plain_idx, string_idx, params, sp = _stack_conditions(models)
+    v_pv = np.zeros(len(models))
+    if params is not None:
+        v_pv[plain_idx] = batch_loaded_point(params, voc[plain_idx], rtot)
+    if sp is not None:
+        v_pv[string_idx] = string_loaded_point(sp, voc[string_idx], rtot)
+    TRACER.add("fleet:vector-solve", _time.perf_counter() - t0)
+    target = np.minimum(
+        sh.supply,
+        np.maximum(0.0, v_pv * sh.divider.ratio + sh.input_buffer.spec.input_offset),
+    )
+    if not sh.input_buffer.alive:
+        target = np.zeros_like(target)
+
+    return SampleHoldConstants(
+        alpha=cfg.alpha,
+        t_on=cfg.astable.t_on,
+        period=cfg.astable.period,
+        metrology=cfg.metrology_current(),
+        min_vin=cfg.converter.min_input_voltage,
+        sh_supply=sh.supply,
+        rtot=rtot,
+        settle_fraction=1.0 - math.exp(-effective / tau) if tau > 0.0 else 1.0,
+        kick=spec.charge_injection / cap.farads,
+        soak=cap.dielectric.dielectric_absorption,
+        droop_tau=cap.leakage_resistance * cap.farads,
+        droop_bias_c=(sh.output_buffer.bias_current() + spec.off_leakage) / cap.farads,
+        u4_offset=sh.output_buffer.spec.input_offset,
+        u4_alive=sh.output_buffer.alive,
+        cmp_threshold=cfg.active.threshold,
+        cmp_offset=u5.spec.input_offset,
+        cmp_half=u5.spec.hysteresis / 2.0,
+        cmp_alive=u5.alive,
+        held=sh.state_dict()["held"],
+        next_pulse=controller._next_pulse,
+        sample_count=controller._sample_count,
+        cmp_high=u5.output_high,
+        target=target,
+    )
+
+
+_SH_SCALARS = tuple(f.name for f in fields(SampleHoldConstants) if f.name != "target")
+
+
 # --------------------------------------------------------------------------
 # The fleet engine
 # --------------------------------------------------------------------------
@@ -285,33 +417,6 @@ class FleetSimulator:
             ):
                 raise ModelParameterError("fleet members must share one time base")
 
-        # --- controller / S&H constants -----------------------------------
-        self._alpha = np.empty(n)
-        self._t_on = np.empty(n)
-        self._period = np.empty(n)
-        self._metrology = np.empty(n)
-        self._min_vin_cfg = np.empty(n)
-        self._sh_supply = np.empty(n)
-        self._rtot = np.empty(n)
-        self._sf = np.empty(n)
-        self._kick = np.empty(n)
-        self._soak = np.empty(n)
-        self._droop_tau = np.empty(n)
-        self._droop_bias_c = np.empty(n)  # (bias A) / C, volts per second
-        self._u4_off = np.empty(n)
-        self._u4_alive = np.empty(n, dtype=bool)
-        self._cmp_thresh = np.empty(n)
-        self._cmp_off = np.empty(n)
-        self._cmp_half = np.empty(n)
-        self._cmp_alive = np.empty(n, dtype=bool)
-        self._supply_voltage = np.empty(n)
-
-        # --- controller / S&H state ---------------------------------------
-        self._held = np.empty(n)
-        self._next_pulse = np.empty(n)
-        self._sample_count = np.zeros(n, dtype=np.int64)
-        self._cmp_high = np.empty(n, dtype=bool)
-
         # --- fault masks ---------------------------------------------------
         leak_masks = []
         self._leak_mult = np.ones(n)
@@ -335,50 +440,29 @@ class FleetSimulator:
         self._cap_esr = np.zeros(n)
         self._cap_leak = np.zeros(n)
         self._v_store = np.zeros(n)
+        self._supply_voltage = np.array([float(m.supply_voltage) for m in members])
 
+        # Each member indexes its own block of the global condition axis:
+        # its precompute's unique conditions, offset past earlier members'.
         unique_models: List[object] = []
-        unique_lux: List[float] = []
-        unique_rtot: List[float] = []
-        unique_node: List[int] = []
-        unique_ideal: List[float] = []
-        u_global = np.empty((steps, n), dtype=np.int64)
-
+        u_cols = []
+        vocs = []
+        sh_consts = []
         for j, m in enumerate(members):
             base, leak_sched, leak_mult = _unwrap_controller(m.controller)
             if not fleet_supported(m.controller, m.converter, m.storage):
                 raise ModelParameterError(
                     f"fleet member {j} is not fleet-supported; use the scalar engine"
                 )
-            cfg = base.config
-            sh = cfg.sample_hold
-            self._alpha[j] = cfg.alpha
-            self._t_on[j] = cfg.astable.t_on
-            self._period[j] = cfg.astable.period
-            self._metrology[j] = cfg.metrology_current()
-            self._min_vin_cfg[j] = cfg.converter.min_input_voltage
-            self._sh_supply[j] = sh.supply
-            self._rtot[j] = sh.divider.total_resistance
-            tau = sh.settle_time_constant()
-            effective = max(0.0, cfg.astable.t_on - sh.switch.spec.turn_on_time)
-            self._sf[j] = 1.0 - math.exp(-effective / tau) if tau > 0.0 else 1.0
-            self._kick[j] = sh.switch.spec.charge_injection / sh.hold_capacitor.farads
-            self._soak[j] = sh.hold_capacitor.dielectric.dielectric_absorption
-            self._droop_tau[j] = sh.hold_capacitor.leakage_resistance * sh.hold_capacitor.farads
-            bias = sh.output_buffer.bias_current() + sh.switch.spec.off_leakage
-            self._droop_bias_c[j] = bias / sh.hold_capacitor.farads
-            self._u4_off[j] = sh.output_buffer.spec.input_offset
-            self._u4_alive[j] = sh.output_buffer.alive
-            u5 = cfg.active._u5
-            self._cmp_thresh[j] = cfg.active.threshold
-            self._cmp_off[j] = u5.spec.input_offset
-            self._cmp_half[j] = u5.spec.hysteresis / 2.0
-            self._cmp_alive[j] = u5.alive
-            self._cmp_high[j] = u5.output_high
-            self._supply_voltage[j] = m.supply_voltage
-
-            self._held[j] = sh.state_dict()["held"]
-            self._next_pulse[j] = base._next_pulse
-            self._sample_count[j] = base._sample_count
+            pc = m.precomputed
+            if not np.isfinite(np.asarray(pc.lux, dtype=float)).all():
+                raise NumericalGuardError(
+                    "precomputed lux trace contains non-finite values", signal="lux"
+                )
+            u_cols.append(pc.u_row + len(unique_models))
+            unique_models.extend(pc.unique)
+            vocs.append(np.array([model.voc() for model in pc.unique]))
+            sh_consts.append(sample_hold_constants(base, pc.unique, vocs[-1]))
 
             self._leak_mult[j] = leak_mult
             leak_masks.append(_schedule_mask(leak_sched, self.times))
@@ -410,111 +494,28 @@ class FleetSimulator:
                 self._cap_leak[j] = store.leakage_current
                 self._v_store[j] = store.voltage
 
-            # Per-node unique conditions, in first-encounter (step) order.
-            pc = m.precomputed
-            lux = np.asarray(pc.lux, dtype=float)
-            if not np.isfinite(lux).all():
-                raise NumericalGuardError(
-                    "precomputed lux trace contains non-finite values", signal="lux"
-                )
-            offset = len(unique_models)
-            seen: dict = {}
-            mpp_cache: dict = {}
-            for i, model in enumerate(pc.models):
-                key = id(model)
-                u = seen.get(key)
-                if u is None:
-                    u = offset + len(seen)
-                    seen[key] = u
-                    unique_models.append(model)
-                    step_lux = float(lux[i])
-                    unique_lux.append(step_lux)
-                    unique_rtot.append(self._rtot[j])
-                    unique_node.append(j)
-                    # energy_ideal replay: the scalar engine caches MPP
-                    # power on quantised (Iph, T); the first model to
-                    # claim a key defines its value for the whole run.
-                    iph = model.photocurrent
-                    if step_lux <= 0.0 or iph <= 0.0:
-                        unique_ideal.append(0.0)
-                    else:
-                        qkey = getattr(model, "ideal_cache_key", None)
-                        if qkey is None:
-                            qkey = (
-                                round(math.log(iph) * 400.0),
-                                round(model.temperature * 2.0),
-                            )
-                        cached = mpp_cache.get(qkey)
-                        if cached is None:
-                            cached = model.mpp().power
-                            mpp_cache[qkey] = cached
-                        unique_ideal.append(cached)
-                u_global[i, j] = u
+        # --- controller / S&H constants and state, one entry per member ---
+        for name in _SH_SCALARS:
+            setattr(self, "_" + name, np.array([getattr(c, name) for c in sh_consts]))
+        self._target_all = np.concatenate([c.target for c in sh_consts])
+        self._u_global = np.column_stack(u_cols)
 
-        self._u_global = u_global
-        # Partition the unique conditions into single-diode cells and
-        # series strings; each family gets its own stacked-parameter
-        # block, with index maps from the global condition index.
+        # Single-diode cells and series strings each get their own
+        # stacked-parameter block, with index maps from the global
+        # condition index.
         n_unique = len(unique_models)
-        is_string = np.array(
-            [getattr(model, "cells", None) is not None for model in unique_models],
-            dtype=bool,
+        is_string, plain_idx, string_idx, self._params_all, self._sp_all = (
+            _stack_conditions(unique_models)
         )
         self._is_string = is_string
         self._any_string = bool(is_string.any())
-        plain_idx = np.nonzero(~is_string)[0]
-        string_idx = np.nonzero(is_string)[0]
         self._u_to_plain = np.full(n_unique, -1, dtype=np.int64)
         self._u_to_plain[plain_idx] = np.arange(len(plain_idx))
         self._u_to_string = np.full(n_unique, -1, dtype=np.int64)
         self._u_to_string[string_idx] = np.arange(len(string_idx))
-        self._params_all = (
-            stack_model_params([unique_models[int(u)] for u in plain_idx])
-            if len(plain_idx)
-            else None
-        )
-        self._sp_all = (
-            stack_string_params(
-                [unique_models[int(u)].cells for u in string_idx],
-                [unique_models[int(u)].bypass_drop for u in string_idx],
-            )
-            if len(string_idx)
-            else None
-        )
-        self._voc_all = np.array([model.voc() for model in unique_models])
-        self._lux_all = np.array(unique_lux)
-        self._ideal_all = np.array(unique_ideal)
-
-        # Loaded sample points: one vector solve covers every (node,
-        # condition) pair for the whole run — this is the fleet
-        # counterpart of the per-sample MNA solve.
-        t0 = _time.perf_counter()
-        rtot_arr = np.array(unique_rtot)
-        v_pv_all = np.zeros(n_unique)
-        if self._params_all is not None:
-            v_pv_all[plain_idx] = batch_loaded_point(
-                self._params_all, self._voc_all[plain_idx], rtot_arr[plain_idx]
-            )
-        if self._sp_all is not None:
-            v_pv_all[string_idx] = string_loaded_point(
-                self._sp_all, self._voc_all[string_idx], rtot_arr[string_idx]
-            )
-        TRACER.add("fleet:vector-solve", _time.perf_counter() - t0)
-        node_idx = np.array(unique_node, dtype=np.int64)
-        ratio = np.empty(n)
-        u2_off = np.empty(n)
-        u2_alive = np.empty(n, dtype=bool)
-        for j, m in enumerate(members):
-            base, _, _ = _unwrap_controller(m.controller)
-            sh = base.config.sample_hold
-            ratio[j] = sh.divider.ratio
-            u2_off[j] = sh.input_buffer.spec.input_offset
-            u2_alive[j] = sh.input_buffer.alive
-        tap = v_pv_all * ratio[node_idx]
-        target = np.minimum(
-            self._sh_supply[node_idx], np.maximum(0.0, tap + u2_off[node_idx])
-        )
-        self._target_all = np.where(u2_alive[node_idx], target, 0.0)
+        self._voc_all = np.concatenate(vocs)
+        self._lux_all = np.concatenate([m.precomputed.unique_lux for m in members])
+        self._ideal_all = np.concatenate([m.precomputed.ideal_power() for m in members])
 
         self._leak_mask = np.column_stack(leak_masks)
         self._brown_mask = np.column_stack(brown_masks)
@@ -549,7 +550,7 @@ class FleetSimulator:
     def _sh_sample(self, target: np.ndarray, mask: np.ndarray) -> None:
         """Vectorized SampleHoldCircuit.sample toward precomputed targets."""
         previous = self._held
-        new_held = previous + (target - previous) * self._sf
+        new_held = previous + (target - previous) * self._settle_fraction
         new_held = new_held + self._kick
         new_held = new_held + self._soak * (previous - new_held)
         clamped = np.minimum(self._sh_supply, np.maximum(0.0, new_held))
@@ -671,7 +672,7 @@ class FleetSimulator:
             )
         self._sh_droop(np.maximum(0.0, t_end - cursor))
 
-        held_raw = np.minimum(self._sh_supply, np.maximum(0.0, self._held + self._u4_off))
+        held_raw = np.minimum(self._sh_supply, np.maximum(0.0, self._held + self._u4_offset))
         held = np.where(self._u4_alive, held_raw, 0.0)
         duty = np.maximum(0.0, 1.0 - sampling_time / dt)
         overhead_current = self._metrology + np.where(
@@ -681,12 +682,12 @@ class FleetSimulator:
         # ACTIVE comparator latch (U5), then the converter-minimum and
         # Voc gates — order is irrelevant to outputs, the latch updates
         # exactly once per step as in the scalar path.
-        diff = (held - self._cmp_thresh) + self._cmp_off
+        diff = (held - self._cmp_threshold) + self._cmp_offset
         goes_high = diff > self._cmp_half
         stays_high = ~(diff < -self._cmp_half)
         self._cmp_high = self._cmp_alive & np.where(self._cmp_high, stays_high, goes_high)
         v_op = held / self._alpha
-        valid = self._cmp_high & (v_op >= self._min_vin_cfg) & (v_op < voc)
+        valid = self._cmp_high & (v_op >= self._min_vin) & (v_op < voc)
 
         # Hold-leakage fault: extra droop after the platform's own step.
         if self._any_leak:
@@ -843,6 +844,11 @@ class FleetSimulator:
             raise StateFormatError(
                 f"FleetSimulator state holds {state['n']} nodes, engine has {self.n}"
             )
+        step_index = int(state["step_index"])
+        if not 0 <= step_index <= self.steps:
+            raise StateFormatError(
+                f"FleetSimulator state step_index {step_index} is outside [0, {self.steps}]"
+            )
         dtypes = {float: float, int: np.int64, bool: bool}
         for key, attr, kind in self._ARRAY_FIELDS:
             if key not in state:
@@ -855,4 +861,4 @@ class FleetSimulator:
                 )
             setattr(self, attr, np.array(values, dtype=dtypes[kind]))
         self.time = float(state["time"])
-        self._step_index = int(state["step_index"])
+        self._step_index = step_index

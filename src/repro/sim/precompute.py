@@ -17,16 +17,20 @@ vectorized pass (:func:`repro.pv.batch.solve_models` for cells,
 resulting :class:`PrecomputedConditions` plugs into the simulator's
 ``precomputed=`` argument; controllers then see exactly the models they
 would have seen live, with the solves already memoised.
+
+The dedup index (``unique`` / ``u_row``) and the ideal-MPP replay
+(:meth:`PrecomputedConditions.ideal_power`) are published, so the fleet
+and compiled tiers read these conditions instead of rebuilding them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+import math
+import time
+from dataclasses import dataclass
+from typing import Callable, Dict, List
 
 import numpy as np
-
-import time
 
 from repro.errors import ModelParameterError
 from repro.obs.tracing import TRACER
@@ -35,6 +39,15 @@ from repro.pv.cells import PVCell
 from repro.pv.irradiance import FLUORESCENT, LightSource
 from repro.pv.single_diode import SingleDiodeModel
 from repro.units import T_STC
+
+
+def ideal_cache_key(model) -> tuple:
+    """Ideal-MPP memo key of a lit model: its own ``ideal_cache_key``
+    (strings) or quantised ``(Iph, T)`` — 0.25 % Iph bins, 0.5 K steps."""
+    key = getattr(model, "ideal_cache_key", None)
+    if key is None:
+        key = (round(math.log(model.photocurrent) * 400.0), round(model.temperature * 2.0))
+    return key
 
 
 @dataclass
@@ -48,9 +61,10 @@ class PrecomputedConditions:
         temperature: cell temperature per step, kelvin.
         models: per-step single-diode models; repeated conditions share
             one instance, whose characteristic points are pre-solved.
+        unique: the distinct condition models, in first-encounter order.
+        u_row: per-step index into ``unique`` (``models[i] is
+            unique[u_row[i]]``).
         source: the light-source spectrum the models were built for.
-        unique_conditions: number of distinct ``(lux, temperature)``
-            pairs the run visits (the batch-solve workload).
     """
 
     dt: float
@@ -58,11 +72,40 @@ class PrecomputedConditions:
     lux: np.ndarray
     temperature: np.ndarray
     models: List[SingleDiodeModel]
+    unique: List[SingleDiodeModel]
+    u_row: np.ndarray
     source: LightSource = FLUORESCENT
-    unique_conditions: int = 0
 
     def __len__(self) -> int:
         return len(self.models)
+
+    @property
+    def unique_conditions(self) -> int:
+        """Number of distinct conditions (the batch-solve workload)."""
+        return len(self.unique)
+
+    @property
+    def unique_lux(self) -> np.ndarray:
+        """Illuminance of each unique condition."""
+        out = np.empty(len(self.unique))
+        out[self.u_row] = self.lux
+        return out
+
+    def ideal_power(self) -> np.ndarray:
+        """Ideal-MPP power per unique condition, replaying the scalar
+        engine's memo: colliding :func:`ideal_cache_key` values reuse the
+        first claimant's power in step order and dark conditions give 0,
+        so ``ideal_power()[u_row]`` sums bitwise like ``energy_ideal``."""
+        memo: dict = {}
+        out = np.zeros(len(self.unique))
+        for k, (model, lux) in enumerate(zip(self.unique, self.unique_lux.tolist())):
+            if lux > 0.0 and model.photocurrent > 0.0:
+                key = ideal_cache_key(model)
+                power = memo.get(key)
+                if power is None:
+                    power = memo[key] = model.mpp().power
+                out[k] = power
+        return out
 
 
 def precompute_conditions(
@@ -74,7 +117,6 @@ def precompute_conditions(
     thermal=None,
     temperature: float = T_STC,
     start_time: float = 0.0,
-    solve: bool = True,
     shading=None,
 ) -> PrecomputedConditions:
     """Sample a run's conditions once and batch-solve the unique ones.
@@ -94,8 +136,6 @@ def precompute_conditions(
             driven by the lux trace (its state is advanced here).
         temperature: fixed cell temperature when ``thermal`` is None.
         start_time: trace start, seconds.
-        solve: batch-solve Voc/Isc/MPP of the unique conditions and
-            memoise them on the shared model instances.
         shading: optional :class:`~repro.env.shading.ShadowMap`; its
             per-cell factors join the dedup key and are forwarded to the
             cell's ``model_at`` (requires a string-style cell such as
@@ -123,8 +163,9 @@ def precompute_conditions(
             temps[i] = temperature
         t += dt
 
-    models: List[SingleDiodeModel] = []
-    index: Dict[tuple, SingleDiodeModel] = {}
+    unique: List[SingleDiodeModel] = []
+    index: Dict[tuple, int] = {}
+    u_row: List[int] = []
     for i in range(steps):
         if shading is not None:
             factors = shading.factors_at(float(times[i]))
@@ -132,8 +173,8 @@ def precompute_conditions(
         else:
             factors = None
             key = (lux[i], temps[i])
-        model = index.get(key)
-        if model is None:
+        u = index.get(key)
+        if u is None:
             if factors is not None:
                 model = cell.model_at(
                     float(lux[i]),
@@ -145,13 +186,14 @@ def precompute_conditions(
                 model = cell.model_at(
                     float(lux[i]), source=source, temperature=float(temps[i])
                 )
-            index[key] = model
-        models.append(model)
+            u = index[key] = len(unique)
+            unique.append(model)
+        u_row.append(u)
+    models = [unique[u] for u in u_row]
 
-    if solve and index:
+    if unique:
         from repro.pv.string import StringModel, solve_string_models
 
-        unique = list(index.values())
         plain = [m for m in unique if isinstance(m, SingleDiodeModel)]
         strings = [m for m in unique if isinstance(m, StringModel)]
         if plain:
@@ -167,6 +209,7 @@ def precompute_conditions(
         lux=lux,
         temperature=temps,
         models=models,
+        unique=unique,
+        u_row=np.array(u_row, dtype=np.int64),
         source=source,
-        unique_conditions=len(index),
     )

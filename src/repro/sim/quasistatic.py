@@ -34,7 +34,7 @@ from repro.obs import journal as _journal
 from repro.pv.cells import PVCell
 from repro.pv.irradiance import FLUORESCENT, LightSource
 from repro.pv.single_diode import SingleDiodeModel
-from repro.sim.precompute import PrecomputedConditions
+from repro.sim.precompute import PrecomputedConditions, ideal_cache_key
 from repro.sim.traces import TraceSet
 from repro.units import T_STC
 
@@ -361,8 +361,8 @@ class QuasiStaticSimulator:
         load_child_state(self.thermal, state.get("thermal"), "thermal")
 
     def _ideal_power(self, model) -> float:
-        """True-MPP power for the step's curve, cached on quantised
-        (photocurrent, temperature) — or the model's own richer key.
+        """True-MPP power for the step's curve, cached on
+        :func:`~repro.sim.precompute.ideal_cache_key`.
 
         String models publish ``ideal_cache_key`` covering every cell:
         two shading patterns can share a headline photocurrent while
@@ -370,12 +370,7 @@ class QuasiStaticSimulator:
         """
         if model.photocurrent <= 0.0:
             return 0.0
-        key = getattr(model, "ideal_cache_key", None)
-        if key is None:
-            key = (
-                round(math.log(model.photocurrent) * 400.0),
-                round(model.temperature * 2.0),
-            )
+        key = ideal_cache_key(model)
         cached = self._mpp_cache.get(key)
         if cached is None:
             h = obs.HOOKS.cache_misses

@@ -10,7 +10,8 @@ Contracts covered here:
 * engine resolution (``auto`` included) behaves across entry points,
   comparison/strings refuse the ``fleet`` tier and resilience the
   ``compiled`` tier;
-* compiled lanes count into ``compiled.lane_steps``, not ``fleet.steps``.
+* compiled lanes count into ``compiled.lane_steps``, not ``fleet.steps``;
+* the S&H lanes build no :class:`~repro.sim.fleet.FleetSimulator`.
 """
 
 import pytest
@@ -225,3 +226,52 @@ class TestLaneStepCounter:
             obs.reset()
         assert lane_steps == len(techniques) * 60
         assert fleet_steps == 0
+
+
+class TestSampleHoldLaneBuildsNoFleet:
+    def test_office_desk_sample_hold_lanes_without_a_fleet(self, monkeypatch):
+        """The S&H lanes read their constants without constructing a fleet."""
+        import json
+
+        from repro.experiments.comparison import default_scenarios
+        from repro.sim import compiled
+        from repro.sim.fleet import FleetSimulator
+        from tests.integration.test_golden_traces import (
+            DT as GOLDEN_DT,
+            DURATION as GOLDEN_DURATION,
+            SUMMARY_FIELDS,
+            assert_matches_golden,
+            golden_path,
+        )
+
+        def no_fleet(self, members):
+            raise AssertionError("the compiled tier constructed a FleetSimulator")
+
+        monkeypatch.setattr(FleetSimulator, "__init__", no_fleet)
+        compiled.clear_program_cache()
+        cell = am_1815()
+        factories = default_controllers(cell)
+        techniques = ("proposed-S&H-FOCV", "proposed-S&H-trimmed")
+        lanes = [
+            (
+                name,
+                factories[name](),
+                BuckBoostConverter(),
+                Supercapacitor(capacitance=25.0, rated_voltage=5.5, voltage=2.7),
+            )
+            for name in techniques
+        ]
+        out, _ = run_comparison_scenario(
+            cell,
+            "office-desk",
+            default_scenarios()["office-desk"],
+            lanes,
+            GOLDEN_DURATION,
+            GOLDEN_DT,
+            supply_voltage=3.0,
+        )
+        golden = json.loads(golden_path("office-desk").read_text())["techniques"]
+        for name in techniques:
+            assert out[name] is not None, f"{name} fell back to the scalar engine"
+            measured = {f: getattr(out[name], f) for f in SUMMARY_FIELDS}
+            assert_matches_golden("compiled", "office-desk", name, measured, golden[name])

@@ -10,8 +10,9 @@ population axis in a different association order).
 Covered here: a clean run, a fully-faulted run (hold leakage, converter
 brownout, storage short), an open-mode storage
 fault, checkpoint/resume mid-run through a JSON round trip, member-order
-invariance, and the Monte Carlo fleet kernel against the scalar board
-walk.
+invariance, checkpoint validation, the closed-form loaded sample point
+against the scalar MNA solve, and the Monte Carlo fleet kernel against
+the scalar board walk.
 """
 
 import json
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.montecarlo import run_sample_hold_montecarlo
+from repro.core.sample_hold import SampleHoldCircuit
 from repro.converter.buck_boost import BuckBoostConverter
 from repro.core.config import PlatformConfig
 from repro.core.system import SampleHoldMPPT
@@ -31,6 +33,7 @@ from repro.faults.components import (
     StorageFault,
 )
 from repro.faults.schedule import FaultSchedule
+from repro.pv.batch import batch_loaded_point, stack_model_params
 from repro.pv.cells import am_1815
 from repro.pv.thermal import CellThermalModel
 from repro.sim.fleet import FleetMember, FleetSimulator, fleet_supported
@@ -226,6 +229,39 @@ class TestFleetEquivalence:
         )
         with pytest.raises(StateFormatError):
             fresh.load_state(state)
+
+
+    @pytest.mark.parametrize("step_index", [-3, 10**6])
+    def test_load_state_rejects_step_index_outside_horizon(self, step_index):
+        cell = am_1815()
+        pc = precompute_conditions(cell, ConstantProfile(500.0), 3600.0, DT)
+        ctl, conv, store = _build_clean()
+        fleet = FleetSimulator(
+            [FleetMember(controller=ctl, precomputed=pc, converter=conv,
+                         storage=store, supply_voltage=3.0)]
+        )
+        assert fleet.steps == 60
+        state = fleet.state_dict()
+        state["step_index"] = step_index
+        with pytest.raises(StateFormatError, match="step_index"):
+            fleet.load_state(state)
+        assert fleet._step_index == 0
+
+
+class TestLoadedPoint:
+    def test_closed_form_matches_scalar_mna_solve(self):
+        """The fleet's loaded divider point equals the scalar MNA solve."""
+        cell = am_1815()
+        sh = SampleHoldCircuit()
+        models = [cell.model_at(float(lux)) for lux in np.geomspace(5.0, 50000.0, 25)]
+        expected = np.array([sh.loaded_sample_point(m)[0] for m in models])
+        r_divider = sh.divider.top.ohms + sh.divider.bottom.ohms
+        got = batch_loaded_point(
+            stack_model_params(models),
+            np.array([m.voc() for m in models]),
+            np.full(len(models), r_divider),
+        )
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
 class TestMonteCarloFleetKernel:

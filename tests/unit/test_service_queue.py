@@ -104,6 +104,28 @@ class TestBackoffDelay:
         assert len(delays) > 10
 
 
+def _fp(key: int) -> str:
+    """Fingerprint whose jitter key is ``key``: "spec number ``key``"."""
+    return f"{key:08x}" + "0" * 56
+
+
+class TestDeterministicBackoff:
+    def test_exponential_growth_and_cap(self):
+        base = backoff_delay(_fp(0), 1, 0.1, 5.0)
+        doubled = backoff_delay(_fp(0), 2, 0.1, 5.0)
+        assert 0.1 <= base <= 0.15  # base + up to 50% jitter
+        assert 0.2 <= doubled <= 0.3
+        capped = backoff_delay(_fp(0), 30, 0.1, 5.0)
+        assert capped <= 7.5  # cap + max jitter
+
+    def test_jitter_is_reproducible(self):
+        assert backoff_delay(_fp(7), 3, 0.1, 5.0) == backoff_delay(_fp(7), 3, 0.1, 5.0)
+
+    def test_jitter_decorrelates_specs(self):
+        delays = {backoff_delay(_fp(i), 1, 0.1, 5.0) for i in range(20)}
+        assert len(delays) > 10
+
+
 class TestHappyPath:
     def test_submit_runs_to_success(self, make_service):
         service = make_service()
