@@ -15,7 +15,6 @@ Expected shape (asserted):
 
 from repro.env.profiles import HOURS
 from repro.experiments import comparison
-from repro.sim.telemetry import measure, record_perf
 
 
 def test_quiescent_overhead_table(benchmark, save_result):
@@ -31,15 +30,11 @@ def test_quiescent_overhead_table(benchmark, save_result):
 
 
 def test_24h_comparison_all_scenarios(benchmark, save_result):
-    steps = 9 * 3 * int(24.0 * HOURS / 10.0)
-
-    def timed_run():
-        with measure("comparison_24h_dt10", steps=steps) as perf:
-            results = comparison.run_comparison(duration=24.0 * HOURS, dt=10.0)
-        record_perf(perf, note="bench_comparison_sota")
-        return results
-
-    results = benchmark.pedantic(timed_run, rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        lambda: comparison.run_comparison(duration=24.0 * HOURS, dt=10.0),
+        rounds=1,
+        iterations=1,
+    )
 
     save_result("comparison_24h", comparison.render(results))
 

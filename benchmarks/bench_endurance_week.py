@@ -8,19 +8,12 @@ as it began — the paper's "operate indefinitely" purpose statement.
 """
 
 from repro.experiments import endurance
-from repro.sim.telemetry import measure, record_perf
 
 
 def test_endurance_week(benchmark, save_result):
-    steps = int(endurance.WEEK / 20.0)
-
-    def timed_run():
-        with measure("endurance_week_dt20", steps=steps) as perf:
-            result = endurance.run_week(dt=20.0)
-        record_perf(perf, note="bench_endurance_week")
-        return result
-
-    result = benchmark.pedantic(timed_run, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: endurance.run_week(dt=20.0), rounds=1, iterations=1
+    )
 
     save_result("endurance_week", endurance.render(result))
 

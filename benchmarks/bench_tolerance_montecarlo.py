@@ -8,17 +8,12 @@ against the paper's measured band.
 """
 
 from repro.analysis.montecarlo import render_montecarlo, run_sample_hold_montecarlo
-from repro.sim.telemetry import measure, record_perf
 
 
 def test_tolerance_montecarlo(benchmark, save_result):
-    def timed_run():
-        with measure("tolerance_montecarlo_500", steps=500) as perf:
-            result = run_sample_hold_montecarlo(boards=500)
-        record_perf(perf, note="bench_tolerance_montecarlo")
-        return result
-
-    result = benchmark.pedantic(timed_run, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: run_sample_hold_montecarlo(boards=500), rounds=1, iterations=1
+    )
 
     save_result("tolerance_montecarlo", render_montecarlo(result))
 

@@ -5,7 +5,7 @@ Three layers, used together by the long-running experiments:
 * :mod:`repro.ckpt.atomic` — atomic artifact writes
   (write-temp → fsync → rename) and advisory file locking, so crashes
   never tear an artifact and concurrent runs never drop each other's
-  ledger entries.
+  updates.
 * :mod:`repro.ckpt.state` — the ``state_dict()/load_state()``
   protocol engines, controllers, storage, schedulers and fault
   wrappers implement, plus RNG-position serialization.

@@ -1,11 +1,11 @@
 """Atomic artifact I/O: write-temp → fsync → rename, plus advisory locks.
 
-Every durable artifact this repo produces — the ``BENCH_perf.json``
-perf ledger, golden traces, profile exports, experiment checkpoints —
-used to be written with a bare ``open(path, "w")``.  A crash (or a
-SIGKILL) mid-write leaves a truncated file, and two concurrent runs
-doing read-modify-write on the same ledger silently drop each other's
-entries.  This module fixes both failure modes:
+Every durable artifact this repo produces — golden traces, profile
+exports, experiment checkpoints, the job store — used to be written
+with a bare ``open(path, "w")``.  A crash (or a SIGKILL) mid-write
+leaves a truncated file, and two concurrent runs doing
+read-modify-write on the same shared file silently drop each other's
+updates.  This module fixes both failure modes:
 
 * :func:`atomic_write_bytes` / :func:`atomic_write_text` /
   :func:`atomic_write_json` — write to a same-directory temp file,
@@ -17,8 +17,7 @@ entries.  This module fixes both failure modes:
   forever (``flock`` locks die with their process, so the timeout only
   fires on genuine long holders).
 * :func:`locked_update_json` — the read-modify-write pattern done
-  right: lock, read, update, atomic-replace, unlock.  This is what
-  :func:`repro.sim.telemetry.record_perf` appends through.
+  right: lock, read, update, atomic-replace, unlock.
 
 Locking degrades gracefully where ``fcntl`` is unavailable (non-POSIX):
 the lock becomes a no-op and the atomic rename still guarantees
@@ -154,7 +153,7 @@ def file_lock(
                     if time.monotonic() >= deadline:
                         raise LockTimeoutError(
                             f"could not acquire {lock_file} within {timeout} s "
-                            "(another run holds the ledger?)"
+                            "(another process holds it?)"
                         ) from None
                     time.sleep(poll_interval)
         try:

@@ -21,15 +21,13 @@ Usage::
                                               # E17: any artefact, instrumented
     python -m repro endurance --progress --journal run.jsonl
                                               # live ETA + event journal
-    python -m repro bench report [--threshold 0.5] [--fail-on-regression]
-                                              # bench-ledger trend analysis
     python -m repro serve [--port 8765] [--workers 2]
                                               # fault-tolerant job service
 
 Exit codes (see README "Exit codes"): 0 success (including a graceful
-SIGTERM drain), 1 unexpected error, 2 usage error, 3 bench regression,
-4 invalid configuration, 5 numerical guard trip, 6 checkpoint/lock
-failure.
+SIGTERM drain), 1 unexpected error, 2 usage error, 4 invalid
+configuration, 5 numerical guard trip, 6 checkpoint/lock failure
+(3 is retired).
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from typing import Callable, Dict
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2  # argparse's own code, listed for completeness
-EXIT_BENCH_REGRESSION = 3
 EXIT_CONFIG = 4
 EXIT_GUARD = 5
 EXIT_CHECKPOINT = 6
@@ -272,36 +269,6 @@ def _cmd_profile(args) -> str:
     return f"{text}\n\n{export.render_summary()}\n{saved}"
 
 
-def _cmd_bench(args) -> str:
-    """Analyze the bench ledger: same-host throughput trends + regressions.
-
-    ``--fail-on-regression`` makes the process exit non-zero when any
-    experiment's newest same-host entry fell below ``threshold`` x the
-    median of its history — the CI tripwire.
-    """
-    import json as json_mod
-
-    from repro.obs import benchreport
-
-    kwargs = {}
-    if args.threshold is not None:
-        kwargs["threshold"] = args.threshold
-    report = benchreport.analyze_ledger(path=args.path, **kwargs)
-
-    saved = []
-    if args.out is not None:
-        paths = benchreport.write_report(report, args.out)
-        saved = [f"[saved {kind}: {path}]" for kind, path in sorted(paths.items())]
-    if args.fail_on_regression and report.regressions:
-        args.exit_code = 3
-
-    if args.format == "json":
-        text = json_mod.dumps(report.to_dict(), indent=2, sort_keys=True)
-    else:
-        text = benchreport.render_markdown(report)
-    return "\n".join([text, *saved]) if saved else text
-
-
 def _cmd_serve(args) -> str:
     """Run the fault-tolerant simulation job service until drained.
 
@@ -477,25 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--boards", type=int, default=None,
                          help="forwarded to montecarlo")
     profile.set_defaults(_run=_cmd_profile)
-    bench = sub.add_parser(
-        "bench",
-        help="analyze the BENCH_perf.json ledger: same-host throughput "
-        "trends and regression flags",
-    )
-    bench.add_argument("action", choices=("report",))
-    bench.add_argument("--path", default=None, metavar="LEDGER",
-                       help="ledger file (default: the checkout's "
-                       "BENCH_perf.json, or $REPRO_BENCH_PATH)")
-    bench.add_argument("--threshold", type=float, default=None,
-                       help="flag when latest < THRESHOLD x same-host "
-                       "median (default 0.5)")
-    bench.add_argument("--format", choices=("markdown", "json"),
-                       default="markdown")
-    bench.add_argument("--out", default=None, metavar="DIR",
-                       help="also write markdown + JSON reports to DIR")
-    bench.add_argument("--fail-on-regression", action="store_true",
-                       help="exit non-zero when any regression is flagged")
-    bench.set_defaults(_run=_cmd_bench)
     serve = sub.add_parser(
         "serve",
         help="run the fault-tolerant simulation job service over HTTP "
@@ -602,7 +550,7 @@ def main(argv=None) -> int:
             sys.stdout.close()
         except Exception:
             pass
-    return int(getattr(args, "exit_code", EXIT_OK))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

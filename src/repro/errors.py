@@ -86,11 +86,6 @@ class ConfigError(ModelParameterError, ConfigurationError):
         self.field = field
 
 
-class TelemetryPathError(ReproError, RuntimeError):
-    """The perf-telemetry ledger location could not be resolved (no repo
-    root on the module's path and no ``REPRO_BENCH_PATH`` override)."""
-
-
 class CheckpointError(ReproError, RuntimeError):
     """A checkpoint could not be written, read, or applied."""
 

@@ -216,8 +216,7 @@ def write_profile(
 def counters_dict(registry: MetricsRegistry = REGISTRY) -> "dict[str, float]":
     """Flat ``{name: value}`` of nonzero counters (labels folded into the name).
 
-    The compact form :func:`repro.sim.telemetry.record_perf` embeds in
-    the ``BENCH_perf.json`` ledger alongside ``steps_per_s``.
+    The compact form the journal's ``run-end`` event carries.
     """
     out = {}
     for inst in registry.instruments():

@@ -73,23 +73,25 @@ def _as_float(value: Any, field_name: str, lo: float, hi: float) -> float:
         raise ConfigError(
             f"{field_name} must be a number, got {value!r}", field=field_name
         )
-    value = float(value)
-    require_finite(value, field_name)
+    if isinstance(value, float):
+        require_finite(value, field_name)
+    # Range-check before float(): a JSON integer past float's range
+    # would raise OverflowError on conversion.
     if not (lo <= value <= hi):
         raise ConfigError(
             f"{field_name} must be in [{lo!r}, {hi!r}], got {value!r}",
             field=field_name,
         )
-    return value
+    return float(value)
 
 
 def _as_int(value: Any, field_name: str, lo: int, hi: int) -> int:
+    if isinstance(value, float) and math.isfinite(value) and value == int(value):
+        value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        if not (isinstance(value, float) and value == int(value) and math.isfinite(value)):
-            raise ConfigError(
-                f"{field_name} must be an integer, got {value!r}", field=field_name
-            )
-    value = int(value)
+        raise ConfigError(
+            f"{field_name} must be an integer, got {value!r}", field=field_name
+        )
     if not (lo <= value <= hi):
         raise ConfigError(
             f"{field_name} must be in [{lo}, {hi}], got {value!r}", field=field_name

@@ -14,10 +14,9 @@ Signals are recorded into :class:`~repro.sim.traces.TraceSet` objects
 that behave like named time series with numpy views.
 
 Performance layers: :mod:`repro.sim.precompute` solves a whole run's
-conditions once for sharing across controllers, and
-:mod:`repro.sim.telemetry` keeps the ``BENCH_perf.json`` wall-time
-ledger.  Two engine tiers sit beside the scalar reference
-(:mod:`repro.sim.engines` lists which experiment takes which):
+conditions once for sharing across controllers.  Two engine tiers sit
+beside the scalar reference (:mod:`repro.sim.engines` lists which
+experiment takes which):
 :mod:`repro.sim.compiled` fuses comparison/strings lanes into one
 kernel over a validated power LUT, and :mod:`repro.sim.fleet` steps
 populations of S&H nodes (resilience lanes, Monte Carlo boards) in
@@ -29,7 +28,6 @@ from repro.sim.events import EventQueue, Event
 from repro.sim.transient import TransientSimulator
 from repro.sim.quasistatic import QuasiStaticSimulator, StepResult, HarvestSummary
 from repro.sim.precompute import PrecomputedConditions, precompute_conditions
-from repro.sim.telemetry import PerfSample, measure, record_perf, load_ledger, latest
 
 _FLEET_EXPORTS = ("FleetMember", "FleetSimulator", "fleet_supported")
 
@@ -59,9 +57,4 @@ __all__ = [
     "FleetMember",
     "FleetSimulator",
     "fleet_supported",
-    "PerfSample",
-    "measure",
-    "record_perf",
-    "load_ledger",
-    "latest",
 ]

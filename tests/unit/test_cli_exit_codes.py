@@ -1,8 +1,8 @@
 """The CLI exit-code contract: typed errors map to documented codes.
 
 Codes (mirrored in README "Exit codes"): 0 success / graceful drain,
-1 unexpected, 2 usage, 3 bench regression, 4 config, 5 numerical
-guard, 6 checkpoint/lock.  Typed failures also journal a ``run-error``
+1 unexpected, 2 usage, 4 config, 5 numerical guard, 6 checkpoint/lock;
+3 is retired.  Typed failures also journal a ``run-error``
 event carrying the command, error type, and the code.
 """
 

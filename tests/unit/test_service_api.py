@@ -79,6 +79,10 @@ class TestBuildSpecRejections:
             ({"kind": "strings", "params": {"engine": "fleet"}}, "engine"),
             ({"kind": "montecarlo", "params": {"engine": "compiled"}}, "engine"),
             ({"kind": "resilience", "params": {"engine": "compiled"}}, "engine"),
+            ({"kind": "comparison", "params": {"hours": 10**400}}, "hours"),
+            ({"kind": "endurance", "params": {"days": float("nan")}}, "days"),
+            ({"kind": "montecarlo", "params": {"boards": float("inf")}}, "boards"),
+            ({"kind": "montecarlo", "params": {"boards": 1e400}}, "boards"),
         ],
     )
     def test_rejects_with_field(self, payload, field):

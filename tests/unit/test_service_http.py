@@ -73,6 +73,14 @@ class TestBadRequests:
         assert status == 400
         assert json.loads(body)["field"] == "body"
 
+    def test_non_finite_number_is_400_with_field(self, make_server):
+        server, _ = make_server()
+        status, _, body = raw_request(
+            server, "POST", "/v1/jobs", b'{"kind": "endurance", "params": {"days": NaN}}'
+        )
+        assert status == 400
+        assert json.loads(body)["field"] == "days"
+
     def test_config_error_carries_field_detail(self, make_server):
         _, client = make_server()
         with pytest.raises(ServiceClientError) as excinfo:
