@@ -410,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--engine", choices=engine_choices(name),
                            default="fleet",
-                           help="vectorized fleet engine (default), scalar walk, "
+                           help="fleet engine (default; S&H lanes replay their "
+                           "chain once and step on the scalar engine), "
+                           "scalar walk, "
                            "or auto (= fleet)")
         if name == "montecarlo":
             p.add_argument("--boards", type=int, default=500)

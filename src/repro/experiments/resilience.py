@@ -290,7 +290,7 @@ def _run_campaign_scenario(spec: _CampaignSpec) -> List[ResilienceCell]:
     fleet_group = []
     if spec.engine == "fleet":
         fleet_group = [
-            chain for chain in chains if fleet_supported(chain[1], chain[2], chain[3])
+            chain for chain in chains if fleet_supported(chain[1])
         ]
     if fleet_group:
         fleet = FleetSimulator(
@@ -624,9 +624,10 @@ def run_resilience(
             verbatim (each batch is deterministic in the spec, so the
             report is identical to an uninterrupted run).
         engine: ``"fleet"`` (default) steps every fleet-supported
-            technique of a batch in lockstep through one vectorized
-            :class:`repro.sim.fleet.FleetSimulator`; unsupported
-            techniques fall back to the scalar walk.  ``"scalar"`` forces the per-technique
+            technique of a batch through one
+            :class:`repro.sim.fleet.FleetSimulator`, which replays each
+            S&H chain once and steps the member on the scalar engine;
+            unsupported techniques fall back to the scalar walk.  ``"scalar"`` forces the per-technique
             :class:`QuasiStaticSimulator` path (bit-identical to the E8
             comparison on the clean campaign).  ``"auto"`` resolves to
             ``"fleet"``.

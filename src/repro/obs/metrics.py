@@ -209,7 +209,7 @@ class Hooks:
     * ``ckpt_saves`` / ``ckpt_restores`` — checkpoint envelopes written
       and loaded (:mod:`repro.ckpt.checkpoint`).
     * ``fleet_nodes`` / ``fleet_steps`` — population sizes taken on by
-      the vectorized fleet engine and node-steps it advanced
+      the fleet engine and node-steps it advanced
       (:mod:`repro.sim.fleet`).
     * ``lut_builds`` / ``lut_validations`` — power-LUT tables built and
       pre-run validation gates executed (:mod:`repro.pv.lut`) — the
@@ -299,7 +299,7 @@ _HOOK_INSTRUMENTS = {
     ),
     "ckpt_saves": ("ckpt.saves", "checkpoint envelopes written"),
     "ckpt_restores": ("ckpt.restores", "checkpoint envelopes loaded"),
-    "fleet_nodes": ("fleet.nodes", "nodes taken on by vectorized fleet runs"),
+    "fleet_nodes": ("fleet.nodes", "nodes taken on by fleet runs"),
     "fleet_steps": ("fleet.steps", "node-steps advanced by the fleet engine"),
     "lut_builds": ("pv.lut.builds", "power-LUT tables built (compiled-tier cold start)"),
     "lut_validations": (

@@ -307,10 +307,10 @@ def solve_models(
 def stack_model_params(models: Sequence[SingleDiodeModel]) -> _ParamArrays:
     """Public population-axis param stacking (one row per model).
 
-    The fleet engine (:mod:`repro.sim.fleet`) extracts each node's
-    per-step single-diode parameters once up front and then evaluates
-    whole populations through :func:`batch_current_at` /
-    :func:`batch_loaded_point` — the same arrays the batch solver uses
+    The fleet tier (:mod:`repro.sim.fleet`) stacks a run's conditions
+    or a Monte Carlo board population once and solves their loaded
+    sample points through :func:`batch_loaded_point`; the LUT builds on
+    :func:`batch_current_at` — the same arrays the batch solver uses
     internally.
     """
     return _stack_params(models)
@@ -427,6 +427,28 @@ class StringParamArrays:
     def counts(self) -> np.ndarray:
         """Cells per string, ``(n_strings,)``."""
         return self.offsets[1:] - self.offsets[:-1]
+
+
+def string_population(models: Sequence[object]) -> bool:
+    """Whether a run's condition models are series strings or single cells.
+
+    Every precompute comes from one cell, so a population is all
+    :class:`~repro.pv.string.StringModel` (True) or all single-diode
+    models (False).
+
+    Raises:
+        ModelParameterError: the population mixes the two families.
+    """
+    from repro.errors import ModelParameterError
+
+    strings = sum(getattr(m, "cells", None) is not None for m in models)
+    if 0 < strings < len(models):
+        raise ModelParameterError(
+            f"condition population mixes {strings} string and "
+            f"{len(models) - strings} single-cell models; a run's conditions "
+            "come from one cell"
+        )
+    return strings > 0
 
 
 def stack_string_params(

@@ -49,8 +49,8 @@ DEFAULT_REL_BUDGET = 1e-3
 DEFAULT_ABS_FLOOR = 1e-9
 """Absolute error-scale floor, watts — keeps dark rows from dividing by ~0."""
 
-MIXED_GRID_POINTS = 385
-"""Default nodes per row when string conditions are present.
+STRING_GRID_POINTS = 385
+"""Default nodes per row of a :class:`StringPowerLUT`.
 
 String P(V) curves are only piecewise-smooth, and each shaded cell
 adds its own exponential knee just below the bypass activation; even
@@ -152,7 +152,7 @@ class CellPowerLUT:
     Engines that inline the lookup (the compiled kernels) branch on
     this: True means the quadratic ``u = 1 - sqrt(1 - v/voc)`` index
     arithmetic; False means a binary search over the row's own node
-    voltages (:class:`MixedPowerLUT`'s knee-aligned grids).
+    voltages (:class:`StringPowerLUT`'s knee-aligned grids).
     """
 
     # --- construction helpers ----------------------------------------------
@@ -165,8 +165,8 @@ class CellPowerLUT:
         """Exact terminal current at (condition index, voltage) pairs.
 
         The one place table construction and the validation gate touch
-        the underlying curve family; :class:`MixedPowerLUT` overrides it
-        to route string conditions through the series-string bisection.
+        the underlying curve family; :class:`StringPowerLUT` overrides it
+        with the series-string bisection.
         """
         return batch_current_at(take_params(self.params, indices), volts)
 
@@ -334,53 +334,33 @@ def _segment_nodes(edges: Sequence[float], grid_points: int) -> np.ndarray:
     return np.asarray(nodes)
 
 
-class MixedPowerLUT(CellPowerLUT):
-    """Power tables over a mixed population of cells and series strings.
-
-    The condition axis stays global — engines index rows with the same
-    ``u`` values regardless of family — and the exact-curve hook routes
-    each row to its family's solver: single-diode Lambert-W for cells,
-    series-string bisection (:func:`repro.pv.batch.string_current_at`)
-    for strings.
+class StringPowerLUT(CellPowerLUT):
+    """Power tables over a population of series strings.
 
     A mismatched string's P(V) curve has a slope discontinuity at every
     bypass activation, where the shared closed-form u-grid converges
-    only at O(h); string rows therefore get *knee-aligned* grids — a
-    node placed exactly on each knee (:func:`repro.pv.batch.string_bypass_knees`)
+    only at O(h); rows therefore get *knee-aligned* grids — a node
+    placed exactly on each knee (:func:`repro.pv.batch.string_bypass_knees`)
     with cosine clustering inside each smooth segment — and lookup
     becomes a per-row binary search with linear-in-voltage
     interpolation (:attr:`closed_form` is False, which is how the
-    compiled kernels know to search instead of index).  The validation
-    gate is unchanged: worst-case midpoint error against the exact
-    kernels, same declared budget.
+    compiled kernels know to search instead of index).  Exact curves
+    come from the series-string bisection
+    (:func:`repro.pv.batch.string_current_at`).  The validation gate is
+    unchanged: worst-case midpoint error against the exact kernels, same
+    declared budget.
 
     Args:
-        params: stacked params of the *plain* conditions, or None when
-            every condition is a string.
-        voc: per-condition Voc, volts — global axis.
-        sp: stacked string params (:func:`repro.pv.batch.stack_string_params`)
-            of the string conditions, or None.
-        u_to_plain / u_to_string: global condition index -> row in the
-            family stack (-1 where the condition belongs to the other
-            family).
+        voc: per-condition Voc, volts.
+        sp: stacked string params (:func:`repro.pv.batch.stack_string_params`),
+            one row per condition.
     """
 
     closed_form = False
 
-    def __init__(
-        self,
-        params,
-        voc: np.ndarray,
-        *,
-        sp,
-        u_to_plain: np.ndarray,
-        u_to_string: np.ndarray,
-        **kwargs,
-    ):
+    def __init__(self, voc: np.ndarray, *, sp, **kwargs):
         self.sp = sp
-        self.u_to_plain = np.asarray(u_to_plain, dtype=np.int64)
-        self.u_to_string = np.asarray(u_to_string, dtype=np.int64)
-        super().__init__(params, voc, **kwargs)
+        super().__init__(None, voc, **kwargs)
         self._search_iters = max(1, int(math.ceil(math.log2(self.grid_points))))
 
     # --- construction -------------------------------------------------------
@@ -395,13 +375,12 @@ class MixedPowerLUT(CellPowerLUT):
         dark = np.nonzero(self.voc <= 0.0)[0]
         if len(dark):
             nodes[dark] = np.linspace(0.0, 1.0, g)[None, :]
-        knees_per_string = string_bypass_knees(self.sp)
-        for u in np.nonzero(self.u_to_string >= 0)[0]:
+        for u, knees in enumerate(string_bypass_knees(self.sp)):
             voc = float(self.voc[u])
             if voc <= 0.0:
                 continue
             edges = [0.0]
-            for v in knees_per_string[int(self.u_to_string[u])]:
+            for v in knees:
                 if edges[-1] + 1e-3 * voc < v < voc * (1.0 - 1e-3):
                     edges.append(float(v))
             edges.append(voc)
@@ -411,18 +390,7 @@ class MixedPowerLUT(CellPowerLUT):
     def _exact_current(self, indices: np.ndarray, volts: np.ndarray) -> np.ndarray:
         from repro.pv.batch import string_current_at
 
-        current = np.empty(volts.shape[0])
-        s_rows = self.u_to_string[indices]
-        p_pos = np.nonzero(s_rows < 0)[0]
-        if len(p_pos):
-            current[p_pos] = batch_current_at(
-                take_params(self.params, self.u_to_plain[indices[p_pos]]),
-                volts[p_pos],
-            )
-        s_pos = np.nonzero(s_rows >= 0)[0]
-        if len(s_pos):
-            current[s_pos] = string_current_at(self.sp, s_rows[s_pos], volts[s_pos])
-        return current
+        return string_current_at(self.sp, indices, volts)
 
     # --- evaluation ---------------------------------------------------------
 
@@ -488,35 +456,25 @@ def lut_for_models(
 ) -> CellPowerLUT:
     """Build the right LUT family for a model population.
 
-    All-cell populations get a plain :class:`CellPowerLUT` (bit-identical
-    to the historical construction); populations containing any
-    :class:`~repro.pv.string.StringModel` get a :class:`MixedPowerLUT`
-    with the string rows routed through the string kernels.  The row
-    order (and hence every engine-side condition index) follows the
-    input order either way.
+    Single-cell populations get a plain :class:`CellPowerLUT`; series
+    strings (:class:`~repro.pv.string.StringModel`) get a
+    :class:`StringPowerLUT` at :data:`STRING_GRID_POINTS` by default.
+    Rows follow the input order, so engine-side condition indices carry
+    over.
+
+    Raises:
+        ModelParameterError: the population mixes cells and strings
+            (:func:`~repro.pv.batch.string_population`).
     """
-    from repro.pv.batch import stack_string_params
+    from repro.pv.batch import stack_string_params, string_population
 
     models = list(models)
-    is_string = [getattr(m, "cells", None) is not None for m in models]
     if voc is None:
         voc = np.array([m.voc() for m in models], dtype=float)
     else:
         voc = np.asarray(voc, dtype=float)
-    if not any(is_string):
+    if not string_population(models):
         return CellPowerLUT(stack_model_params(models), voc, **kwargs)
-    kwargs.setdefault("grid_points", MIXED_GRID_POINTS)
-    n = len(models)
-    u_to_plain = np.full(n, -1, dtype=np.int64)
-    u_to_string = np.full(n, -1, dtype=np.int64)
-    plain = [m for m, s in zip(models, is_string) if not s]
-    strings = [m for m, s in zip(models, is_string) if s]
-    u_to_plain[np.nonzero(~np.array(is_string))[0]] = np.arange(len(plain))
-    u_to_string[np.nonzero(np.array(is_string))[0]] = np.arange(len(strings))
-    params = stack_model_params(plain) if plain else None
-    sp = stack_string_params(
-        [m.cells for m in strings], [m.bypass_drop for m in strings]
-    )
-    return MixedPowerLUT(
-        params, voc, sp=sp, u_to_plain=u_to_plain, u_to_string=u_to_string, **kwargs
-    )
+    kwargs.setdefault("grid_points", STRING_GRID_POINTS)
+    sp = stack_string_params([m.cells for m in models], [m.bypass_drop for m in models])
+    return StringPowerLUT(voc, sp=sp, **kwargs)

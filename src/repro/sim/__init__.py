@@ -18,9 +18,10 @@ conditions once for sharing across controllers.  Two engine tiers sit
 beside the scalar reference (:mod:`repro.sim.engines` lists which
 experiment takes which):
 :mod:`repro.sim.compiled` fuses comparison/strings lanes into one
-kernel over a validated power LUT, and :mod:`repro.sim.fleet` steps
-populations of S&H nodes (resilience lanes, Monte Carlo boards) in
-lockstep NumPy.
+kernel over a validated power LUT, and :mod:`repro.sim.fleet` runs
+populations of S&H nodes: Monte Carlo boards in one vectorized pass,
+resilience lanes as S&H chains replayed once and stepped on the scalar
+engine.
 """
 
 from repro.sim.traces import Trace, TraceSet

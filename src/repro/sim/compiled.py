@@ -45,7 +45,7 @@ from repro.obs import journal as _journal
 from repro.obs.metrics import HOOKS as _OBS
 from repro.obs.tracing import TRACER
 from repro.pv.lut import lut_for_models
-from repro.sim.fleet import fleet_supported, sample_hold_constants
+from repro.sim.fleet import fleet_supported, replay_sample_hold, sample_hold_constants
 from repro.sim.quasistatic import HarvestSummary
 
 __all__ = [
@@ -515,7 +515,7 @@ class _ScenarioTables:
         self.gm1 = float(g - 1)
         self.kmax = g - 2
         # closed_form tables use the quadratic u-map; knee-aligned
-        # (mixed/string) tables make the kernels binary-search their
+        # string tables make the kernels binary-search their
         # per-row node voltages instead.
         self.uniform = bool(self.lut.closed_form)
         self.nodes_flat = self.lut._nodes_flat
@@ -718,88 +718,18 @@ class _ScenarioTables:
     def _sample_hold_lane(self, ctl, conv) -> Optional[_LaneProgram]:
         """Replay the S&H platform chain into a precomputed series.
 
-        :func:`~repro.sim.fleet.sample_hold_constants` — the fleet
-        engine's own constant extraction and loaded-point vector solve —
-        supplies the chain's parameters and per-condition targets; the
-        pulse/droop/sample/comparator chain, which never reads storage
-        state, is then replayed once in Python.
+        :func:`~repro.sim.fleet.sample_hold_constants` supplies the
+        chain's parameters and per-condition targets, and
+        :func:`~repro.sim.fleet.replay_sample_hold` — the replay fleet
+        members step on — walks the pulse/droop/sample/comparator chain
+        once, since it never reads storage state.
         """
         if not fleet_supported(ctl):
             return None
         c = sample_hold_constants(ctl, self.models, self.voc_u)
-
-        held = c.held
-        pulse = c.next_pulse
-        cmp_prev = c.cmp_high
-        target_l = c.target[self.u_row].tolist()
-
-        dt = self.dt
-        times_l = self.times_l
-        voc_l = self.voc_row_l
-        exp = math.exp
-
-        vop_row = np.empty(self.steps)
-        duty_row = np.empty(self.steps)
-        oh_row = np.empty(self.steps)
-        valid_row = np.empty(self.steps, dtype=bool)
-
-        for i in range(self.steps):
-            t = times_l[i]
-            t_end = t + dt
-            sampling = 0.0
-            cursor = t
-            while pulse < t_end:
-                pulse_at = pulse if pulse > t else t
-                d = pulse_at - cursor
-                if d < 0.0:
-                    d = 0.0
-                held = held * exp(-d / c.droop_tau) - c.droop_bias_c * d
-                if held < 0.0:
-                    held = 0.0
-                new = held + (target_l[i] - held) * c.settle_fraction
-                new = new + c.kick
-                new = new + c.soak * (held - new)
-                if new < 0.0:
-                    new = 0.0
-                if new > c.sh_supply:
-                    new = c.sh_supply
-                held = new
-                sampling += c.t_on
-                cursor = pulse_at
-                pulse += c.period
-            d = t_end - cursor
-            if d < 0.0:
-                d = 0.0
-            held = held * exp(-d / c.droop_tau) - c.droop_bias_c * d
-            if held < 0.0:
-                held = 0.0
-
-            he = held + c.u4_offset
-            if he < 0.0:
-                he = 0.0
-            if he > c.sh_supply:
-                he = c.sh_supply
-            if not c.u4_alive:
-                he = 0.0
-            duty = 1.0 - sampling / dt
-            if duty < 0.0:
-                duty = 0.0
-            oh = c.metrology
-            if sampling > 0.0:
-                oh = oh + (voc_l[i] / c.rtot) * sampling / dt
-
-            diff = (he - c.cmp_threshold) + c.cmp_offset
-            if cmp_prev:
-                latched = not (diff < -c.cmp_half)
-            else:
-                latched = diff > c.cmp_half
-            cmp_prev = c.cmp_alive and latched
-            v_op = he / c.alpha
-            valid_row[i] = cmp_prev and (v_op >= c.min_vin) and (v_op < voc_l[i])
-            vop_row[i] = v_op
-            duty_row[i] = duty
-            oh_row[i] = oh
-
+        vop_row, duty_row, oh_row, valid_row = replay_sample_hold(
+            c, self.times_l, self.dt, c.target[self.u_row].tolist(), self.voc_row_l
+        )
         vop_row = np.where(valid_row, vop_row, 0.0)
         pv = self._lut_series(vop_row, valid_row, duty_row)
         return _LaneProgram(

@@ -4,8 +4,10 @@ Three tiers advance the same physics at different throughput:
 
 * ``scalar`` — one :class:`~repro.sim.quasistatic.QuasiStaticSimulator`
   per chain.  The bitwise reference; the golden traces encode its bits.
-* ``fleet`` — :class:`~repro.sim.fleet.FleetSimulator`, the population
-  as a NumPy axis (resilience S&H lanes, Monte Carlo boards).  Matches
+* ``fleet`` — :mod:`repro.sim.fleet`, for populations: Monte Carlo
+  boards in one vectorized pass, and resilience S&H lanes through
+  :class:`~repro.sim.fleet.FleetSimulator`, which replays each member's
+  S&H chain once and steps the member on the scalar engine.  Matches
   scalar to a-few-ulp tolerance.
 * ``compiled`` — :mod:`repro.sim.compiled`: a fused comparison/strings
   lane kernel (Numba-jitted when numba is importable, pure-Python
@@ -45,11 +47,11 @@ EXPERIMENT_ENGINES = {
     "montecarlo": ("scalar", "fleet"),
 }
 """Tiers each experiment implements.  ``compiled`` is the comparison and
-strings lane kernel; ``fleet`` is the population axis, kept where it
-needs its <= 1e-12 parity with scalar.  Monte Carlo has no ``compiled``
-tier (its fleet pass is one vectorized shot per chunk, with no per-step
-loop to compile), nor has resilience (only its S&H lanes ride the fleet,
-and a LUT build per batch never beat it)."""
+strings lane kernel; ``fleet`` runs populations, kept where it needs
+its <= 1e-12 parity with scalar.  Monte Carlo has no ``compiled`` tier
+(its fleet pass is one vectorized shot per chunk, with no per-step loop
+to compile), nor has resilience (only its S&H lanes ride the fleet, and
+a LUT build per batch never beat it)."""
 
 _SPEED_ORDER = ("compiled", "fleet", "scalar")
 

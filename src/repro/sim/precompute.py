@@ -32,7 +32,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.errors import ModelParameterError
+from repro.errors import ModelParameterError, NumericalGuardError
 from repro.obs.tracing import TRACER
 from repro.pv.batch import solve_models
 from repro.pv.cells import PVCell
@@ -155,7 +155,13 @@ def precompute_conditions(
     t = start_time
     for i in range(steps):
         times[i] = t
-        level = max(0.0, float(environment(t)))
+        level = float(environment(t))
+        if level != level:
+            # Same guard as the live step: max(0.0, nan) would be darkness.
+            raise NumericalGuardError(
+                f"environment produced NaN lux at t={t:.6g} s", signal="lux", time=t
+            )
+        level = max(0.0, level)
         lux[i] = level
         if thermal is not None:
             temps[i] = thermal.step(level, dt, source.efficacy_lm_per_w)

@@ -1,18 +1,20 @@
 """Cross-engine differential harness: one spec, every engine, one diff.
 
 The repo carries three executions of the same physics — the scalar
-reference walk, the vectorized fleet engine, and the LUT-backed compiled
-lane kernel — plus per-suite spot checks that grew up ad hoc.  This harness
+reference walk, the fleet engine (S&H chains replayed once, members
+stepped on the scalar engine), and the LUT-backed compiled lane kernel —
+plus per-suite spot checks that grew up ad hoc.  This harness
 makes the equivalence contract first-class and reusable:
 
 * :class:`DifferentialSpec` — a declarative description of one
   experiment run (cell/string geometry, shading, scenario, techniques,
   fault campaigns) that any engine can execute.
 * :class:`Tolerances` — the *declared* agreement budget per engine
-  pair.  Scalar and fleet share their numpy kernels, so they are held
-  bitwise by default; the compiled tier is held to its power LUT's
-  validated error budget (feedback-coupled techniques looser, since
-  perturb/observe probes compound table error before self-correcting).
+  pair.  Scalar and fleet share everything but the S&H chain replay,
+  so they are held to a few ulp (bitwise on strings); the compiled
+  tier is held to its power LUT's validated error budget
+  (feedback-coupled techniques looser, since perturb/observe probes
+  compound table error before self-correcting).
 * :func:`assert_engines_agree` — run the spec through every engine its
   experiment implements (:data:`repro.sim.engines.EXPERIMENT_ENGINES`:
   comparison specs on scalar and compiled, resilience specs on scalar
@@ -51,11 +53,12 @@ class Tolerances:
 
     Attributes:
         fleet_rtol: scalar<->fleet relative tolerance per summary field.
-            0.0 means bitwise.  Default is a few-ulp accumulation
-            tolerance: the plain-cell scalar walk predates the shared
-            kernels and differs from the fleet lane by ~1 ulp.  String
-            runs ARE bitwise (the scalar string model is a one-row
-            fleet stack) — string tests pass ``fleet_rtol=0.0``.
+            0.0 means bitwise.  Default is a few-ulp tolerance: on
+            plain cells the fleet's S&H replay solves the loaded sample
+            point in closed form where the scalar controller runs an
+            MNA solve.  String runs ARE bitwise (both sample through the
+            same string bisection, and fleet members step on the scalar
+            engine) — string tests pass ``fleet_rtol=0.0``.
         compiled_energy_rtol: scalar<->compiled energy-field tolerance,
             relative to the lane's ideal harvest (the LUT's validated
             budget).

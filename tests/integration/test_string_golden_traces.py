@@ -3,10 +3,11 @@
 Mirrors ``test_golden_traces.py`` for the heterogeneous-string
 workload: a mismatched 4s AM-1815 string under the indoor edge-sweep
 and the outdoor blob-occlusion shadow maps, frozen bit-for-bit from the
-scalar engine.  The compiled tier is held to its mixed-LUT validated
-budget.  (The scalar string model is literally a one-row fleet stack,
-so the fleet tier is bitwise here; the differential harness pins that
-through a resilience clean-campaign spec.)
+scalar engine.  The compiled tier is held to its knee-aligned string
+LUT's validated budget.  (Fleet members step on the scalar engine and
+sample through the same string bisection, so the fleet tier is bitwise
+here; the differential harness pins that through a resilience
+clean-campaign spec.)
 
 Re-baseline (after a reviewed numerical change)::
 

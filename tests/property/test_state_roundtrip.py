@@ -4,9 +4,12 @@ Snapshot any stateful link of the harvesting chain mid-run, push the
 snapshot through JSON (what a checkpoint file does), load it into a
 freshly constructed twin, and the twin's subsequent trajectory must be
 *bitwise* identical to the original's — no drift, no approximation.
-This is the property the whole resume subsystem rests on.
+This is the property the whole resume subsystem rests on.  The fleet
+engine is held to it too: a clean and a faulted member snapshotted at
+any step resume to the uninterrupted fleet's bits.
 """
 
+import functools
 import json
 import math
 
@@ -14,8 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.hill_climbing import HillClimbing
+from repro.converter.buck_boost import BuckBoostConverter
+from repro.core.system import SampleHoldMPPT
+from repro.faults.components import (
+    ConverterBrownoutFault,
+    HoldLeakageFault,
+    StorageFault,
+)
 from repro.faults.schedule import FaultSchedule
 from repro.pv.cells import am_1815
+from repro.sim.fleet import FleetMember, FleetSimulator
+from repro.sim.precompute import precompute_conditions
 from repro.sim.quasistatic import QuasiStaticSimulator
 from repro.storage.supercap import Supercapacitor
 
@@ -98,3 +110,67 @@ def test_fault_schedule_roundtrip_preserves_every_query(seed, rate, probes):
     for t in probes:
         assert clone.active(t) == schedule.active(t)
     assert clone.state_dict() == schedule.state_dict()
+
+
+FLEET_DURATION = 4 * 3600.0
+FLEET_DT = 60.0
+
+
+@functools.lru_cache(maxsize=1)
+def _fleet_conditions():
+    return precompute_conditions(am_1815(), _wavy_office, FLEET_DURATION, FLEET_DT)
+
+
+def _build_fleet() -> FleetSimulator:
+    """A clean S&H member and one under hold leakage, brownout and a short."""
+    pc = _fleet_conditions()
+    clean = FleetMember(
+        controller=SampleHoldMPPT(assume_started=True),
+        precomputed=pc,
+        converter=BuckBoostConverter(),
+        storage=Supercapacitor(capacitance=25.0, rated_voltage=5.5, voltage=2.7),
+        supply_voltage=3.0,
+    )
+    faulted = FleetMember(
+        controller=HoldLeakageFault(
+            SampleHoldMPPT(assume_started=True),
+            FaultSchedule.bursts(
+                FLEET_DURATION, rate_per_hour=1.0, mean_width=900.0, seed=401
+            ),
+            droop_multiplier=40.0,
+        ),
+        precomputed=pc,
+        converter=ConverterBrownoutFault(
+            BuckBoostConverter(),
+            FaultSchedule.periodic(first=3600.0, period=7200.0, width=300.0, count=2),
+        ),
+        storage=StorageFault(
+            Supercapacitor(capacitance=25.0, rated_voltage=5.5, voltage=2.7),
+            FaultSchedule.bursts(
+                FLEET_DURATION, rate_per_hour=0.5, mean_width=300.0, seed=307
+            ),
+            mode="short",
+            short_resistance=200.0,
+        ),
+        supply_voltage=3.0,
+    )
+    return FleetSimulator([clean, faulted])
+
+
+@functools.lru_cache(maxsize=1)
+def _uninterrupted_fleet():
+    return [summary.to_dict() for summary in _build_fleet().run()]
+
+
+@settings(max_examples=15, deadline=None)
+@given(step=st.integers(min_value=0, max_value=int(FLEET_DURATION / FLEET_DT)))
+def test_fleet_roundtrip_is_bitwise_invisible(step):
+    fleet = _build_fleet()
+    fleet.run(step)
+    snapshot = _json_round_trip(fleet.state_dict())
+
+    resumed = _build_fleet()
+    resumed.load_state(snapshot)
+
+    assert resumed.time == fleet.time
+    assert [summary.to_dict() for summary in resumed.run()] == _uninterrupted_fleet()

@@ -201,6 +201,18 @@ class TestNumericalGuards:
         with pytest.raises(NumericalGuardError):
             sim.step(1.0)
 
+    def test_nan_lux_surfaces_in_precompute(self):
+        """A NaN window raises in precompute too, not a silent dark stretch."""
+        from repro.sim.precompute import precompute_conditions
+
+        def flaky(t):
+            return float("nan") if 600.0 <= t < 1200.0 else 500.0
+
+        with pytest.raises(NumericalGuardError) as info:
+            precompute_conditions(am_1815(), flaky, 3600.0, 60.0)
+        assert info.value.signal == "lux"
+        assert info.value.time == 600.0
+
     def test_transient_guard_rejects_nonfinite_signal(self):
         from repro.sim.transient import TransientSimulator
 

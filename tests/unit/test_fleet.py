@@ -1,18 +1,20 @@
-"""Fleet-vs-scalar equivalence: the vectorized engine must not change physics.
+"""Fleet-vs-scalar equivalence: the chain replay must not change physics.
 
-The fleet engine (:mod:`repro.sim.fleet`) exists purely for throughput;
-its contract is that every per-node result matches the scalar
-:class:`QuasiStaticSimulator` walk over the same precomputed conditions
-— bitwise where the scalar path is deterministic NumPy arithmetic, and
-to a-few-ulp tolerance on long energy accumulations (the fleet sums the
-population axis in a different association order).
+The fleet engine (:mod:`repro.sim.fleet`) replays each member's S&H
+chain once and steps the member on the scalar
+:class:`QuasiStaticSimulator` with its own converter and storage.  Its
+contract is that every per-node result matches the scalar walk over the
+same precomputed conditions to a-few-ulp tolerance: the replay solves
+the loaded sample point in closed form where the scalar controller runs
+an MNA solve, and folds the droop bias into one constant.
 
 Covered here: a clean run, a fully-faulted run (hold leakage, converter
 brownout, storage short), an open-mode storage
 fault, checkpoint/resume mid-run through a JSON round trip, member-order
-invariance, checkpoint validation, the closed-form loaded sample point
-against the scalar MNA solve, and the Monte Carlo fleet kernel against
-the scalar board walk.
+invariance, checkpoint validation, members stepping without ever calling
+the S&H controller (and journalling as one fleet run), the closed-form
+loaded sample point against the scalar MNA solve, and the Monte Carlo
+fleet kernel against the scalar board walk.
 """
 
 import json
@@ -110,7 +112,7 @@ class TestFleetEquivalence:
         sim.run(duration=DUR, dt=DT)
 
         ctl2, conv2, store2 = _build_clean()
-        assert fleet_supported(ctl2, conv2, store2)
+        assert fleet_supported(ctl2)
         fleet = FleetSimulator(
             [FleetMember(controller=ctl2, precomputed=pc, converter=conv2,
                          storage=store2, supply_voltage=3.0)]
@@ -128,7 +130,7 @@ class TestFleetEquivalence:
         sim.run(duration=DUR, dt=DT)
 
         ctl2, conv2, store2 = _build_faulted()
-        assert fleet_supported(ctl2, conv2, store2)
+        assert fleet_supported(ctl2)
         fleet = FleetSimulator(
             [FleetMember(controller=ctl2, precomputed=pc, converter=conv2,
                          storage=store2, supply_voltage=3.0)]
@@ -246,6 +248,36 @@ class TestFleetEquivalence:
         with pytest.raises(StateFormatError, match="step_index"):
             fleet.load_state(state)
         assert fleet._step_index == 0
+
+
+class TestMembersStepOnTheScalarEngine:
+    def test_fleet_replays_the_chain_and_journals_as_fleet(self, conditions, monkeypatch):
+        """Members never call the S&H controller, and their scalar steps
+        are journalled as one fleet run, not as scalar runs."""
+        from repro.obs import journal
+
+        cell, env, pc = conditions
+
+        def no_decide(self, obs):
+            raise AssertionError("fleet members replay the S&H chain")
+
+        monkeypatch.setattr(SampleHoldMPPT, "decide", no_decide)
+        events = []
+        j = journal.RunJournal(path=None)
+        j.subscribe(events.append)
+        monkeypatch.setattr(journal, "JOURNAL", j)
+
+        ctl, conv, store = _build_clean()
+        fleet = FleetSimulator(
+            [FleetMember(controller=ctl, precomputed=pc, converter=conv,
+                         storage=store, supply_voltage=3.0)]
+        )
+        (summary,) = fleet.run()
+
+        assert summary.duration == DUR
+        runs = [e for e in events if e["event"] == journal.ENGINE_RUN]
+        assert [e["engine"] for e in runs] == ["fleet"]
+        assert runs[0]["nodes"] == 1
 
 
 class TestLoadedPoint:

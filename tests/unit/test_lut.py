@@ -5,18 +5,26 @@ power is zero outside each condition's (0, Voc) window, dark rows are
 exactly zero, and the pre-run validation gate measures worst-case error
 against exact solves — passing within the declared budget and raising
 :class:`~repro.errors.LUTValidationError` for an undersized table.
+String populations get the knee-aligned family, and a population that
+mixes cells and strings is rejected.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.system import SampleHoldMPPT
 from repro.errors import LUTValidationError, ModelParameterError, SimulationError
 from repro.pv.cells import am_1815
 from repro.pv.lut import (
     DEFAULT_GRID_POINTS,
     DEFAULT_REL_BUDGET,
+    STRING_GRID_POINTS,
     CellPowerLUT,
+    StringPowerLUT,
+    lut_for_models,
 )
+from repro.pv.string import CellString
+from repro.sim.fleet import sample_hold_constants
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +111,27 @@ class TestValidationGate:
         dark = CellPowerLUT.from_models([models[-1], models[-1]])
         report = dark.validate()
         assert report.ok and report.samples == 0
+
+
+class TestPopulationFamilies:
+    """A run's conditions come from one cell: all cells or all strings."""
+
+    def test_string_population_gets_knee_aligned_table(self):
+        string = CellString(am_1815(), 4, mismatch=(1.0, 0.9, 1.05, 0.85))
+        lut = lut_for_models([string.model_at(lux) for lux in (200.0, 1000.0)])
+        assert isinstance(lut, StringPowerLUT)
+        assert not lut.closed_form
+        assert lut.grid_points == STRING_GRID_POINTS
+        assert lut.validate().ok
+
+    def test_mixed_population_is_rejected(self, models):
+        string = CellString(am_1815(), 4)
+        mixed = [models[0], string.model_at(500.0)]
+        with pytest.raises(ModelParameterError, match="mixes"):
+            lut_for_models(mixed)
+        with pytest.raises(ModelParameterError, match="mixes"):
+            sample_hold_constants(
+                SampleHoldMPPT(assume_started=True),
+                mixed,
+                [m.voc() for m in mixed],
+            )
