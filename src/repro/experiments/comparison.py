@@ -45,7 +45,7 @@ from repro.env.scenarios import office_desk_24h, outdoor_day, semi_mobile_24h
 from repro.pv.cells import PVCell, am_1815
 from repro.pv.thermal import CellThermalModel
 from repro.sim.engines import EXPERIMENT_ENGINES, resolve_engine
-from repro.sim.precompute import precompute_conditions
+from repro.sim.precompute import _cell_area_cm2, precompute_conditions
 from repro.sim.quasistatic import HarvestSummary, QuasiStaticSimulator
 from repro.storage.supercap import Supercapacitor
 
@@ -128,14 +128,6 @@ class _ScenarioSpec:
     use_thermal: bool
     engine: str = "scalar"
     shading: "str | None" = None
-
-
-def _cell_area_cm2(cell) -> float:
-    """Thermal absorber area for cells and strings alike."""
-    params = getattr(cell, "parameters", None)
-    if params is not None:
-        return float(params.area_cm2)
-    return float(cell.area_cm2)
 
 
 def parse_shading_spec(spec_str: str) -> "tuple[str, dict]":

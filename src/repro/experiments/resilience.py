@@ -37,7 +37,6 @@ from repro.env.profiles import HOURS, ConstantProfile, LightProfile
 from repro.errors import FaultConfigError, ModelParameterError
 from repro.experiments.comparison import (
     _build_shading,
-    _cell_area_cm2,
     default_controllers,
     default_scenarios,
 )
@@ -54,7 +53,7 @@ from repro.pv.cells import PVCell, am_1815
 from repro.pv.thermal import CellThermalModel
 from repro.sim.engines import EXPERIMENT_ENGINES, resolve_engine
 from repro.sim.fleet import FleetMember, FleetSimulator, fleet_supported
-from repro.sim.precompute import precompute_conditions
+from repro.sim.precompute import _cell_area_cm2, precompute_conditions
 from repro.sim.quasistatic import HarvestSummary, QuasiStaticSimulator
 from repro.storage.supercap import Supercapacitor
 

@@ -92,28 +92,21 @@ class _ParamArrays:
     rsh: np.ndarray
 
 
-def _stack_params(models: Sequence[SingleDiodeModel]) -> _ParamArrays:
-    n = len(models)
-    iph = np.empty(n)
-    i0 = np.empty(n)
-    a = np.empty(n)
-    rs = np.empty(n)
-    rsh = np.empty(n)
-    for j, m in enumerate(models):
-        iph[j] = m.photocurrent
-        i0[j] = m.saturation_current
-        a[j] = m.modified_ideality
-        rs[j] = m.series_resistance
-        rsh[j] = m.shunt_resistance
-    return _ParamArrays(iph=iph, i0=i0, a=a, rs=rs, rsh=rsh)
+def take_params(p: _ParamArrays, index: np.ndarray) -> _ParamArrays:
+    """Gather rows of a parameter stack (boolean mask or fancy index)."""
+    return _ParamArrays(
+        iph=p.iph[index], i0=p.i0[index], a=p.a[index], rs=p.rs[index], rsh=p.rsh[index]
+    )
 
 
-def _batch_current_at(p: _ParamArrays, v: np.ndarray) -> np.ndarray:
+def batch_current_at(p: _ParamArrays, v: np.ndarray) -> np.ndarray:
     """Elementwise terminal current for (condition j, voltage v[j]) pairs.
 
     Same three-branch structure as ``SingleDiodeModel.current_at``, with
-    the branches selected per element by mask.
+    the branches selected per element by mask — the kernel behind the
+    batch Lambert-W solver, exposed for population-axis consumers.
     """
+    v = np.asarray(v, dtype=float)
     out = np.empty_like(v)
     finite_rsh = np.isfinite(p.rsh)
     ideal_rs = p.rs < 1e-9
@@ -209,8 +202,8 @@ def _batch_golden_mpp(
     p1 = np.zeros(n)
     p2 = np.zeros(n)
     if np.any(active):
-        p1[active] = x1[active] * _batch_current_at(_take(p, active), x1[active])
-        p2[active] = x2[active] * _batch_current_at(_take(p, active), x2[active])
+        p1[active] = x1[active] * batch_current_at(take_params(p, active), x1[active])
+        p2[active] = x2[active] * batch_current_at(take_params(p, active), x2[active])
 
     tol = tolerance * np.maximum(voc, 1.0)
     for _ in range(200):
@@ -233,7 +226,7 @@ def _batch_golden_mpp(
         fresh = move | keep
         idx = np.nonzero(fresh)[0]
         x_eval = np.where(move, new_x2, new_x1)[idx]
-        p_eval = x_eval * _batch_current_at(_take(p, fresh), x_eval)
+        p_eval = x_eval * batch_current_at(take_params(p, fresh), x_eval)
         is_move = move[idx]
         new_p2[idx[is_move]] = p_eval[is_move]
         new_p1[idx[~is_move]] = p_eval[~is_move]
@@ -243,15 +236,9 @@ def _batch_golden_mpp(
     v_mpp = np.where(active, 0.5 * (lo + hi), 0.0)
     i_mpp = np.zeros(n)
     if np.any(active):
-        i_mpp[active] = _batch_current_at(_take(p, active), v_mpp[active])
+        i_mpp[active] = batch_current_at(take_params(p, active), v_mpp[active])
     p_mpp = v_mpp * i_mpp
     return v_mpp, i_mpp, p_mpp
-
-
-def _take(p: _ParamArrays, mask: np.ndarray) -> _ParamArrays:
-    return _ParamArrays(
-        iph=p.iph[mask], i0=p.i0[mask], a=p.a[mask], rs=p.rs[mask], rsh=p.rsh[mask]
-    )
 
 
 def solve_models(
@@ -283,7 +270,7 @@ def solve_models(
         if conditions is not None:
             conditions.inc(len(models))
 
-    p = _stack_params(models)
+    p = stack_model_params(models)
     voc = _batch_voc(p)
     isc = _batch_isc(p)
     v_mpp, i_mpp, p_mpp = _batch_golden_mpp(p, voc)
@@ -305,31 +292,26 @@ def solve_models(
 
 
 def stack_model_params(models: Sequence[SingleDiodeModel]) -> _ParamArrays:
-    """Public population-axis param stacking (one row per model).
+    """Stack five-parameter arrays along a population axis (one row per model).
 
-    The fleet tier (:mod:`repro.sim.fleet`) stacks a run's conditions
-    or a Monte Carlo board population once and solves their loaded
-    sample points through :func:`batch_loaded_point`; the LUT builds on
-    :func:`batch_current_at` — the same arrays the batch solver uses
-    internally.
+    The batch solver's own input; the fleet tier stacks a run's
+    conditions or a Monte Carlo board population with it and solves
+    their loaded sample points through :func:`batch_loaded_point`, and
+    the LUT builds on :func:`batch_current_at` over the same arrays.
     """
-    return _stack_params(models)
-
-
-def take_params(p: _ParamArrays, index: np.ndarray) -> _ParamArrays:
-    """Gather rows of a parameter stack (boolean mask or fancy index)."""
-    return _ParamArrays(
-        iph=p.iph[index], i0=p.i0[index], a=p.a[index], rs=p.rs[index], rsh=p.rsh[index]
-    )
-
-
-def batch_current_at(p: _ParamArrays, v: np.ndarray) -> np.ndarray:
-    """Elementwise terminal current for (condition j, voltage v[j]) pairs.
-
-    Public wrapper of the kernel behind the batch Lambert-W solver,
-    exposed for population-axis consumers.
-    """
-    return _batch_current_at(p, np.asarray(v, dtype=float))
+    n = len(models)
+    iph = np.empty(n)
+    i0 = np.empty(n)
+    a = np.empty(n)
+    rs = np.empty(n)
+    rsh = np.empty(n)
+    for j, m in enumerate(models):
+        iph[j] = m.photocurrent
+        i0[j] = m.saturation_current
+        a[j] = m.modified_ideality
+        rs[j] = m.series_resistance
+        rsh[j] = m.shunt_resistance
+    return _ParamArrays(iph=iph, i0=i0, a=a, rs=rs, rsh=rsh)
 
 
 def batch_loaded_point(
@@ -363,7 +345,7 @@ def batch_loaded_point(
     if not np.any(active):
         return np.zeros_like(voc)
 
-    pa = _take(p, active)
+    pa = take_params(p, active)
     r_a = r[active]
     solves = _OBS.batch_solves
     if solves is not None:
@@ -488,7 +470,7 @@ def stack_string_params(
         offsets.append(len(flat))
         bypass.extend([float("inf") if drop is None else float(drop)] * len(cells))
     return StringParamArrays(
-        cells=_stack_params(flat),
+        cells=stack_model_params(flat),
         offsets=np.asarray(offsets, dtype=np.intp),
         bypass=np.asarray(bypass, dtype=float),
     )
@@ -531,6 +513,21 @@ class _StringEval:
         w = lambertw_of_exp(self.log_k + rd / self.a)
         v_cell = np.maximum(rd - i_cell * self.rs - self.a * w, self.neg_bypass)
         return np.add.reduceat(v_cell, self.seg_starts)
+
+
+def _bisect(above, hi: np.ndarray, iterations: int) -> np.ndarray:
+    """Root of a strictly decreasing function on ``[0, hi]``, elementwise.
+
+    ``above(i)`` says whether each element's root lies above ``i``.
+    Every string solve is this bisection on the current axis.
+    """
+    lo = np.zeros(len(hi))
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        up = above(mid)
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def string_voltage_at(
@@ -582,14 +579,7 @@ def string_current_at(
     rows = np.asarray(rows, dtype=np.intp)
     v = np.asarray(volts, dtype=float)
     ev = _ev if _ev is not None else _StringEval(sp, rows)
-    lo = np.zeros(len(rows))
-    hi = string_i_upper(sp)[rows].copy()
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        above = ev.voltage(mid) > v
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    out = 0.5 * (lo + hi)
+    out = _bisect(lambda i: ev.voltage(i) > v, string_i_upper(sp)[rows], iterations)
     # A voltage at/above Voc bisects onto the lower bracket edge; the
     # midpoint there is a half-step above zero — snap it to exactly 0 so
     # dark/over-voltage points report no generation.
@@ -603,14 +593,7 @@ def string_isc(
     """Short-circuit current per string (root of ``V(I) = 0``)."""
     n = len(sp)
     ev = _StringEval(sp, np.arange(n, dtype=np.intp))
-    lo = np.zeros(n)
-    hi = string_i_upper(sp).copy()
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        above = ev.voltage(mid) > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
+    return _bisect(lambda i: ev.voltage(i) > 0.0, string_i_upper(sp), iterations)
 
 
 def string_loaded_point(
@@ -630,14 +613,7 @@ def string_loaded_point(
     voc = np.asarray(voc, dtype=float)
     r = np.broadcast_to(np.asarray(load_resistance, dtype=float), voc.shape)
     ev = _StringEval(sp, np.arange(n, dtype=np.intp))
-    lo = np.zeros(n)
-    hi = string_i_upper(sp).copy()
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        above = ev.voltage(mid) - mid * r > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    i_op = 0.5 * (lo + hi)
+    i_op = _bisect(lambda i: ev.voltage(i) - i * r > 0.0, string_i_upper(sp), iterations)
     return np.where(voc > 0.0, i_op * r, 0.0)
 
 
@@ -671,14 +647,7 @@ def string_bypass_knees(
         return rd - i * c.rs - c.a * w
 
     crossing = np.isfinite(sp.bypass) & (v_cell(hi0) < neg_bypass)
-    lo = np.zeros(len(row_of))
-    hi = hi0.copy()
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        above = v_cell(mid) > neg_bypass
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    i_knee = 0.5 * (lo + hi)
+    i_knee = _bisect(lambda i: v_cell(i) > neg_bypass, hi0, iterations)
     knees: list = [[] for _ in range(n)]
     if crossing.any():
         rows = row_of[crossing]

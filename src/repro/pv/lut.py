@@ -15,6 +15,13 @@ is flat.  The grid is therefore clustered toward Voc with the quadratic
 map ``x = 1 - (1 - u)**2`` (``u`` uniform in [0, 1], ``x`` the fraction
 of Voc); the inverse ``u = 1 - sqrt(1 - x)`` is closed-form, so lookup
 stays O(1) with no search.  Interpolation is linear in ``u``.
+:class:`StringPowerLUT` rows are knee-aligned instead and are searched.
+
+One lookup.  :func:`row_power` is the only scalar lookup, for both row
+families: :meth:`CellPowerLUT.power` calls it, and so does the compiled
+lane kernel (:mod:`repro.sim.compiled`, jitted alongside the kernel
+when numba is available).  :meth:`CellPowerLUT.power_many` is its
+vectorized twin, bit-for-bit.
 
 Error contract.  Every table carries a *declared* relative error
 budget (:attr:`CellPowerLUT.rel_budget`, relative to each condition's
@@ -58,6 +65,54 @@ with knee-aligned node placement the inter-knee curvature needs about
 triple the plain-cell density to hold :data:`DEFAULT_REL_BUDGET`
 (measured worst case ~6e-4 at 385 vs ~1.4e-3 at 257 over a 24 h
 shaded-string condition census)."""
+
+
+def row_power(flat, nodes, grid_points, closed_form, base, v, voc):
+    """Interpolated harvested power at ``v`` on one table row, watts.
+
+    The one scalar lookup: :meth:`CellPowerLUT.power` calls it, and the
+    compiled lane kernel calls it (jitted with the kernel when numba is
+    available).  It indexes only with ``seq[i]``, so ``flat`` / ``nodes``
+    may be arrays or plain lists.
+
+    Args:
+        flat: the table's flattened power rows (``power_table.ravel()``).
+        nodes: the flattened node voltages; read only when
+            ``closed_form`` is False.
+        grid_points: nodes per row.
+        closed_form: True for the quadratic u-map of
+            :class:`CellPowerLUT` rows, False for a binary search over
+            the row's own (knee-aligned) node voltages.
+        base: flat offset of the row, ``index * grid_points``.
+        v: operating voltage, volts.
+        voc: the row's open-circuit voltage, volts.
+
+    Returns:
+        The interpolated power; 0.0 outside ``(0, voc)``.
+    """
+    if not (0.0 < v < voc):
+        return 0.0
+    if closed_form:
+        u = 1.0 - math.sqrt(1.0 - v / voc)
+        f = u * (grid_points - 1)
+        k = int(f)
+        if k > grid_points - 2:
+            k = grid_points - 2
+        w = f - k
+    else:
+        k = 0
+        hi = grid_points - 1
+        while hi - k > 1:
+            mid = (k + hi) >> 1
+            if nodes[base + mid] <= v:
+                k = mid
+            else:
+                hi = mid
+        n0 = nodes[base + k]
+        n1 = nodes[base + k + 1]
+        w = (v - n0) / (n1 - n0) if n1 > n0 else 0.0
+    p0 = flat[base + k]
+    return p0 + (flat[base + k + 1] - p0) * w
 
 
 @dataclass(frozen=True)
@@ -149,10 +204,10 @@ class CellPowerLUT:
     closed_form = True
     """Whether lookup uses the shared closed-form u-map (no node search).
 
-    Engines that inline the lookup (the compiled kernels) branch on
-    this: True means the quadratic ``u = 1 - sqrt(1 - v/voc)`` index
-    arithmetic; False means a binary search over the row's own node
-    voltages (:class:`StringPowerLUT`'s knee-aligned grids).
+    The flag :func:`row_power` branches on: True means the quadratic
+    ``u = 1 - sqrt(1 - v/voc)`` index arithmetic; False means a binary
+    search over the row's own node voltages (:class:`StringPowerLUT`'s
+    knee-aligned grids).
     """
 
     # --- construction helpers ----------------------------------------------
@@ -195,26 +250,16 @@ class CellPowerLUT:
         """Interpolated harvested power for one condition, watts.
 
         Zero outside (0, Voc) — matching every controller's own Voc
-        gate.  The arithmetic here is the scalar twin of
-        :meth:`power_many` (and of the compiled kernels), bit-for-bit.
+        gate.  This is :func:`row_power` on the condition's row, the
+        scalar twin of :meth:`power_many`, bit-for-bit.
         """
-        voc = self._flat_voc(index)
-        if v <= 0.0 or voc <= 0.0 or v >= voc:
-            return 0.0
-        x = v / voc
-        u = 1.0 - math.sqrt(1.0 - x)
-        f = u * (self.grid_points - 1)
-        k = int(f)
-        if k > self.grid_points - 2:
-            k = self.grid_points - 2
-        w = f - k
-        base = index * self.grid_points + k
-        p0 = self._flat[base]
-        p1 = self._flat[base + 1]
-        return float(p0 + (p1 - p0) * w)
-
-    def _flat_voc(self, index: int) -> float:
-        return float(self.voc[index])
+        g = self.grid_points
+        return float(
+            row_power(
+                self._flat, self._nodes_flat, g, self.closed_form,
+                index * g, v, float(self.voc[index]),
+            )
+        )
 
     def power_many(self, indices: np.ndarray, volts: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`power` over (condition index, voltage) pairs."""
@@ -343,8 +388,8 @@ class StringPowerLUT(CellPowerLUT):
     placed exactly on each knee (:func:`repro.pv.batch.string_bypass_knees`)
     with cosine clustering inside each smooth segment — and lookup
     becomes a per-row binary search with linear-in-voltage
-    interpolation (:attr:`closed_form` is False, which is how the
-    compiled kernels know to search instead of index).  Exact curves
+    interpolation (:attr:`closed_form` is False, which is how
+    :func:`row_power` knows to search instead of index).  Exact curves
     come from the series-string bisection
     (:func:`repro.pv.batch.string_current_at`).  The validation gate is
     unchanged: worst-case midpoint error against the exact kernels, same
@@ -393,27 +438,6 @@ class StringPowerLUT(CellPowerLUT):
         return string_current_at(self.sp, indices, volts)
 
     # --- evaluation ---------------------------------------------------------
-
-    def power(self, index: int, v: float) -> float:
-        """Interpolated harvested power for one condition, watts."""
-        voc = self._flat_voc(index)
-        if v <= 0.0 or voc <= 0.0 or v >= voc:
-            return 0.0
-        g = self.grid_points
-        base = index * g
-        nodes = self._nodes_flat
-        lo, hi = 0, g - 1
-        while hi - lo > 1:
-            mid = (lo + hi) >> 1
-            if nodes[base + mid] <= v:
-                lo = mid
-            else:
-                hi = mid
-        n0 = nodes[base + lo]
-        n1 = nodes[base + lo + 1]
-        w = (v - n0) / (n1 - n0) if n1 > n0 else 0.0
-        p0 = self._flat[base + lo]
-        return float(p0 + (self._flat[base + lo + 1] - p0) * w)
 
     def power_many(self, indices: np.ndarray, volts: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`power`: per-row binary search + linear interp."""

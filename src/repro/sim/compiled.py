@@ -5,7 +5,8 @@ This tier fuses a comparison lane's whole per-step chain — controller
 decision, converter transfer, supercapacitor exchange — into one tight
 scalar loop per run, with every transcendental solve on the hot path
 replaced by a :class:`~repro.pv.lut.CellPowerLUT` lookup that passed its
-pre-run validation gate.
+pre-run validation gate.  The kernel reads the table through
+:func:`repro.pv.lut.row_power`, its one scalar lookup.
 
 :func:`_lane_kernel` advances one *comparison lane* (one technique in
 one scenario) through its whole horizon.  Controllers whose operating
@@ -13,11 +14,13 @@ point does not depend on storage state (ideal oracle, the S&H platform,
 fixed-voltage, periodic FOCV, pilot cell, photodiode reference) are
 compiled to precomputed per-step series; the storage-coupled ones
 (no-MPPT direct, hill climbing, and every technique's bootstrap path)
-run inside the kernel.
+run inside the kernel.  Every series lane goes through one builder,
+``_ScenarioTables._series_lane``: each technique states only its
+operating-voltage rule, validity mask, harvest duty and overhead.
 
-The lane kernel is jitted with Numba when it imports (and
-``REPRO_DISABLE_NUMBA`` is unset); otherwise the identical Python body
-runs interpreted.  The fallback is not a different algorithm — it is
+The lane kernel and ``row_power`` are jitted with Numba when it imports
+(and ``REPRO_DISABLE_NUMBA`` is unset); otherwise the identical Python
+bodies run interpreted.  The fallback is not a different algorithm — it is
 the same function object — so results never depend on whether numba is
 installed.  The kernel is written to be fast *as plain Python* (flat
 locals, list indexing, no NumPy scalar boxing), which is what carries
@@ -44,7 +47,7 @@ import numpy as np
 from repro.obs import journal as _journal
 from repro.obs.metrics import HOOKS as _OBS
 from repro.obs.tracing import TRACER
-from repro.pv.lut import lut_for_models
+from repro.pv.lut import lut_for_models, row_power
 from repro.sim.fleet import fleet_supported, replay_sample_hold, sample_hold_constants
 from repro.sim.quasistatic import HarvestSummary
 
@@ -109,9 +112,14 @@ _OH_POWER = 2  # oh_row holds watts; overhead = (P / max(supply, 1e-9)) * supply
 # One call advances one (technique, scenario) lane through `steps` steps.
 # The body is the scalar QuasiStaticSimulator.step chain with the exact
 # Supercapacitor.exchange / BuckBoostConverter.output_power arithmetic
-# inlined, and every P(V) evaluation an inline CellPowerLUT.power.
+# inlined.  Each step first picks the mode's operating voltage (bootstrap
+# `supply + _BOOT_DROP`, direct `supply + drop`, hill `h_vop`), then reads
+# P(V) with one `_row_power` call; the hill probe is the only other call.
 # It indexes only with `seq[i]`, so the same body runs on NumPy arrays
 # (jitted) and plain lists (interpreted fallback).
+
+
+_row_power = _njit(cache=False)(row_power) if HAVE_NUMBA else row_power
 
 
 def _lane_kernel_py(
@@ -130,9 +138,7 @@ def _lane_kernel_py(
     lit_row,
     lut_flat,
     grid_points,
-    gm1,
-    kmax,
-    uniform,
+    closed_form,
     nodes_flat,
     has_conv,
     conv_on,
@@ -178,36 +184,6 @@ def _lane_kernel_py(
             # bootstrap_decision: diode into the store, no overhead.
             if lit:
                 vop = supply + _BOOT_DROP
-                voc = voc_row[i]
-                if 0.0 < vop < voc:
-                    b_i = u_row[i] * grid_points
-                    if uniform:
-                        x = vop / voc
-                        uu = 1.0 - math.sqrt(1.0 - x)
-                        f = uu * gm1
-                        k = int(f)
-                        if k > kmax:
-                            k = kmax
-                        w = f - k
-                    else:
-                        klo = 0
-                        khi = grid_points - 1
-                        while khi - klo > 1:
-                            kmid = (klo + khi) >> 1
-                            if nodes_flat[b_i + kmid] <= vop:
-                                klo = kmid
-                            else:
-                                khi = kmid
-                        k = klo
-                        n0 = nodes_flat[b_i + k]
-                        n1 = nodes_flat[b_i + k + 1]
-                        if n1 > n0:
-                            w = (vop - n0) / (n1 - n0)
-                        else:
-                            w = 0.0
-                    b = b_i + k
-                    p0 = lut_flat[b]
-                    pv = p0 + (lut_flat[b + 1] - p0) * w
         elif mode == 0:
             pv = pv_row[i]
             if oh_type == 1:
@@ -221,36 +197,6 @@ def _lane_kernel_py(
             # no-MPPT direct: operate at V_store + diode drop.
             if lit:
                 vop = supply + drop
-                voc = voc_row[i]
-                if 0.0 < vop < voc:
-                    b_i = u_row[i] * grid_points
-                    if uniform:
-                        x = vop / voc
-                        uu = 1.0 - math.sqrt(1.0 - x)
-                        f = uu * gm1
-                        k = int(f)
-                        if k > kmax:
-                            k = kmax
-                        w = f - k
-                    else:
-                        klo = 0
-                        khi = grid_points - 1
-                        while khi - klo > 1:
-                            kmid = (klo + khi) >> 1
-                            if nodes_flat[b_i + kmid] <= vop:
-                                klo = kmid
-                            else:
-                                khi = kmid
-                        k = klo
-                        n0 = nodes_flat[b_i + k]
-                        n1 = nodes_flat[b_i + k + 1]
-                        if n1 > n0:
-                            w = (vop - n0) / (n1 - n0)
-                        else:
-                            w = 0.0
-                    b = b_i + k
-                    p0 = lut_flat[b]
-                    pv = p0 + (lut_flat[b + 1] - p0) * w
         else:
             # hill climbing: probe at the held point, perturb, track.
             oh_w = oh_row[i] * supply
@@ -260,36 +206,10 @@ def _lane_kernel_py(
                     h_vop = h_frac * voc
                 t_now = times[i]
                 if t_now >= h_next:
-                    probe = 0.0
-                    if 0.0 < h_vop < voc:
-                        b_i = u_row[i] * grid_points
-                        if uniform:
-                            x = h_vop / voc
-                            uu = 1.0 - math.sqrt(1.0 - x)
-                            f = uu * gm1
-                            k = int(f)
-                            if k > kmax:
-                                k = kmax
-                            w = f - k
-                        else:
-                            klo = 0
-                            khi = grid_points - 1
-                            while khi - klo > 1:
-                                kmid = (klo + khi) >> 1
-                                if nodes_flat[b_i + kmid] <= h_vop:
-                                    klo = kmid
-                                else:
-                                    khi = kmid
-                            k = klo
-                            n0 = nodes_flat[b_i + k]
-                            n1 = nodes_flat[b_i + k + 1]
-                            if n1 > n0:
-                                w = (h_vop - n0) / (n1 - n0)
-                            else:
-                                w = 0.0
-                        b = b_i + k
-                        p0 = lut_flat[b]
-                        probe = p0 + (lut_flat[b + 1] - p0) * w
+                    probe = _row_power(
+                        lut_flat, nodes_flat, grid_points, closed_form,
+                        u_row[i] * grid_points, h_vop, voc,
+                    )
                     if probe < h_prev:
                         h_dir = -h_dir
                     h_prev = probe
@@ -302,35 +222,11 @@ def _lane_kernel_py(
                     h_vop = nv
                     h_next = t_now + h_period
                 vop = h_vop
-                if 0.0 < vop < voc:
-                    b_i = u_row[i] * grid_points
-                    if uniform:
-                        x = vop / voc
-                        uu = 1.0 - math.sqrt(1.0 - x)
-                        f = uu * gm1
-                        k = int(f)
-                        if k > kmax:
-                            k = kmax
-                        w = f - k
-                    else:
-                        klo = 0
-                        khi = grid_points - 1
-                        while khi - klo > 1:
-                            kmid = (klo + khi) >> 1
-                            if nodes_flat[b_i + kmid] <= vop:
-                                klo = kmid
-                            else:
-                                khi = kmid
-                        k = klo
-                        n0 = nodes_flat[b_i + k]
-                        n1 = nodes_flat[b_i + k + 1]
-                        if n1 > n0:
-                            w = (vop - n0) / (n1 - n0)
-                        else:
-                            w = 0.0
-                    b = b_i + k
-                    p0 = lut_flat[b]
-                    pv = p0 + (lut_flat[b + 1] - p0) * w
+        if vop > 0.0:
+            pv = _row_power(
+                lut_flat, nodes_flat, grid_points, closed_form,
+                u_row[i] * grid_points, vop, voc_row[i],
+            )
 
         # Converter transfer (series lanes precomputed theirs).
         if mode == 0 and not boot:
@@ -460,10 +356,15 @@ def _conv_fingerprint(conv) -> tuple:
 
 
 def _ctl_fingerprint(ctl) -> tuple:
+    """Scalar attributes of a controller and of every repro object it
+    holds, recursively — an S&H controller is keyed on its whole
+    :class:`~repro.core.config.PlatformConfig` chain, not just its name."""
     items = []
     for k, val in sorted(vars(ctl).items()):
         if isinstance(val, (int, float, bool, str)):
             items.append((k, val))
+        elif type(val).__module__.startswith("repro.") and hasattr(val, "__dict__"):
+            items.append((k, _ctl_fingerprint(val)))
     return (type(ctl).__name__, tuple(items))
 
 
@@ -511,22 +412,13 @@ class _ScenarioTables:
         self.e_ideal = e_id
         self.duration = dur
 
-        g = self.lut.grid_points
-        self.gm1 = float(g - 1)
-        self.kmax = g - 2
-        # closed_form tables use the quadratic u-map; knee-aligned
-        # string tables make the kernels binary-search their
-        # per-row node voltages instead.
-        self.uniform = bool(self.lut.closed_form)
-        self.nodes_flat = self.lut._nodes_flat
-
         # List twins for the interpreted kernel.
         self.times_l = self.times.tolist()
         self.u_row_l = u_row.tolist()
         self.voc_row_l = self.voc_row.tolist()
         self.lit_row_l = self.lit_row.tolist()
         self.flat_l = self.lut._flat.tolist()
-        self.nodes_l = self.nodes_flat.tolist()
+        self.nodes_l = self.lut._nodes_flat.tolist()
 
         self._lanes: Dict[tuple, Optional[_LaneProgram]] = {}
 
@@ -580,34 +472,38 @@ class _ScenarioTables:
         self._lanes[key] = prog
         return prog
 
+    def _series_lane(
+        self, vop, valid, duty, conv, oh_type, oh_row, min_supply, cal_step=-1
+    ) -> _LaneProgram:
+        """A precomputed-series lane: LUT power at ``vop`` on ``valid``
+        steps, times ``duty``, through the converter."""
+        vop = np.where(valid, vop, 0.0)
+        pv = self._lut_series(vop, valid, duty)
+        return _LaneProgram(
+            mode=_MODE_SERIES,
+            oh_type=oh_type,
+            min_supply=float(min_supply),
+            pv_row=pv,
+            del_row=self._delivered_series(pv, vop, conv),
+            oh_row=oh_row,
+            cal_step=cal_step,
+        )
+
     def _build_lane(self, ctl, conv) -> Optional[_LaneProgram]:
         name = type(ctl).__name__
         zeros = np.zeros(self.steps)
 
         if name == "IdealMPPT":
             valid = self.lit_row & (self.pmpp_u[self.u_row] > 0.0)
-            vop = np.where(valid, self.vmpp_u[self.u_row], 0.0)
-            pv = self._lut_series(vop, valid, 1.0)
-            return _LaneProgram(
-                mode=_MODE_SERIES,
-                oh_type=_OH_CURRENT,
-                min_supply=0.0,
-                pv_row=pv,
-                del_row=self._delivered_series(pv, vop, conv),
-                oh_row=zeros,
+            return self._series_lane(
+                self.vmpp_u[self.u_row], valid, 1.0, conv, _OH_CURRENT, zeros, 0.0
             )
 
         if name == "FixedVoltage":
             valid = self.lit_row & (ctl.setpoint < self.voc_row)
-            vop = np.where(valid, ctl.setpoint, 0.0)
-            pv = self._lut_series(vop, valid, 1.0)
-            return _LaneProgram(
-                mode=_MODE_SERIES,
-                oh_type=_OH_CURRENT,
-                min_supply=float(ctl.min_supply),
-                pv_row=pv,
-                del_row=self._delivered_series(pv, vop, conv),
-                oh_row=np.full(self.steps, float(ctl.reference_current)),
+            oh = np.full(self.steps, float(ctl.reference_current))
+            return self._series_lane(
+                ctl.setpoint, valid, 1.0, conv, _OH_CURRENT, oh, ctl.min_supply
             )
 
         if name == "PeriodicFOCV":
@@ -617,43 +513,27 @@ class _ScenarioTables:
             if self.dt < ctl.sample_period:
                 return None
             valid = self.lit_row & (self.voc_row > 0.0)
-            vop = np.where(valid, ctl.k * self.voc_row, 0.0)
-            duty = 1.0 - ctl.disconnection_duty
-            pv = self._lut_series(vop, valid, duty)
-            return _LaneProgram(
-                mode=_MODE_SERIES,
-                oh_type=_OH_POWER,
-                min_supply=float(ctl.min_supply),
-                pv_row=pv,
-                del_row=self._delivered_series(pv, vop, conv),
-                oh_row=np.full(self.steps, float(ctl.overhead_power)),
+            oh = np.full(self.steps, float(ctl.overhead_power))
+            return self._series_lane(
+                ctl.k * self.voc_row, valid, 1.0 - ctl.disconnection_duty,
+                conv, _OH_POWER, oh, ctl.min_supply,
             )
 
         if name == "PilotCell":
-            valid = self.lit_row & (ctl.k * self.voc_row > 0.0)
-            vop = np.where(valid, ctl.k * self.voc_row, 0.0)
-            duty = 1.0 - ctl.pilot_area_fraction
-            pv = self._lut_series(vop, valid, duty)
-            return _LaneProgram(
-                mode=_MODE_SERIES,
-                oh_type=_OH_POWER,
-                min_supply=float(ctl.min_supply),
-                pv_row=pv,
-                del_row=self._delivered_series(pv, vop, conv),
-                oh_row=np.full(self.steps, float(ctl.overhead_power)),
+            vop = ctl.k * self.voc_row
+            valid = self.lit_row & (vop > 0.0)
+            oh = np.full(self.steps, float(ctl.overhead_power))
+            return self._series_lane(
+                vop, valid, 1.0 - ctl.pilot_area_fraction,
+                conv, _OH_POWER, oh, ctl.min_supply,
             )
 
         if name == "PhotodiodeReference":
             oh = np.full(self.steps, float(ctl.overhead_current))
             lit_idx = np.nonzero(self.lit_row)[0]
             if lit_idx.size == 0:
-                return _LaneProgram(
-                    mode=_MODE_SERIES,
-                    oh_type=_OH_CURRENT,
-                    min_supply=float(ctl.min_supply),
-                    pv_row=zeros,
-                    del_row=zeros.copy(),
-                    oh_row=oh,
+                return self._series_lane(
+                    zeros, self.lit_row, 1.0, conv, _OH_CURRENT, oh, ctl.min_supply
                 )
             ts = int(lit_idx[0])
             model_t = self.pc.models[ts]
@@ -661,24 +541,15 @@ class _ScenarioTables:
             scale = ctl.calibration_lux / lux_t
             cal_v = model_t.with_photocurrent(model_t.photocurrent * scale).mpp().voltage
             lux_row = self.lux_u[self.u_row]
-            vop = np.zeros(self.steps)
             with np.errstate(divide="ignore", invalid="ignore"):
                 decades = np.where(
                     self.lit_row, np.log10(lux_row / ctl.calibration_lux), 0.0
                 )
             vop = np.where(self.lit_row, cal_v + ctl.volts_per_decade * decades, 0.0)
             vop = np.minimum(vop, self.voc_row * 0.999)
-            valid = self.lit_row & (vop > 0.0)
-            vop = np.where(valid, vop, 0.0)
-            pv = self._lut_series(vop, valid, 1.0)
-            return _LaneProgram(
-                mode=_MODE_SERIES,
-                oh_type=_OH_CURRENT,
-                min_supply=float(ctl.min_supply),
-                pv_row=pv,
-                del_row=self._delivered_series(pv, vop, conv),
-                oh_row=oh,
-                cal_step=ts,
+            return self._series_lane(
+                vop, self.lit_row & (vop > 0.0), 1.0,
+                conv, _OH_CURRENT, oh, ctl.min_supply, cal_step=ts,
             )
 
         if name == "NoMPPT":
@@ -730,16 +601,7 @@ class _ScenarioTables:
         vop_row, duty_row, oh_row, valid_row = replay_sample_hold(
             c, self.times_l, self.dt, c.target[self.u_row].tolist(), self.voc_row_l
         )
-        vop_row = np.where(valid_row, vop_row, 0.0)
-        pv = self._lut_series(vop_row, valid_row, duty_row)
-        return _LaneProgram(
-            mode=_MODE_SERIES,
-            oh_type=_OH_CURRENT,
-            min_supply=0.0,
-            pv_row=pv,
-            del_row=self._delivered_series(pv, vop_row, conv),
-            oh_row=oh_row,
-        )
+        return self._series_lane(vop_row, valid_row, duty_row, conv, _OH_CURRENT, oh_row, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -766,14 +628,6 @@ def _kernel_is_cold() -> bool:
 def clear_program_cache() -> None:
     """Drop every cached scenario program (test hook)."""
     _PROGRAM_CACHE.clear()
-
-
-def _cell_area_cm2(cell) -> float:
-    """Active area for thermal modelling — cells and strings alike."""
-    params = getattr(cell, "parameters", None)
-    if params is not None:
-        return float(params.area_cm2)
-    return float(cell.area_cm2)
 
 
 def _cell_fingerprint(cell) -> tuple:
@@ -826,7 +680,7 @@ def _tables_for(
         if h is not None:
             h.inc()
         from repro.pv.thermal import CellThermalModel
-        from repro.sim.precompute import precompute_conditions
+        from repro.sim.precompute import _cell_area_cm2, precompute_conditions
 
         with TRACER.span("compiled:program-build"):
             thermal = (
@@ -900,7 +754,7 @@ def _run_lane(
         voc_row = tables.voc_row
         lit_row = tables.lit_row
         flat = tables.lut._flat
-        nodes = tables.nodes_flat
+        nodes = tables.lut._nodes_flat
     else:
         # interpreted path: lists index ~3x faster than ndarray scalars
         rows = prog.rows_as_lists()
@@ -929,9 +783,7 @@ def _run_lane(
         lit_row,
         flat,
         tables.lut.grid_points,
-        tables.gm1,
-        tables.kmax,
-        tables.uniform,
+        tables.lut.closed_form,
         nodes,
         has_conv,
         conv_on,

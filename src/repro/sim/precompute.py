@@ -41,6 +41,14 @@ from repro.pv.single_diode import SingleDiodeModel
 from repro.units import T_STC
 
 
+def _cell_area_cm2(cell) -> float:
+    """Thermal absorber area for cells and strings alike."""
+    params = getattr(cell, "parameters", None)
+    if params is not None:
+        return float(params.area_cm2)
+    return float(cell.area_cm2)
+
+
 def ideal_cache_key(model) -> tuple:
     """Ideal-MPP memo key of a lit model: its own ``ideal_cache_key``
     (strings) or quantised ``(Iph, T)`` — 0.25 % Iph bins, 0.5 K steps."""

@@ -11,7 +11,8 @@ Contracts covered here:
   comparison/strings refuse the ``fleet`` tier and resilience the
   ``compiled`` tier;
 * compiled lanes count into ``compiled.lane_steps``, not ``fleet.steps``;
-* the S&H lanes build no :class:`~repro.sim.fleet.FleetSimulator`.
+* the S&H lanes build no :class:`~repro.sim.fleet.FleetSimulator`, and
+  are keyed on their whole platform config, not their name.
 """
 
 import pytest
@@ -275,3 +276,42 @@ class TestSampleHoldLaneBuildsNoFleet:
             assert out[name] is not None, f"{name} fell back to the scalar engine"
             measured = {f: getattr(out[name], f) for f in SUMMARY_FIELDS}
             assert_matches_golden("compiled", "office-desk", name, measured, golden[name])
+
+
+class TestSampleHoldLaneKey:
+    def test_same_name_different_config_gets_its_own_lane(self):
+        """Two S&H lanes sharing a name but not a PlatformConfig must not
+        share a lane program, within one call or across calls."""
+        from repro.core.config import PlatformConfig
+        from repro.core.system import SampleHoldMPPT
+        from repro.experiments.comparison import default_scenarios
+        from repro.sim import compiled
+
+        def lane(label, config):
+            return (
+                label,
+                SampleHoldMPPT(config=config, assume_started=True, name="sh"),
+                BuckBoostConverter(),
+                Supercapacitor(capacitance=25.0, rated_voltage=5.5, voltage=2.7),
+            )
+
+        def run(*lanes):
+            out, _ = run_comparison_scenario(
+                am_1815(),
+                "office-desk",
+                default_scenarios()["office-desk"],
+                list(lanes),
+                24 * 3600.0,
+                300.0,
+            )
+            return out
+
+        trimmed = lambda: PlatformConfig.trimmed_for_cell(am_1815())  # noqa: E731
+        compiled.clear_program_cache()
+        alone = run(lane("b", trimmed()))["b"]
+        compiled.clear_program_cache()
+        both = run(lane("a", PlatformConfig()), lane("b", trimmed()))
+        assert both["b"].energy_at_cell == alone.energy_at_cell
+        assert both["a"].energy_at_cell != alone.energy_at_cell
+        # Warm program cache: the default-config lane must not be reused.
+        assert run(lane("b", trimmed()))["b"].energy_at_cell == alone.energy_at_cell

@@ -1,6 +1,7 @@
 """Unit tests for the compiled tier's power LUT (:mod:`repro.pv.lut`).
 
-The table's contract: scalar and vectorized lookups agree bitwise, the
+The table's contract: scalar and vectorized lookups agree bitwise (for
+the closed-form cell tables and the knee-aligned string tables), the
 power is zero outside each condition's (0, Voc) window, dark rows are
 exactly zero, and the pre-run validation gate measures worst-case error
 against exact solves — passing within the declared budget and raising
@@ -40,6 +41,23 @@ def lut(models):
     return CellPowerLUT.from_models(models)
 
 
+@pytest.fixture(scope="module")
+def string_lut():
+    """Knee-aligned table over a mismatched 4s string, dark row included."""
+    string = CellString(am_1815(), 4, mismatch=(1.0, 0.9, 1.05, 0.85))
+    table = lut_for_models(
+        [string.model_at(lux) for lux in (50.0, 200.0, 1000.0, 10000.0, 0.0)]
+    )
+    assert isinstance(table, StringPowerLUT)
+    return table
+
+
+@pytest.fixture(params=["cell", "string"])
+def any_lut(request):
+    """Both lookup branches: the closed-form u-map and the node search."""
+    return request.getfixturevalue("lut" if request.param == "cell" else "string_lut")
+
+
 class TestConstruction:
     def test_defaults(self, lut, models):
         assert lut.grid_points == DEFAULT_GRID_POINTS
@@ -62,16 +80,18 @@ class TestConstruction:
 
 
 class TestEvaluation:
-    def test_scalar_matches_vectorized_bitwise(self, lut, models):
+    def test_scalar_matches_vectorized_bitwise(self, any_lut):
+        lut = any_lut
         rng = np.random.default_rng(7)
-        for i in range(len(models)):
+        for i in range(len(lut.voc)):
             voc = lut.voc[i]
             volts = rng.uniform(-0.1, max(voc, 0.1) * 1.1, size=64)
             many = lut.power_many(np.full(64, i), volts)
             for v, p in zip(volts, many):
                 assert lut.power(i, float(v)) == p
 
-    def test_zero_outside_window(self, lut):
+    def test_zero_outside_window(self, any_lut):
+        lut = any_lut
         for i in range(len(lut.voc)):
             voc = lut.voc[i]
             assert lut.power(i, 0.0) == 0.0
