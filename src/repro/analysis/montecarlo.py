@@ -22,7 +22,7 @@ from repro.analog.components import Capacitor, ResistiveDivider, Resistor
 from repro.analog.opamp import OpAmpSpec, UnityGainBuffer
 from repro.analog.switch import AnalogSwitch, AnalogSwitchSpec
 from repro.ckpt.drain import check_drain
-from repro.core.sample_hold import SampleHoldCircuit
+from repro.core.sample_hold import SampleHoldCircuit, evaluate_sample_hold_boards
 from repro.errors import ModelParameterError
 from repro.obs import journal
 from repro.pv.cells import PVCell, am_1815
@@ -199,12 +199,11 @@ def _evaluate_boards_fleet(batch: _BoardBatch) -> np.ndarray:
     """Vectorized board evaluation: one array pass over the whole batch.
 
     Derives the identical per-board component values from the same draw
-    columns as :func:`_evaluate_boards` and hands them to the fleet
-    kernel, which walks the same sample → droop → readout chain with
-    population-axis arrays instead of one circuit object per board.
+    columns as :func:`_evaluate_boards` and hands them to
+    :func:`evaluate_sample_hold_boards`, which walks the same sample →
+    droop → readout chain with population-axis arrays instead of one
+    circuit object per board.
     """
-    from repro.sim.fleet import evaluate_sample_hold_boards
-
     tolerances = batch.tolerances
     base_buffer = UnityGainBuffer().spec
     base_switch = AnalogSwitch().spec

@@ -7,7 +7,9 @@
 * :mod:`repro.core.coldstart` — the reservoir-capacitor cold-start chain
   and the ACTIVE sanity comparator.
 * :mod:`repro.core.system` — :class:`SampleHoldMPPT`, the Fig. 3 platform
-  as a quasi-static harvesting controller.
+  as a quasi-static harvesting controller, and
+  :class:`ReplayedSampleHold`, its started chain replayed once over a
+  precomputed trace.
 * :mod:`repro.core.platform_transient` — the same platform as a
   node-level transient model for waveform reproduction (Fig. 4,
   cold-start ramps).
@@ -17,7 +19,7 @@ from repro.core.astable import AstableMultivibrator
 from repro.core.sample_hold import SampleHoldCircuit, SampleResult
 from repro.core.coldstart import ColdStartCircuit, ActiveMonitor
 from repro.core.config import PlatformConfig
-from repro.core.system import SampleHoldMPPT
+from repro.core.system import ReplayedSampleHold, SampleHoldMPPT
 from repro.core.platform_transient import TransientPlatform
 from repro.core.design import DesignSpec, DesignReport, synthesise_platform
 
@@ -29,6 +31,7 @@ __all__ = [
     "ActiveMonitor",
     "PlatformConfig",
     "SampleHoldMPPT",
+    "ReplayedSampleHold",
     "TransientPlatform",
     "DesignSpec",
     "DesignReport",

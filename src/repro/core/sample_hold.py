@@ -21,17 +21,32 @@ Every non-ideality in the accuracy budget is modelled:
 * switch charge injection at PULSE release,
 * dielectric absorption of the hold capacitor,
 * droop over the hold period.
+
+:func:`evaluate_sample_hold_boards` walks the same chain for a whole
+population of toleranced boards in one vectorized pass (the Monte Carlo
+tier).
 """
 
 from __future__ import annotations
 
+import time as _time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.analog.components import Capacitor, ResistiveDivider
 from repro.analog.mna import Circuit
 from repro.analog.opamp import MICROPOWER_BUFFER, UnityGainBuffer
 from repro.analog.switch import MICROPOWER_ANALOG_SWITCH, AnalogSwitch
 from repro.errors import ModelParameterError
+from repro.obs.metrics import HOOKS as _OBS
+from repro.obs.tracing import TRACER
+from repro.pv.batch import (
+    batch_loaded_point,
+    stack_model_params,
+    stack_string_params,
+    string_loaded_point,
+)
 from repro.pv.single_diode import SingleDiodeModel
 
 
@@ -254,3 +269,90 @@ class SampleHoldCircuit:
         self.input_buffer.load_state(state["input_buffer"])
         self.output_buffer.load_state(state["output_buffer"])
         self.switch.load_state(state["switch"])
+
+
+def evaluate_sample_hold_boards(
+    model,
+    voc: float,
+    *,
+    top: np.ndarray,
+    bottom: np.ndarray,
+    u2_offset: np.ndarray,
+    u4_offset: np.ndarray,
+    injection: np.ndarray,
+    hold_c: np.ndarray,
+    pulse_width: float,
+    hold_time: float,
+    supply: float = 3.3,
+    output_resistance: float = 1500.0,
+    on_resistance: float = 120.0,
+    turn_on_time: float = 1e-7,
+    bias_current: float = 2e-12,
+    off_leakage: float = 1e-12,
+    soak: float = 0.003,
+    insulation_ohm_farads: float = 25000.0,
+) -> np.ndarray:
+    """HELD_SAMPLE for a whole population of toleranced S&H boards.
+
+    The Monte Carlo tier's one vectorized pass over the same chain
+    :meth:`SampleHoldCircuit.sample` walks per board: loaded operating point, input-buffer settle, RC charge for
+    the effective pulse, charge-injection kick, dielectric soak, a
+    ``hold_time`` droop, and the output buffer's offset — each expression
+    kept in the scalar model's form so the arithmetic matches.
+
+    Args:
+        model: the (shared) cell curve being sampled.
+        voc: the model's open-circuit voltage, volts.
+        top / bottom: per-board divider resistances, ohms.
+        u2_offset / u4_offset: per-board buffer input offsets, volts.
+        injection: per-board switch charge injection, coulombs.
+        hold_c: per-board hold capacitance, farads.
+        pulse_width: PULSE width, seconds.
+        hold_time: droop interval after the sample, seconds.
+
+    Returns:
+        Per-board HELD_SAMPLE voltages after the droop, volts.
+    """
+    top = np.asarray(top, dtype=float)
+    n = top.shape[0]
+    rtot = top + bottom
+    ratio = bottom / rtot
+
+    t0 = _time.perf_counter()
+    cells = getattr(model, "cells", None)
+    if cells is not None:
+        # Series-string model: same loaded-point bisection the string
+        # scalar path runs, one row per toleranced board.
+        sp = stack_string_params([cells] * n, [model.bypass_drop] * n)
+        v_pv = string_loaded_point(sp, np.full(n, float(voc)), rtot)
+    else:
+        params = stack_model_params([model] * n)
+        v_pv = batch_loaded_point(params, np.full(n, float(voc)), rtot)
+    TRACER.add("fleet:vector-solve", _time.perf_counter() - t0)
+
+    h = _OBS.fleet_nodes
+    if h is not None:
+        h.inc(n)
+    h = _OBS.fleet_steps
+    if h is not None:
+        h.inc(n)
+
+    tap = v_pv * ratio
+    target = np.minimum(supply, np.maximum(0.0, tap + u2_offset))
+
+    tau = (output_resistance + on_resistance) * hold_c
+    effective = max(0.0, pulse_width - turn_on_time)
+    settle_fraction = 1.0 - np.exp(-effective / tau)
+    new_held = target * settle_fraction  # previous held voltage is 0
+    new_held = new_held + injection / hold_c
+    new_held = new_held + soak * (0.0 - new_held)
+    held = np.minimum(supply, np.maximum(0.0, new_held))
+
+    # Droop: same τ expression as Capacitor.droop (leakage_resistance·C).
+    leak_tau = (insulation_ohm_farads / hold_c) * hold_c
+    bias = bias_current + off_leakage
+    held = held * np.exp(-hold_time / leak_tau)
+    held = held - bias * hold_time / hold_c
+    held = np.maximum(0.0, held)
+
+    return np.minimum(supply, np.maximum(0.0, held + u4_offset))

@@ -209,8 +209,9 @@ class Hooks:
     * ``ckpt_saves`` / ``ckpt_restores`` — checkpoint envelopes written
       and loaded (:mod:`repro.ckpt.checkpoint`).
     * ``fleet_nodes`` / ``fleet_steps`` — population sizes taken on by
-      the fleet engine and node-steps it advanced
-      (:mod:`repro.sim.fleet`).
+      the fleet engine and node-steps it advanced (replayed S&H lanes
+      in :mod:`repro.sim.fleet`, Monte Carlo boards in
+      :mod:`repro.core.sample_hold`).
     * ``lut_builds`` / ``lut_validations`` — power-LUT tables built and
       pre-run validation gates executed (:mod:`repro.pv.lut`) — the
       compiled tier's dominant cold-start costs.

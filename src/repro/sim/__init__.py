@@ -19,9 +19,9 @@ beside the scalar reference (:mod:`repro.sim.engines` lists which
 experiment takes which):
 :mod:`repro.sim.compiled` fuses comparison/strings lanes into one
 kernel over a validated power LUT, and :mod:`repro.sim.fleet` runs
-populations of S&H nodes: Monte Carlo boards in one vectorized pass,
-resilience lanes as S&H chains replayed once and stepped on the scalar
-engine.
+resilience S&H lanes as chains replayed once
+(:class:`~repro.core.system.ReplayedSampleHold`) and stepped on the
+scalar engine.
 """
 
 from repro.sim.traces import Trace, TraceSet
@@ -29,20 +29,6 @@ from repro.sim.events import EventQueue, Event
 from repro.sim.transient import TransientSimulator
 from repro.sim.quasistatic import QuasiStaticSimulator, StepResult, HarvestSummary
 from repro.sim.precompute import PrecomputedConditions, precompute_conditions
-
-_FLEET_EXPORTS = ("FleetMember", "FleetSimulator", "fleet_supported")
-
-
-def __getattr__(name):
-    # repro.sim.fleet builds members from the scalar objects, so it
-    # imports repro.core.system — which itself imports this package via
-    # repro.sim.quasistatic.  Resolve the fleet symbols lazily to keep
-    # the import graph acyclic.
-    if name in _FLEET_EXPORTS:
-        from repro.sim import fleet
-
-        return getattr(fleet, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Trace",
@@ -55,7 +41,4 @@ __all__ = [
     "HarvestSummary",
     "PrecomputedConditions",
     "precompute_conditions",
-    "FleetMember",
-    "FleetSimulator",
-    "fleet_supported",
 ]

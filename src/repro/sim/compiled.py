@@ -44,11 +44,11 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.system import fleet_supported, replay_sample_hold, sample_hold_constants
 from repro.obs import journal as _journal
 from repro.obs.metrics import HOOKS as _OBS
 from repro.obs.tracing import TRACER
 from repro.pv.lut import lut_for_models, row_power
-from repro.sim.fleet import fleet_supported, replay_sample_hold, sample_hold_constants
 from repro.sim.quasistatic import HarvestSummary
 
 __all__ = [
@@ -589,11 +589,12 @@ class _ScenarioTables:
     def _sample_hold_lane(self, ctl, conv) -> Optional[_LaneProgram]:
         """Replay the S&H platform chain into a precomputed series.
 
-        :func:`~repro.sim.fleet.sample_hold_constants` supplies the
+        :func:`~repro.core.system.sample_hold_constants` supplies the
         chain's parameters and per-condition targets, and
-        :func:`~repro.sim.fleet.replay_sample_hold` — the replay fleet
-        members step on — walks the pulse/droop/sample/comparator chain
-        once, since it never reads storage state.
+        :func:`~repro.core.system.replay_sample_hold` — the replay
+        :class:`~repro.core.system.ReplayedSampleHold` hands the scalar
+        engine — walks the pulse/droop/sample/comparator chain once,
+        since it never reads storage state.
         """
         if not fleet_supported(ctl):
             return None

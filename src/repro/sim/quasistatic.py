@@ -203,7 +203,9 @@ class QuasiStaticSimulator:
     Args:
         cell: the PV cell (or any object with ``model_at``/``mpp``).
         controller: the MPPT controller under test.
-        environment: callable ``lux(t)`` giving illuminance at time t.
+        environment: callable ``lux(t)`` giving illuminance at time t;
+            None for a run that only steps its ``precomputed`` trace
+            (a step off that trace then raises ModelParameterError).
         converter: optional converter with
             ``output_power(p_in, v_in, v_out) -> float``; identity if None.
         storage: optional energy store; if None an ideal infinite sink at
@@ -406,6 +408,11 @@ class QuasiStaticSimulator:
             # that stay aligned with it just consume the results.
             lux = float(pc.lux[index])
             model = pc.models[index]
+        elif self.environment is None:
+            raise ModelParameterError(
+                f"step t={t!r} s, dt={dt!r} s is off the precomputed trace "
+                "and this run has no environment to walk"
+            )
         else:
             raw_lux = float(self.environment(t))
             if raw_lux != raw_lux:

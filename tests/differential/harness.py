@@ -56,7 +56,9 @@ class Tolerances:
             0.0 means bitwise.  Default is a few-ulp tolerance: on
             plain cells the fleet's S&H replay solves the loaded sample
             point in closed form where the scalar controller runs an
-            MNA solve.  String runs ARE bitwise (both sample through the
+            MNA solve.  It is ~3x the worst plain-cell error measured
+            over every campaign x scenario at 24 h (1.2e-14 at
+            dt = 60 s, 5.2e-15 at dt = 1800 s).  String runs ARE bitwise (both sample through the
             same string bisection, and fleet members step on the scalar
             engine) — string tests pass ``fleet_rtol=0.0``.
         compiled_energy_rtol: scalar<->compiled energy-field tolerance,
@@ -68,7 +70,7 @@ class Tolerances:
             for :data:`FEEDBACK_TECHNIQUES`.
     """
 
-    fleet_rtol: float = 1e-12
+    fleet_rtol: float = 3.5e-14
     compiled_energy_rtol: float = 1e-3
     compiled_voltage_atol: float = 1e-3
     feedback_scale: float = 20.0

@@ -33,9 +33,14 @@ _CHEAP_TECHNIQUES = (
 
 class TestFixedSpecs:
     def test_plain_cell_all_engines(self):
+        techniques = ("proposed-S&H-FOCV", "fixed-voltage", "hill-climbing")
+        assert_engines_agree(DifferentialSpec(techniques=techniques))
+        # Resilience runs scalar and fleet: the default few-ulp budget.
         assert_engines_agree(
             DifferentialSpec(
-                techniques=("proposed-S&H-FOCV", "fixed-voltage", "hill-climbing")
+                experiment="resilience",
+                techniques=techniques,
+                campaigns=("converter-brownout",),
             )
         )
 

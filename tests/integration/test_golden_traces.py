@@ -47,7 +47,10 @@ SUMMARY_FIELDS = (
 )
 ENERGY_FIELDS = ("energy_at_cell", "energy_delivered", "energy_overhead", "energy_load")
 
-FLEET_RTOL = 1e-12
+# Fleet S&H lanes (resilience clean campaign) against the fixtures, and
+# the compiled tier's replayed ``energy_ideal``: ~3x the measured worst
+# case (9.2e-16 on the fleet lanes; the compiled replay is bitwise).
+FLEET_RTOL = 3e-15
 # Compiled-tier declared tolerances: energies relative to the lane's
 # ideal harvest, final voltage absolute.  The defaults are the LUT's
 # declared budget (measured worst case ~1.1e-4 — see docs/performance.md);

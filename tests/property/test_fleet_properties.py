@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.montecarlo import scatter
 from repro.pv.cells import am_1815
-from repro.sim.fleet import evaluate_sample_hold_boards
+from repro.core.sample_hold import evaluate_sample_hold_boards
 
 _CELL = am_1815()
 _MODEL = _CELL.model_at(1000.0)

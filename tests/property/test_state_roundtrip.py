@@ -5,8 +5,9 @@ snapshot through JSON (what a checkpoint file does), load it into a
 freshly constructed twin, and the twin's subsequent trajectory must be
 *bitwise* identical to the original's — no drift, no approximation.
 This is the property the whole resume subsystem rests on.  The fleet
-engine is held to it too: a clean and a faulted member snapshotted at
-any step resume to the uninterrupted fleet's bits.
+engine's replayed S&H lanes are held to it too: a clean and a faulted
+lane snapshotted at any step resume to the uninterrupted lanes' bits
+through the scalar engine's own snapshot.
 """
 
 import functools
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.hill_climbing import HillClimbing
 from repro.converter.buck_boost import BuckBoostConverter
-from repro.core.system import SampleHoldMPPT
+from repro.core.system import ReplayedSampleHold, SampleHoldMPPT
 from repro.faults.components import (
     ConverterBrownoutFault,
     HoldLeakageFault,
@@ -26,7 +27,6 @@ from repro.faults.components import (
 )
 from repro.faults.schedule import FaultSchedule
 from repro.pv.cells import am_1815
-from repro.sim.fleet import FleetMember, FleetSimulator
 from repro.sim.precompute import precompute_conditions
 from repro.sim.quasistatic import QuasiStaticSimulator
 from repro.storage.supercap import Supercapacitor
@@ -121,30 +121,41 @@ def _fleet_conditions():
     return precompute_conditions(am_1815(), _wavy_office, FLEET_DURATION, FLEET_DT)
 
 
-def _build_fleet() -> FleetSimulator:
-    """A clean S&H member and one under hold leakage, brownout and a short."""
+def _build_replayed() -> "list[QuasiStaticSimulator]":
+    """Replayed S&H lanes on the scalar engine: one clean, one under hold
+    leakage, brownout and a short."""
     pc = _fleet_conditions()
-    clean = FleetMember(
-        controller=SampleHoldMPPT(assume_started=True),
-        precomputed=pc,
-        converter=BuckBoostConverter(),
-        storage=Supercapacitor(capacitance=25.0, rated_voltage=5.5, voltage=2.7),
-        supply_voltage=3.0,
+
+    def lane(controller, converter, storage):
+        return QuasiStaticSimulator(
+            None,
+            ReplayedSampleHold(controller, pc),
+            None,
+            converter=converter,
+            storage=storage,
+            supply_voltage=3.0,
+            record=False,
+            precomputed=pc,
+        )
+
+    clean = lane(
+        SampleHoldMPPT(assume_started=True),
+        BuckBoostConverter(),
+        Supercapacitor(capacitance=25.0, rated_voltage=5.5, voltage=2.7),
     )
-    faulted = FleetMember(
-        controller=HoldLeakageFault(
+    faulted = lane(
+        HoldLeakageFault(
             SampleHoldMPPT(assume_started=True),
             FaultSchedule.bursts(
                 FLEET_DURATION, rate_per_hour=1.0, mean_width=900.0, seed=401
             ),
             droop_multiplier=40.0,
         ),
-        precomputed=pc,
-        converter=ConverterBrownoutFault(
+        ConverterBrownoutFault(
             BuckBoostConverter(),
             FaultSchedule.periodic(first=3600.0, period=7200.0, width=300.0, count=2),
         ),
-        storage=StorageFault(
+        StorageFault(
             Supercapacitor(capacitance=25.0, rated_voltage=5.5, voltage=2.7),
             FaultSchedule.bursts(
                 FLEET_DURATION, rate_per_hour=0.5, mean_width=300.0, seed=307
@@ -152,25 +163,33 @@ def _build_fleet() -> FleetSimulator:
             mode="short",
             short_resistance=200.0,
         ),
-        supply_voltage=3.0,
     )
-    return FleetSimulator([clean, faulted])
+    return [clean, faulted]
+
+
+def _step_to(sim: QuasiStaticSimulator, step: int) -> QuasiStaticSimulator:
+    while sim._step_index < step:
+        sim.step(FLEET_DT)
+    return sim
+
+
+FLEET_STEPS = int(FLEET_DURATION / FLEET_DT)
 
 
 @functools.lru_cache(maxsize=1)
-def _uninterrupted_fleet():
-    return [summary.to_dict() for summary in _build_fleet().run()]
+def _uninterrupted_replayed():
+    return [_step_to(sim, FLEET_STEPS).summary.to_dict() for sim in _build_replayed()]
 
 
 @settings(max_examples=15, deadline=None)
-@given(step=st.integers(min_value=0, max_value=int(FLEET_DURATION / FLEET_DT)))
+@given(step=st.integers(min_value=0, max_value=FLEET_STEPS))
 def test_fleet_roundtrip_is_bitwise_invisible(step):
-    fleet = _build_fleet()
-    fleet.run(step)
-    snapshot = _json_round_trip(fleet.state_dict())
+    original = [_step_to(sim, step) for sim in _build_replayed()]
 
-    resumed = _build_fleet()
-    resumed.load_state(snapshot)
+    resumed = _build_replayed()
+    for sim, source in zip(resumed, original):
+        sim.load_state(_json_round_trip(source.state_dict()))
+        assert sim.time == source.time
 
-    assert resumed.time == fleet.time
-    assert [summary.to_dict() for summary in resumed.run()] == _uninterrupted_fleet()
+    finished = [_step_to(sim, FLEET_STEPS).summary.to_dict() for sim in resumed]
+    assert finished == _uninterrupted_replayed()

@@ -245,7 +245,7 @@ class TestSampleHoldLaneBuildsNoFleet:
             golden_path,
         )
 
-        def no_fleet(self, members):
+        def no_fleet(self, *args, **kwargs):
             raise AssertionError("the compiled tier constructed a FleetSimulator")
 
         monkeypatch.setattr(FleetSimulator, "__init__", no_fleet)

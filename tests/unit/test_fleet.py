@@ -1,20 +1,21 @@
-"""Fleet-vs-scalar equivalence: the chain replay must not change physics.
+"""Replayed-vs-scalar equivalence: the chain replay must not change physics.
 
-The fleet engine (:mod:`repro.sim.fleet`) replays each member's S&H
-chain once and steps the member on the scalar
-:class:`QuasiStaticSimulator` with its own converter and storage.  Its
-contract is that every per-node result matches the scalar walk over the
-same precomputed conditions to a-few-ulp tolerance: the replay solves
-the loaded sample point in closed form where the scalar controller runs
-an MNA solve, and folds the droop bias into one constant.
+:class:`~repro.core.system.ReplayedSampleHold` replays a started S&H
+chain once and hands the scalar :class:`QuasiStaticSimulator` each
+step's decision; the lane keeps its own converter and storage.  Its
+contract is that every result matches the scalar walk over the same
+precomputed conditions to a-few-ulp tolerance: the replay solves the
+loaded sample point in closed form where the scalar controller runs an
+MNA solve, and folds the droop bias into one constant.
 
 Covered here: a clean run, a fully-faulted run (hold leakage, converter
-brownout, storage short), an open-mode storage
-fault, checkpoint/resume mid-run through a JSON round trip, member-order
-invariance, checkpoint validation, members stepping without ever calling
-the S&H controller (and journalling as one fleet run), the closed-form
+brownout, storage short), an open-mode storage fault, checkpoint/resume
+mid-run through the engine's own JSON snapshot, lane-order invariance
+of :class:`~repro.sim.fleet.FleetSimulator`, steps off the replayed
+trace failing loudly, fleet lanes stepping without ever calling the S&H
+controller (and journalling as one named fleet run), the closed-form
 loaded sample point against the scalar MNA solve, and the Monte Carlo
-fleet kernel against the scalar board walk.
+board kernel against the scalar board walk.
 """
 
 import json
@@ -26,9 +27,9 @@ from repro.analysis.montecarlo import run_sample_hold_montecarlo
 from repro.core.sample_hold import SampleHoldCircuit
 from repro.converter.buck_boost import BuckBoostConverter
 from repro.core.config import PlatformConfig
-from repro.core.system import SampleHoldMPPT
+from repro.core.system import ReplayedSampleHold, SampleHoldMPPT, fleet_supported
 from repro.env.profiles import ConstantProfile
-from repro.errors import ModelParameterError, StateFormatError
+from repro.errors import ModelParameterError
 from repro.faults.components import (
     ConverterBrownoutFault,
     HoldLeakageFault,
@@ -38,7 +39,7 @@ from repro.faults.schedule import FaultSchedule
 from repro.pv.batch import batch_loaded_point, stack_model_params
 from repro.pv.cells import am_1815
 from repro.pv.thermal import CellThermalModel
-from repro.sim.fleet import FleetMember, FleetSimulator, fleet_supported
+from repro.sim.fleet import FleetSimulator
 from repro.sim.precompute import precompute_conditions
 from repro.sim.quasistatic import QuasiStaticSimulator
 from repro.storage.supercap import Supercapacitor
@@ -55,6 +56,8 @@ ENERGY_FIELDS = (
 
 DUR = 4 * 3600.0
 DT = 60.0
+# ~3x the worst error measured on the three cases below (4.2e-16).
+FLEET_RTOL = 1.5e-15
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +69,7 @@ def conditions():
     return cell, env, pc
 
 
-def _assert_summaries_match(scalar, fleet, rtol=1e-12):
+def _assert_summaries_match(scalar, fleet, rtol=FLEET_RTOL):
     for name in ENERGY_FIELDS:
         a, b = getattr(scalar, name), getattr(fleet, name)
         assert a == pytest.approx(b, rel=rtol, abs=1e-18), (
@@ -101,165 +104,157 @@ def _build_faulted():
     return ctl, conv, store
 
 
+def _scalar(chain, conditions):
+    ctl, conv, store = chain
+    cell, env, pc = conditions
+    sim = QuasiStaticSimulator(
+        cell=cell, environment=env, controller=ctl, converter=conv,
+        storage=store, supply_voltage=3.0, record=False, precomputed=pc,
+    )
+    return sim.run(duration=DUR, dt=DT)
+
+
+def _replayed(chain, pc):
+    """A replayed lane: no cell and no environment, only the trace."""
+    ctl, conv, store = chain
+    assert fleet_supported(ctl)
+    return QuasiStaticSimulator(
+        None, ReplayedSampleHold(ctl, pc), None, converter=conv,
+        storage=store, supply_voltage=3.0, record=False, precomputed=pc,
+    )
+
+
+def _build_open_mode():
+    ctl = SampleHoldMPPT(config=PlatformConfig.paper_prototype(), assume_started=True)
+    store = StorageFault(
+        Supercapacitor(capacitance=25.0, rated_voltage=5.5, voltage=2.7),
+        FaultSchedule.periodic(first=1800.0, period=3600.0, width=600.0, count=3),
+        mode="open",
+    )
+    return ctl, BuckBoostConverter(), store
+
+
 class TestFleetEquivalence:
     def test_clean_run_matches_scalar(self, conditions):
-        cell, env, pc = conditions
-        ctl, conv, store = _build_clean()
-        sim = QuasiStaticSimulator(
-            cell=cell, environment=env, controller=ctl, converter=conv,
-            storage=store, supply_voltage=3.0, record=False, precomputed=pc,
-        )
-        sim.run(duration=DUR, dt=DT)
-
-        ctl2, conv2, store2 = _build_clean()
-        assert fleet_supported(ctl2)
-        fleet = FleetSimulator(
-            [FleetMember(controller=ctl2, precomputed=pc, converter=conv2,
-                         storage=store2, supply_voltage=3.0)]
-        )
-        summary = fleet.run()[0]
-        _assert_summaries_match(sim.summary, summary)
+        pc = conditions[2]
+        reference = _scalar(_build_clean(), conditions)
+        summary = _replayed(_build_clean(), pc).run(duration=DUR, dt=DT)
+        _assert_summaries_match(reference, summary)
 
     def test_faulted_run_matches_scalar(self, conditions):
-        cell, env, pc = conditions
-        ctl, conv, store = _build_faulted()
-        sim = QuasiStaticSimulator(
-            cell=cell, environment=env, controller=ctl, converter=conv,
-            storage=store, supply_voltage=3.0, record=False, precomputed=pc,
-        )
-        sim.run(duration=DUR, dt=DT)
-
-        ctl2, conv2, store2 = _build_faulted()
-        assert fleet_supported(ctl2)
-        fleet = FleetSimulator(
-            [FleetMember(controller=ctl2, precomputed=pc, converter=conv2,
-                         storage=store2, supply_voltage=3.0)]
-        )
-        summary = fleet.run()[0]
-        _assert_summaries_match(sim.summary, summary)
+        pc = conditions[2]
+        reference = _scalar(_build_faulted(), conditions)
+        summary = _replayed(_build_faulted(), pc).run(duration=DUR, dt=DT)
+        _assert_summaries_match(reference, summary)
 
     def test_open_mode_storage_fault_matches_scalar(self, conditions):
-        cell, env, pc = conditions
-
-        def build():
-            ctl = SampleHoldMPPT(
-                config=PlatformConfig.paper_prototype(), assume_started=True
-            )
-            store = StorageFault(
-                Supercapacitor(capacitance=25.0, rated_voltage=5.5, voltage=2.7),
-                FaultSchedule.periodic(first=1800.0, period=3600.0, width=600.0, count=3),
-                mode="open",
-            )
-            return ctl, BuckBoostConverter(), store
-
-        ctl, conv, store = build()
-        sim = QuasiStaticSimulator(
-            cell=cell, environment=env, controller=ctl, converter=conv,
-            storage=store, supply_voltage=3.0, record=False, precomputed=pc,
-        )
-        sim.run(duration=DUR, dt=DT)
-
-        ctl2, conv2, store2 = build()
-        fleet = FleetSimulator(
-            [FleetMember(controller=ctl2, precomputed=pc, converter=conv2,
-                         storage=store2, supply_voltage=3.0)]
-        )
-        _assert_summaries_match(sim.summary, fleet.run()[0])
+        pc = conditions[2]
+        reference = _scalar(_build_open_mode(), conditions)
+        summary = _replayed(_build_open_mode(), pc).run(duration=DUR, dt=DT)
+        _assert_summaries_match(reference, summary)
 
     def test_checkpoint_resume_mid_run_matches_scalar(self, conditions):
-        cell, env, pc = conditions
-        ctl, conv, store = _build_faulted()
-        sim = QuasiStaticSimulator(
-            cell=cell, environment=env, controller=ctl, converter=conv,
-            storage=store, supply_voltage=3.0, record=False, precomputed=pc,
-        )
-        sim.run(duration=DUR, dt=DT)
+        """The replayed controller is stateless, so the engine's own
+        snapshot (converter, storage, accumulators) is a full resume."""
+        pc = conditions[2]
+        reference = _scalar(_build_faulted(), conditions)
 
-        ctl2, conv2, store2 = _build_faulted()
-        fleet = FleetSimulator(
-            [FleetMember(controller=ctl2, precomputed=pc, converter=conv2,
-                         storage=store2, supply_voltage=3.0)]
-        )
-        for _ in range(fleet.steps // 2):
-            fleet.step()
-        snap = json.loads(json.dumps(fleet.state_dict()))  # force JSON types
+        sim = _replayed(_build_faulted(), pc)
+        half = len(pc) // 2
+        sim.run(duration=half * DT, dt=DT)
+        snap = json.loads(json.dumps(sim.state_dict()))  # force JSON types
+        assert snap["controller"] is None
 
-        ctl3, conv3, store3 = _build_faulted()
-        resumed = FleetSimulator(
-            [FleetMember(controller=ctl3, precomputed=pc, converter=conv3,
-                         storage=store3, supply_voltage=3.0)]
-        )
+        resumed = _replayed(_build_faulted(), pc)
         resumed.load_state(snap)
-        summary = resumed.run()[0]
-        _assert_summaries_match(sim.summary, summary)
+        summary = resumed.run(duration=(len(pc) - half) * DT, dt=DT)
+        _assert_summaries_match(reference, summary)
 
     def test_member_order_invariance(self, conditions):
-        """Swapping member order swaps summaries and changes nothing else."""
-        cell, env, pc = conditions
+        """Swapping lane order changes no lane's summary."""
+        pc = conditions[2]
 
-        def members():
-            ctl_a, conv_a, store_a = _build_clean()
-            ctl_b, conv_b, store_b = _build_faulted()
-            return (
-                FleetMember(controller=ctl_a, precomputed=pc, converter=conv_a,
-                            storage=store_a, supply_voltage=3.0),
-                FleetMember(controller=ctl_b, precomputed=pc, converter=conv_b,
-                            storage=store_b, supply_voltage=3.0),
-            )
+        def lanes():
+            return [("clean", *_build_clean()), ("faulted", *_build_faulted())]
 
-        a, b = members()
-        forward = FleetSimulator([a, b]).run()
-        a2, b2 = members()
-        backward = FleetSimulator([b2, a2]).run()
+        forward = FleetSimulator(pc, lanes()).run()
+        backward = FleetSimulator(pc, lanes()[::-1]).run()
 
-        for lhs, rhs in zip(forward, reversed(backward)):
-            assert lhs.__dict__ == rhs.__dict__
+        assert list(forward) == ["clean", "faulted"]
+        for name in forward:
+            assert forward[name].__dict__ == backward[name].__dict__
 
-    def test_load_state_rejects_wrong_population(self, conditions):
-        cell, env, pc = conditions
-        ctl, conv, store = _build_clean()
-        fleet = FleetSimulator(
-            [FleetMember(controller=ctl, precomputed=pc, converter=conv,
-                         storage=store, supply_voltage=3.0)]
-        )
-        state = fleet.state_dict()
-        state["n"] = 3
-        ctl2, conv2, store2 = _build_clean()
-        fresh = FleetSimulator(
-            [FleetMember(controller=ctl2, precomputed=pc, converter=conv2,
-                         storage=store2, supply_voltage=3.0)]
-        )
-        with pytest.raises(StateFormatError):
-            fresh.load_state(state)
 
+class TestOffTrace:
+    """A replayed lane runs only on its trace; leaving it fails loudly."""
+
+    @pytest.fixture
+    def short(self):
+        return precompute_conditions(am_1815(), ConstantProfile(500.0), 3600.0, DT)
+
+    def test_step_past_the_horizon_raises(self, short):
+        sim = _replayed(_build_clean(), short)
+        sim.run(duration=3600.0, dt=DT)
+        assert sim._step_index == 60
+        with pytest.raises(ModelParameterError, match="off the precomputed trace"):
+            sim.step(DT)
+
+    def test_misaligned_dt_raises(self, short):
+        sim = _replayed(_build_clean(), short)
+        with pytest.raises(ModelParameterError, match="dt=30.0"):
+            sim.step(DT / 2)
 
     @pytest.mark.parametrize("step_index", [-3, 10**6])
-    def test_load_state_rejects_step_index_outside_horizon(self, step_index):
-        cell = am_1815()
-        pc = precompute_conditions(cell, ConstantProfile(500.0), 3600.0, DT)
-        ctl, conv, store = _build_clean()
-        fleet = FleetSimulator(
-            [FleetMember(controller=ctl, precomputed=pc, converter=conv,
-                         storage=store, supply_voltage=3.0)]
-        )
-        assert fleet.steps == 60
-        state = fleet.state_dict()
+    def test_off_trace_step_index_raises(self, short, step_index):
+        """A snapshot whose step index is outside the horizon cannot step."""
+        sim = _replayed(_build_clean(), short)
+        sim.step(DT)
+        state = sim.state_dict()
         state["step_index"] = step_index
-        with pytest.raises(StateFormatError, match="step_index"):
-            fleet.load_state(state)
-        assert fleet._step_index == 0
+        resumed = _replayed(_build_clean(), short)
+        resumed.load_state(state)
+        with pytest.raises(ModelParameterError, match="off the precomputed trace"):
+            resumed.step(DT)
+
+    def test_corrupted_snapshot_time_raises(self, short):
+        sim = _replayed(_build_clean(), short)
+        sim.step(DT)
+        state = sim.state_dict()
+        state["time"] = 61.5
+        resumed = _replayed(_build_clean(), short)
+        resumed.load_state(state)
+        with pytest.raises(ModelParameterError, match="t=61.5"):
+            resumed.step(DT)
+
+    def test_controller_checks_the_step_on_a_live_walk(self, short):
+        """Without the precompute fast path, the controller itself
+        refuses a step its replay does not hold."""
+        ctl, conv, store = _build_clean()
+        sim = QuasiStaticSimulator(
+            am_1815(), ReplayedSampleHold(ctl, short), ConstantProfile(500.0),
+            converter=conv, storage=store, supply_voltage=3.0, record=False,
+        )
+        with pytest.raises(ModelParameterError, match="off the trace"):
+            sim.step(DT / 2)
+
+    def test_unsupported_controller_is_rejected(self, short):
+        cold = SampleHoldMPPT(config=PlatformConfig.paper_prototype())
+        assert not fleet_supported(cold)
+        with pytest.raises(ModelParameterError, match="scalar engine"):
+            ReplayedSampleHold(cold, short)
 
 
 class TestMembersStepOnTheScalarEngine:
     def test_fleet_replays_the_chain_and_journals_as_fleet(self, conditions, monkeypatch):
-        """Members never call the S&H controller, and their scalar steps
-        are journalled as one fleet run, not as scalar runs."""
+        """Lanes never call the S&H controller, and their scalar steps
+        are journalled as one fleet run naming its lanes, not as scalar
+        runs."""
         from repro.obs import journal
 
-        cell, env, pc = conditions
+        pc = conditions[2]
 
         def no_decide(self, obs):
-            raise AssertionError("fleet members replay the S&H chain")
+            raise AssertionError("fleet lanes replay the S&H chain")
 
         monkeypatch.setattr(SampleHoldMPPT, "decide", no_decide)
         events = []
@@ -267,17 +262,16 @@ class TestMembersStepOnTheScalarEngine:
         j.subscribe(events.append)
         monkeypatch.setattr(journal, "JOURNAL", j)
 
-        ctl, conv, store = _build_clean()
-        fleet = FleetSimulator(
-            [FleetMember(controller=ctl, precomputed=pc, converter=conv,
-                         storage=store, supply_voltage=3.0)]
-        )
-        (summary,) = fleet.run()
+        fleet = FleetSimulator(pc, [("proposed-S&H-FOCV", *_build_clean())])
+        assert (fleet.n, fleet._step_index) == (1, 0)
+        summaries = fleet.run()
 
-        assert summary.duration == DUR
+        assert fleet._step_index == len(pc)
+        assert summaries["proposed-S&H-FOCV"].duration == DUR
         runs = [e for e in events if e["event"] == journal.ENGINE_RUN]
         assert [e["engine"] for e in runs] == ["fleet"]
         assert runs[0]["nodes"] == 1
+        assert runs[0]["lanes"] == ["proposed-S&H-FOCV"]
 
 
 class TestLoadedPoint:

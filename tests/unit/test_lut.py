@@ -13,7 +13,7 @@ mixes cells and strings is rejected.
 import numpy as np
 import pytest
 
-from repro.core.system import SampleHoldMPPT
+from repro.core.system import SampleHoldMPPT, sample_hold_constants
 from repro.errors import LUTValidationError, ModelParameterError, SimulationError
 from repro.pv.cells import am_1815
 from repro.pv.lut import (
@@ -25,7 +25,6 @@ from repro.pv.lut import (
     lut_for_models,
 )
 from repro.pv.string import CellString
-from repro.sim.fleet import sample_hold_constants
 
 
 @pytest.fixture(scope="module")
