@@ -328,7 +328,7 @@ def evaluate_sample_hold_boards(
     else:
         params = stack_model_params([model] * n)
         v_pv = batch_loaded_point(params, np.full(n, float(voc)), rtot)
-    TRACER.add("fleet:vector-solve", _time.perf_counter() - t0)
+    TRACER.add("sample-hold:loaded-point", _time.perf_counter() - t0)
 
     h = _OBS.fleet_nodes
     if h is not None:

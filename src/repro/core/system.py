@@ -337,7 +337,7 @@ def sample_hold_constants(controller, models: Sequence[object], voc) -> SampleHo
         v_pv = string_loaded_point(sp, voc, rtot)
     else:
         v_pv = batch_loaded_point(stack_model_params(models), voc, rtot)
-    TRACER.add("fleet:vector-solve", _time.perf_counter() - t0)
+    TRACER.add("sample-hold:loaded-point", _time.perf_counter() - t0)
     target = np.minimum(
         sh.supply,
         np.maximum(0.0, v_pv * sh.divider.ratio + sh.input_buffer.spec.input_offset),

@@ -11,6 +11,7 @@ consumes.
 from __future__ import annotations
 
 import bisect
+import functools
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -146,6 +147,18 @@ class ScaledProfile(LightProfile):
         return self.factor * self.base(t)
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _unit_noise(seed: int, bucket: int) -> float:
+    """The standard-normal draw of one :class:`NoisyProfile` bucket.
+
+    A pure function of ``(seed, bucket)``; memoised process-wide because
+    seeding a generator costs more than the rest of a light-walk step,
+    and every run of a scenario walks the same buckets.
+    """
+    rng = np.random.default_rng((seed * 1_000_003 + bucket) & 0x7FFFFFFF)
+    return float(rng.standard_normal())
+
+
 class NoisyProfile(LightProfile):
     """Multiplicative band-limited noise on a base profile.
 
@@ -176,10 +189,6 @@ class NoisyProfile(LightProfile):
         self.correlation_time = correlation_time
         self.seed = seed
 
-    def _unit_noise(self, bucket: int) -> float:
-        rng = np.random.default_rng((self.seed * 1_000_003 + bucket) & 0x7FFFFFFF)
-        return float(rng.standard_normal())
-
     def lux(self, t: float) -> float:
         base = self.base(t)
         if base <= 0.0 or self.relative_sigma == 0.0:
@@ -187,7 +196,9 @@ class NoisyProfile(LightProfile):
         position = t / self.correlation_time
         bucket = int(np.floor(position))
         frac = position - bucket
-        noise = (1.0 - frac) * self._unit_noise(bucket) + frac * self._unit_noise(bucket + 1)
+        lo = _unit_noise(self.seed, bucket)
+        hi = _unit_noise(self.seed, bucket + 1)
+        noise = (1.0 - frac) * lo + frac * hi
         return base * max(0.0, 1.0 + self.relative_sigma * noise)
 
 

@@ -215,6 +215,9 @@ class Hooks:
     * ``lut_builds`` / ``lut_validations`` — power-LUT tables built and
       pre-run validation gates executed (:mod:`repro.pv.lut`) — the
       compiled tier's dominant cold-start costs.
+    * ``lut_lattice_built`` / ``lut_lattice_reused`` — single-cell
+      lattice rows a table build solved exactly, and rows it found
+      already built (:mod:`repro.pv.lut`).
     * ``compiled_program_hits`` / ``compiled_program_misses`` — compiled
       comparison-program cache traffic (:mod:`repro.sim.compiled`); a
       miss pays LUT build + validation + lane compilation.
@@ -250,6 +253,8 @@ class Hooks:
         "fleet_steps",
         "lut_builds",
         "lut_validations",
+        "lut_lattice_built",
+        "lut_lattice_reused",
         "compiled_program_hits",
         "compiled_program_misses",
         "compiled_lane_steps",
@@ -306,6 +311,14 @@ _HOOK_INSTRUMENTS = {
     "lut_validations": (
         "pv.lut.validations",
         "pre-run LUT validation gates executed against exact solves",
+    ),
+    "lut_lattice_built": (
+        "pv.lut.lattice_rows_built",
+        "single-cell lattice rows solved exactly for a table build",
+    ),
+    "lut_lattice_reused": (
+        "pv.lut.lattice_rows_reused",
+        "single-cell lattice rows a table build found already built",
     ),
     "compiled_program_hits": (
         "compiled.program_cache_hits",

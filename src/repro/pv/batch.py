@@ -99,12 +99,15 @@ def take_params(p: _ParamArrays, index: np.ndarray) -> _ParamArrays:
     )
 
 
-def batch_current_at(p: _ParamArrays, v: np.ndarray) -> np.ndarray:
+def batch_current_at(p: _ParamArrays, v: np.ndarray, w_of_exp=lambertw_of_exp) -> np.ndarray:
     """Elementwise terminal current for (condition j, voltage v[j]) pairs.
 
     Same three-branch structure as ``SingleDiodeModel.current_at``, with
     the branches selected per element by mask — the kernel behind the
     batch Lambert-W solver, exposed for population-axis consumers.
+    ``w_of_exp`` evaluates ``W(exp(x))``: the solver keeps
+    :func:`~repro.pv.single_diode.lambertw_of_exp`, and the power tables
+    pass the faster :func:`~repro.pv.single_diode.wright_omega`.
     """
     v = np.asarray(v, dtype=float)
     out = np.empty_like(v)
@@ -121,7 +124,7 @@ def batch_current_at(p: _ParamArrays, v: np.ndarray) -> np.ndarray:
         log_theta = np.log(p.i0[m] * p.rs[m] / p.a[m]) + (
             v[m] + p.rs[m] * (p.iph[m] + p.i0[m])
         ) / p.a[m]
-        w = lambertw_of_exp(log_theta)
+        w = w_of_exp(log_theta)
         out[m] = p.iph[m] + p.i0[m] - (p.a[m] / p.rs[m]) * w
 
     m = ~ideal_rs & finite_rsh
@@ -130,7 +133,7 @@ def batch_current_at(p: _ParamArrays, v: np.ndarray) -> np.ndarray:
         log_theta = np.log(p.rs[m] * p.rsh[m] * p.i0[m] / (p.a[m] * rt)) + p.rsh[m] * (
             p.rs[m] * (p.iph[m] + p.i0[m]) + v[m]
         ) / (p.a[m] * rt)
-        w = lambertw_of_exp(log_theta)
+        w = w_of_exp(log_theta)
         out[m] = (p.rsh[m] * (p.iph[m] + p.i0[m]) - v[m]) / rt - (p.a[m] / p.rs[m]) * w
 
     return out

@@ -151,6 +151,22 @@ class PVCell:
             effective_iph = min(effective_iph, p.photo_shunt_saturation_iph)
         return min(p.shunt_resistance, p.photo_shunt_voltage / effective_iph)
 
+    def shunt_knees(self) -> "tuple[float, ...]":
+        """Photocurrents (amps) where :meth:`shunt_resistance` bends.
+
+        The photoconductive law meets the dark cap at
+        ``photo_shunt_voltage / shunt_resistance`` and stops deepening at
+        ``photo_shunt_saturation_iph``; between these knees the shunt,
+        and so the whole curve, is smooth in photocurrent.
+        """
+        p = self.parameters
+        if p.photo_shunt_voltage is None:
+            return ()
+        knees = [p.photo_shunt_voltage / p.shunt_resistance]
+        if p.photo_shunt_saturation_iph is not None:
+            knees.append(p.photo_shunt_saturation_iph)
+        return tuple(k for k in knees if 0.0 < k < math.inf)
+
     def model_at(
         self,
         lux: float,
@@ -158,15 +174,24 @@ class PVCell:
         temperature: float = T_STC,
     ) -> SingleDiodeModel:
         """Single-diode model for the cell under the given condition."""
-        p = self.parameters
         iph = self.photocurrent(lux, source=source, temperature=temperature)
+        return self.model_at_photocurrent(iph, temperature)
+
+    def model_at_photocurrent(self, photocurrent: float, temperature: float = T_STC) -> SingleDiodeModel:
+        """Single-diode model at a photocurrent (amps) and temperature.
+
+        The curve depends on the light only through ``photocurrent``, so
+        this is :meth:`model_at` after the lux-to-Iph step — the form the
+        power-table lattice (:mod:`repro.pv.lut`) builds its nodes with.
+        """
+        p = self.parameters
         return SingleDiodeModel(
-            photocurrent=iph,
+            photocurrent=photocurrent,
             saturation_current=self.saturation_current(temperature),
             ideality=p.ideality,
             n_series=p.n_series,
             series_resistance=p.series_resistance,
-            shunt_resistance=self.shunt_resistance(iph),
+            shunt_resistance=self.shunt_resistance(photocurrent),
             temperature=temperature,
         )
 

@@ -6,8 +6,16 @@ one transcendental left on the hot path once conditions are
 precomputed.  This module trades it for a table lookup: one row per
 unique (lux, temperature) condition of a run, each row holding the
 harvested power ``P(V) = max(0, V * I(V))`` on a knee-clustered voltage
-grid, built in a single vectorized pass over the existing batch solver
+grid, solved in vectorized passes over the existing batch solver
 (:func:`repro.pv.batch.batch_current_at`).
+
+The lattice.  Single-cell rows are not solved per request: they are
+blended from a process-wide lattice of exact rows on the
+``(log Iph, T)`` grid of :func:`repro.sim.precompute.ideal_cache_key`,
+built lazily and shared by every later table of the same cell
+(:func:`lut_for_models`).  Each blended row keeps its condition's exact
+Voc and parameters, so the validation gate below measures it against
+exact solves like any other row.
 
 Grid design.  P(V) is nearly linear at low voltage and bends hard at
 the knee just below Voc, so uniform grids waste points where the curve
@@ -30,13 +38,14 @@ is the pre-run gate: it evaluates exact solves at the interpolation
 intervals' midpoints — the worst case for a piecewise-linear table —
 and raises :class:`~repro.errors.LUTValidationError` if the measured
 worst-case error exceeds the budget.  Engines run the gate before
-trusting a table; the property suite (``tests/property/test_lut.py``)
+trusting a table; the property suite (``tests/property/test_lut_properties.py``)
 stresses the same bound across the fitted parameter space.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -45,7 +54,14 @@ import numpy as np
 from repro.errors import LUTValidationError, ModelParameterError
 from repro.obs.metrics import HOOKS as _OBS
 from repro.obs.tracing import TRACER
-from repro.pv.batch import batch_current_at, solve_models, stack_model_params, take_params
+from repro.pv.batch import (
+    _batch_voc,
+    batch_current_at,
+    solve_models,
+    stack_model_params,
+    take_params,
+)
+from repro.pv.single_diode import wright_omega
 
 DEFAULT_GRID_POINTS = 129
 """Default voltage nodes per condition (measured worst case ~2e-4 rel)."""
@@ -115,6 +131,12 @@ def row_power(flat, nodes, grid_points, closed_form, base, v, voc):
     return p0 + (flat[base + k + 1] - p0) * w
 
 
+def _check_grid_points(grid_points) -> int:
+    if int(grid_points) != grid_points or grid_points < 8:
+        raise ModelParameterError(f"grid_points must be an integer >= 8, got {grid_points!r}")
+    return int(grid_points)
+
+
 @dataclass(frozen=True)
 class LUTValidationReport:
     """Outcome of one validation pass against exact solves.
@@ -153,6 +175,9 @@ class CellPowerLUT:
         grid_points: voltage nodes per row (>= 8).
         rel_budget: declared relative error budget.
         abs_floor: absolute error-scale floor, watts.
+        power_table: rows already on this table's grid (``voc`` times the
+            shared Voc fractions), as :func:`lut_for_models` blends them
+            from the lattice; None solves every row exactly.
     """
 
     def __init__(
@@ -163,11 +188,9 @@ class CellPowerLUT:
         grid_points: int = DEFAULT_GRID_POINTS,
         rel_budget: float = DEFAULT_REL_BUDGET,
         abs_floor: float = DEFAULT_ABS_FLOOR,
+        power_table: Optional[np.ndarray] = None,
     ):
-        if int(grid_points) != grid_points or grid_points < 8:
-            raise ModelParameterError(
-                f"grid_points must be an integer >= 8, got {grid_points!r}"
-            )
+        _check_grid_points(grid_points)
         if not (rel_budget > 0.0):
             raise ModelParameterError(f"rel_budget must be positive, got {rel_budget!r}")
         if abs_floor < 0.0:
@@ -178,28 +201,19 @@ class CellPowerLUT:
         self.rel_budget = float(rel_budget)
         self.abs_floor = float(abs_floor)
 
-        with TRACER.span("lut:build"):
-            u = np.linspace(0.0, 1.0, self.grid_points)
-            self._x_grid = 1.0 - (1.0 - u) ** 2  # fraction of Voc per node
-            volts = self._node_grid()
-            self._nodes = volts
-            self._nodes_flat = np.ascontiguousarray(volts.ravel())
-            conditions = len(self.voc)
-            rows = np.repeat(np.arange(conditions, dtype=np.int64), self.grid_points)
-            current = self._exact_current(rows, volts.ravel())
-            power = np.maximum(0.0, volts.ravel() * current)
-            self.power_table = np.ascontiguousarray(power.reshape(conditions, self.grid_points))
-            # Rows whose Voc is zero (dark conditions) are all-zero by
-            # construction (V = 0 everywhere); force exact zeros anyway so
-            # NaNs from degenerate solves cannot leak into the table.
-            dark = self.voc <= 0.0
-            if dark.any():
-                self.power_table[dark] = 0.0
-            self.scale = np.maximum(self.power_table.max(axis=1), self.abs_floor)
-            self._flat = self.power_table.ravel()
-        h = _OBS.lut_builds
-        if h is not None:
-            h.inc()
+        u = np.linspace(0.0, 1.0, self.grid_points)
+        self._x_grid = 1.0 - (1.0 - u) ** 2  # fraction of Voc per node
+        if power_table is None:
+            power_table = self._exact_table()
+        self.power_table = np.ascontiguousarray(power_table, dtype=float)
+        # Rows whose Voc is zero (dark conditions) are all-zero by
+        # construction (V = 0 everywhere); force exact zeros anyway so
+        # NaNs from degenerate solves cannot leak into the table.
+        dark = self.voc <= 0.0
+        if dark.any():
+            self.power_table[dark] = 0.0
+        self.scale = np.maximum(self.power_table.max(axis=1), self.abs_floor)
+        self._flat = self.power_table.ravel()
 
     closed_form = True
     """Whether lookup uses the shared closed-form u-map (no node search).
@@ -210,20 +224,38 @@ class CellPowerLUT:
     knee-aligned grids).
     """
 
+    _nodes_flat = np.empty(0)
+    """Flattened node voltages for :func:`row_power`'s search branch.
+
+    Closed-form rows never read them, so cell tables share this empty
+    array; :class:`StringPowerLUT` sets its own."""
+
     # --- construction helpers ----------------------------------------------
 
     def _node_grid(self) -> np.ndarray:
         """Per-condition voltage nodes, shape (conditions, grid_points)."""
         return self.voc[:, None] * self._x_grid[None, :]
 
+    def _exact_table(self) -> np.ndarray:
+        """Exact power rows at :meth:`_node_grid`, one row per condition."""
+        return self._exact_rows(self._node_grid())
+
+    def _exact_rows(self, volts: np.ndarray) -> np.ndarray:
+        """Exact harvested power at per-condition node voltages."""
+        rows = np.repeat(np.arange(len(self.voc), dtype=np.int64), self.grid_points)
+        current = self._exact_current(rows, volts.ravel())
+        return np.maximum(0.0, volts.ravel() * current).reshape(volts.shape)
+
     def _exact_current(self, indices: np.ndarray, volts: np.ndarray) -> np.ndarray:
         """Exact terminal current at (condition index, voltage) pairs.
 
         The one place table construction and the validation gate touch
         the underlying curve family; :class:`StringPowerLUT` overrides it
-        with the series-string bisection.
+        with the series-string bisection.  Lambert-W is evaluated as
+        :func:`~repro.pv.single_diode.wright_omega`: table rows carry no
+        bitwise contract, and it is the bulk of a row's cost.
         """
-        return batch_current_at(take_params(self.params, indices), volts)
+        return batch_current_at(take_params(self.params, indices), volts, wright_omega)
 
     @classmethod
     def from_models(
@@ -410,6 +442,11 @@ class StringPowerLUT(CellPowerLUT):
 
     # --- construction -------------------------------------------------------
 
+    def _exact_table(self) -> np.ndarray:
+        self._nodes = self._node_grid()
+        self._nodes_flat = np.ascontiguousarray(self._nodes.ravel())
+        return self._exact_rows(self._nodes)
+
     def _node_grid(self) -> np.ndarray:
         from repro.pv.batch import string_bypass_knees
 
@@ -472,23 +509,203 @@ class StringPowerLUT(CellPowerLUT):
         return np.repeat(chosen, self.grid_points - 1), volts.ravel()
 
 
+# --------------------------------------------------------------------------
+# The process-wide single-cell lattice
+# --------------------------------------------------------------------------
+
+LATTICE_IPH_STEPS = 400.0
+"""Lattice nodes per e-fold of photocurrent (0.25 % spacing).
+
+With :data:`LATTICE_T_STEPS` this is the grid of
+:func:`repro.sim.precompute.ideal_cache_key`:
+``round(log Iph * 400)`` x ``round(T * 2)``."""
+
+LATTICE_T_STEPS = 2.0
+"""Lattice nodes per kelvin (0.5 K spacing)."""
+
+LATTICE_MAX_ROWS = 1 << 15
+"""Row cap over every lattice in the process (~34 MB at 129 points).
+
+A build that would pass it first empties the whole lattice; rows are
+exact functions of their node, so a reset changes no table."""
+
+LATTICE_CHUNK = 1024
+"""Lattice nodes solved per exact :class:`CellPowerLUT` build."""
+
+_T_BITS = 20
+"""A node ``(i, j)`` is keyed by the integer ``i << _T_BITS | j`` (``j`` is
+twice a temperature in kelvin, far below ``2**20``)."""
+
+
+class _Lattice:
+    """Exact P(V) rows of one cell at the nodes visited so far.
+
+    Row ``index[i << _T_BITS | j]`` of ``rows`` is the exact power table
+    row of the cell at ``Iph = exp(i / LATTICE_IPH_STEPS)``,
+    ``T = j / LATTICE_T_STEPS``, on the shared Voc fractions of the
+    table grid.
+    """
+
+    def __init__(self, grid_points: int):
+        self.index: "dict[int, int]" = {}
+        self.rows = np.empty((0, grid_points))
+        self.count = 0
+
+    def add(self, rows: np.ndarray) -> None:
+        need = self.count + rows.shape[0]
+        if need > self.rows.shape[0]:
+            grown = np.empty((max(need, 2 * self.rows.shape[0], 256), self.rows.shape[1]))
+            grown[: self.count] = self.rows[: self.count]
+            self.rows = grown
+        self.rows[self.count : need] = rows
+        self.count = need
+
+
+_LATTICES: "dict[tuple, _Lattice]" = {}
+_LATTICE_ROWS = 0
+_LATTICE_LOCK = threading.Lock()
+
+
+def clear_lattice() -> None:
+    """Drop every lattice row (a test hook; tables do not change)."""
+    global _LATTICE_ROWS
+    with _LATTICE_LOCK:
+        _LATTICES.clear()
+        _LATTICE_ROWS = 0
+
+
+def lattice_rows() -> int:
+    """Rows held by the process-wide lattice, over every cell."""
+    return _LATTICE_ROWS
+
+
+def _node_rows(cell, grid_points: int, nodes: "list[int]") -> np.ndarray:
+    """Exact table rows of the cell at lattice nodes, in chunks."""
+    mask = (1 << _T_BITS) - 1
+    out = np.empty((len(nodes), grid_points))
+    for start in range(0, len(nodes), LATTICE_CHUNK):
+        chunk = nodes[start : start + LATTICE_CHUNK]
+        params = stack_model_params(
+            [
+                cell.model_at_photocurrent(
+                    math.exp((node >> _T_BITS) / LATTICE_IPH_STEPS),
+                    (node & mask) / LATTICE_T_STEPS,
+                )
+                for node in chunk
+            ]
+        )
+        table = CellPowerLUT(params, _batch_voc(params), grid_points=grid_points)
+        out[start : start + len(chunk)] = table.power_table
+    return out
+
+
+def _lattice_gather(cell, grid_points: int, nodes: np.ndarray) -> np.ndarray:
+    """Lattice rows at ``nodes`` (node keys), building missing ones."""
+    global _LATTICE_ROWS
+    keys = nodes.tolist()
+    lattice_key = (cell.parameters, grid_points)
+    with _LATTICE_LOCK:
+        lattice = _LATTICES.get(lattice_key)
+        if lattice is None:
+            lattice = _LATTICES[lattice_key] = _Lattice(grid_points)
+        missing = [k for k in keys if k not in lattice.index]
+        if missing and _LATTICE_ROWS + len(missing) > LATTICE_MAX_ROWS:
+            _LATTICES.clear()
+            _LATTICE_ROWS = 0
+            lattice = _LATTICES[lattice_key] = _Lattice(grid_points)
+            missing = keys
+        if missing:
+            with TRACER.span("lut:lattice"):
+                rows = _node_rows(cell, grid_points, missing)
+            for n, k in enumerate(missing, start=lattice.count):
+                lattice.index[k] = n
+            lattice.add(rows)
+            _LATTICE_ROWS += len(missing)
+        at = np.fromiter((lattice.index[k] for k in keys), dtype=np.int64, count=len(keys))
+        gathered = lattice.rows[at]
+    h = _OBS.lut_lattice_built
+    if h is not None:
+        h.inc(len(missing))
+    h = _OBS.lut_lattice_reused
+    if h is not None:
+        h.inc(len(keys) - len(missing))
+    return gathered
+
+
+def _lattice_table(cell, iph, temperature, voc, grid_points: int) -> np.ndarray:
+    """Power rows of lit conditions, blended from the cell's lattice.
+
+    Each lit row is the bilinear blend, in ``(log Iph, T)``, of the four
+    lattice rows around its condition, taken at the same Voc fractions,
+    so row ``k`` holds ``P`` at ``voc[k]`` times the table's fractions.
+    Near a knee of the cell's shunt law (:meth:`~repro.pv.cells.PVCell.shunt_knees`)
+    the photocurrent pair comes from the condition's own side of the knee.
+    Dark conditions (``voc <= 0`` or no photocurrent) get zero rows.
+    """
+    table = np.zeros((len(voc), grid_points))
+    lit = np.nonzero((voc > 0.0) & (iph > 0.0))[0]
+    if lit.size == 0:
+        return table
+    fi = np.log(iph[lit]) * LATTICE_IPH_STEPS
+    fj = temperature[lit] * LATTICE_T_STEPS
+    i0 = np.floor(fi)
+    j0 = np.floor(fj)
+    # The curve bends where the shunt law does; a condition whose node
+    # pair straddles a knee takes the pair on its own side of it
+    # (extrapolating within two node spacings) instead of blending
+    # across the kink.
+    for knee in cell.shunt_knees():
+        k = math.log(knee) * LATTICE_IPH_STEPS
+        straddle = (i0 < k) & (k < i0 + 1.0)
+        i0 = np.where(straddle, np.where(fi < k, i0 - 1.0, i0 + 1.0), i0)
+    wi = (fi - i0)[:, None]
+    wj = (fj - j0)[:, None]
+    node = (i0.astype(np.int64) << _T_BITS) | j0.astype(np.int64)
+    step_i = 1 << _T_BITS
+    corners = np.concatenate((node, node + step_i, node + 1, node + step_i + 1))
+    nodes, inverse = np.unique(corners, return_inverse=True)
+    rows = _lattice_gather(cell, grid_points, nodes)
+    r00, r10, r01, r11 = (rows[c] for c in inverse.reshape(4, lit.size))
+    table[lit] = (
+        ((1.0 - wi) * (1.0 - wj)) * r00
+        + (wi * (1.0 - wj)) * r10
+        + ((1.0 - wi) * wj) * r01
+        + (wi * wj) * r11
+    )
+    return table
+
+
 def lut_for_models(
     models: Sequence[object],
     *,
     voc: Optional[np.ndarray] = None,
+    cell=None,
     **kwargs,
 ) -> CellPowerLUT:
     """Build the right LUT family for a model population.
 
-    Single-cell populations get a plain :class:`CellPowerLUT`; series
-    strings (:class:`~repro.pv.string.StringModel`) get a
-    :class:`StringPowerLUT` at :data:`STRING_GRID_POINTS` by default.
+    Single-cell populations get a plain :class:`CellPowerLUT` whose rows
+    are blended from ``cell``'s process-wide lattice of exact rows
+    (:func:`_lattice_table`); each row keeps its condition's exact Voc
+    and parameters, so :meth:`CellPowerLUT.validate` still measures it
+    against exact solves.  Series strings
+    (:class:`~repro.pv.string.StringModel`) get a :class:`StringPowerLUT`
+    at :data:`STRING_GRID_POINTS` by default, solved exactly per row.
     Rows follow the input order, so engine-side condition indices carry
     over.
 
+    Args:
+        models: the conditions, one table row each.
+        voc: their open-circuit voltages (default: each model's own).
+        cell: the :class:`~repro.pv.cells.PVCell` the models came from;
+            required for single cells, unused for strings.
+        **kwargs: table knobs (``grid_points``, ``rel_budget``,
+            ``abs_floor``).
+
     Raises:
         ModelParameterError: the population mixes cells and strings
-            (:func:`~repro.pv.batch.string_population`).
+            (:func:`~repro.pv.batch.string_population`), or a single-cell
+            population comes without its cell.
     """
     from repro.pv.batch import stack_string_params, string_population
 
@@ -497,8 +714,24 @@ def lut_for_models(
         voc = np.array([m.voc() for m in models], dtype=float)
     else:
         voc = np.asarray(voc, dtype=float)
-    if not string_population(models):
-        return CellPowerLUT(stack_model_params(models), voc, **kwargs)
-    kwargs.setdefault("grid_points", STRING_GRID_POINTS)
-    sp = stack_string_params([m.cells for m in models], [m.bypass_drop for m in models])
-    return StringPowerLUT(voc, sp=sp, **kwargs)
+    with TRACER.span("lut:build"):
+        if not string_population(models):
+            if cell is None:
+                raise ModelParameterError(
+                    "single-cell tables are blended from the cell's lattice; pass cell="
+                )
+            params = stack_model_params(models)
+            grid_points = _check_grid_points(kwargs.get("grid_points", DEFAULT_GRID_POINTS))
+            temperature = np.array([m.temperature for m in models], dtype=float)
+            table = _lattice_table(cell, params.iph, temperature, voc, grid_points)
+            lut = CellPowerLUT(params, voc, power_table=table, **kwargs)
+        else:
+            kwargs.setdefault("grid_points", STRING_GRID_POINTS)
+            sp = stack_string_params(
+                [m.cells for m in models], [m.bypass_drop for m in models]
+            )
+            lut = StringPowerLUT(voc, sp=sp, **kwargs)
+    h = _OBS.lut_builds
+    if h is not None:
+        h.inc()
+    return lut

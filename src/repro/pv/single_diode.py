@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
-from scipy.special import lambertw
+from scipy.special import lambertw, wrightomega
 
 from repro.errors import ConvergenceError, ModelParameterError, OperatingPointError
 from repro.obs.metrics import HOOKS as _OBS
@@ -109,6 +109,23 @@ def lambertw_of_exp(log_theta: ArrayLike) -> ArrayLike:
             iters.inc((iteration + 1) * xb.size)
 
     return float(out[0]) if scalar else out
+
+
+def wright_omega(x: np.ndarray) -> np.ndarray:
+    """``W(exp(x))`` for an array, as the Wright omega function.
+
+    The same function as :func:`lambertw_of_exp`, agreeing to ~2e-15
+    relative over the single-diode range, in about 0.4x the time (real
+    arithmetic, no overflow branch).  Its last bits differ, so only
+    evaluations no bitwise contract reads take it: the exact rows of the
+    power tables (:mod:`repro.pv.lut`).  The batch solver keeps
+    :func:`lambertw_of_exp`, whose bits the scalar engine's memoised
+    solves share.
+    """
+    calls = _OBS.lambertw_calls
+    if calls is not None:
+        calls.inc(x.size)
+    return wrightomega(x)
 
 
 @dataclass(frozen=True)

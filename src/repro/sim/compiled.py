@@ -398,7 +398,7 @@ class _ScenarioTables:
         self.vmpp_u = vmpp
         self.pmpp_u = pmpp
 
-        self.lut = lut_for_models(unique, voc=self.voc_u)
+        self.lut = lut_for_models(unique, voc=self.voc_u, cell=cell)
         self.lut_report = self.lut.validate()
 
         # energy_ideal replay, bitwise the scalar engine's accumulator.

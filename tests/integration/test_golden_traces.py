@@ -12,8 +12,8 @@ below is exact binary equality, not approximate.
 
 Every engine tier is held to the same fixtures, each at its declared
 tolerance: ``scalar`` bit-for-bit (it produced the fixtures), ``fleet``
-at a-few-ulp accumulation tolerance, ``compiled`` within its power
-LUT's declared error budget (hill climbing looser — its perturb/observe
+at a-few-ulp accumulation tolerance, ``compiled`` within ~3x its
+measured table error (hill climbing looser — its perturb/observe
 probes feed back through the table, so trajectory deviations compound
 before self-correcting).  The comparison itself runs on ``scalar`` and
 ``compiled``; the ``fleet`` tier's S&H lanes are held to the same
@@ -52,11 +52,11 @@ ENERGY_FIELDS = ("energy_at_cell", "energy_delivered", "energy_overhead", "energ
 # case (9.2e-16 on the fleet lanes; the compiled replay is bitwise).
 FLEET_RTOL = 3e-15
 # Compiled-tier declared tolerances: energies relative to the lane's
-# ideal harvest, final voltage absolute.  The defaults are the LUT's
-# declared budget (measured worst case ~1.1e-4 — see docs/performance.md);
-# hill climbing is feedback-coupled through the table (measured ~4.5e-3).
-COMPILED_ENERGY_TOL = {"default": 1e-3, "hill-climbing": 2e-2}
-COMPILED_VOLTAGE_TOL = {"default": 1e-3, "hill-climbing": 1e-2}
+# ideal harvest, final voltage absolute, each ~3x the worst error measured
+# against these fixtures (default lanes 1.06e-4 / 1.12e-4 V; hill climbing,
+# feedback-coupled through the table, 4.53e-3 / 1.48e-3 V).
+COMPILED_ENERGY_TOL = {"default": 3.5e-4, "hill-climbing": 1.4e-2}
+COMPILED_VOLTAGE_TOL = {"default": 3.5e-4, "hill-climbing": 4.5e-3}
 
 
 def golden_path(scenario: str) -> pathlib.Path:

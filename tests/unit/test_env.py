@@ -62,6 +62,28 @@ class TestBasicProfiles:
         times = np.linspace(0, 1000, 50)
         assert [a(t) for t in times] == [b(t) for t in times]
 
+    def test_memoised_noise_matches_direct_draws_bitwise(self):
+        # The bucket draws are memoised process-wide; the walk must read
+        # exactly what a freshly seeded generator gives, warm or cold.
+        base = ConstantProfile(1000.0)
+        seed, sigma, tau = 11, 0.1, 30.0
+        p = NoisyProfile(base, relative_sigma=sigma, correlation_time=tau, seed=seed)
+
+        def direct(t):
+            position = t / tau
+            bucket = int(np.floor(position))
+            frac = position - bucket
+            lo, hi = (
+                float(np.random.default_rng((seed * 1_000_003 + b) & 0x7FFFFFFF).standard_normal())
+                for b in (bucket, bucket + 1)
+            )
+            return 1000.0 * max(0.0, 1.0 + sigma * ((1.0 - frac) * lo + frac * hi))
+
+        times = np.arange(0.0, 3600.0, 7.3)
+        cold = [p(t) for t in times]
+        warm = [p(t) for t in times]
+        assert cold == warm == [direct(t) for t in times]
+
     def test_noise_different_seeds_differ(self):
         base = ConstantProfile(1000.0)
         a = NoisyProfile(base, relative_sigma=0.1, seed=1)

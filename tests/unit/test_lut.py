@@ -7,11 +7,20 @@ exactly zero, and the pre-run validation gate measures worst-case error
 against exact solves — passing within the declared budget and raising
 :class:`~repro.errors.LUTValidationError` for an undersized table.
 String populations get the knee-aligned family, and a population that
-mixes cells and strings is rejected.
+mixes cells and strings is rejected.  Single-cell tables are blended
+from the process-wide lattice of exact rows: close to the exact table,
+independent of what the lattice held before, built once, safe to build
+from several threads, and reset at the row cap without changing a table.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
+
+import repro.obs as obs
+import repro.pv.lut as lut_module
 
 from repro.core.system import SampleHoldMPPT, sample_hold_constants
 from repro.errors import LUTValidationError, ModelParameterError, SimulationError
@@ -22,6 +31,8 @@ from repro.pv.lut import (
     STRING_GRID_POINTS,
     CellPowerLUT,
     StringPowerLUT,
+    clear_lattice,
+    lattice_rows,
     lut_for_models,
 )
 from repro.pv.string import CellString
@@ -154,3 +165,142 @@ class TestPopulationFamilies:
                 mixed,
                 [m.voc() for m in mixed],
             )
+
+
+def _off_lattice_models(cell, shift=0.0):
+    """Conditions between lattice nodes: odd lux, odd temperatures."""
+    return [
+        cell.model_at(lux, temperature=temp + shift)
+        for lux in (37.3, 211.7, 1234.5, 9876.5, 48000.0)
+        for temp in (289.37, 298.15, 311.93, 327.61)
+    ]
+
+
+class TestLattice:
+    """Single-cell tables blended from the shared lattice of exact rows."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_lattice(self):
+        clear_lattice()
+        yield
+        clear_lattice()
+
+    def test_blended_rows_track_exact_rows(self):
+        cell = am_1815()
+        models = _off_lattice_models(cell)
+        blended = lut_for_models(models, cell=cell)
+        exact = CellPowerLUT.from_models(models)
+        assert np.array_equal(blended.voc, exact.voc)
+        assert blended.params.iph.tolist() == exact.params.iph.tolist()
+        err = np.abs(blended.power_table - exact.power_table).max(axis=1)
+        assert np.all(err <= 2e-5 * exact.power_table.max(axis=1))
+        assert blended.validate().ok
+
+    def test_rows_near_shunt_knees_track_exact_rows(self):
+        # The shunt law has slope breaks; blending across one would be
+        # first-order accurate only (~1e-4 measured), so conditions there
+        # take the node pair on their own side of the knee.
+        cell = am_1815()
+        knees = cell.shunt_knees()
+        assert len(knees) == 2
+        models = [
+            cell.model_at_photocurrent(knee * f, temp)
+            for knee in knees
+            for f in (0.9995, 0.999, 1.0, 1.0005, 1.001)
+            for temp in (298.15, 311.93)
+        ]
+        blended = lut_for_models(models, cell=cell)
+        exact = CellPowerLUT.from_models(models)
+        err = np.abs(blended.power_table - exact.power_table).max(axis=1)
+        assert np.all(err <= 2e-5 * exact.power_table.max(axis=1))
+
+    def test_second_build_solves_no_rows(self):
+        cell = am_1815()
+        models = _off_lattice_models(cell)
+        obs.enable()
+        try:
+            lut_for_models(models, cell=cell)
+            built = obs.REGISTRY.counter("pv.lut.lattice_rows_built").value
+            rows = lattice_rows()
+            assert built == rows > 0
+            assert obs.REGISTRY.counter("pv.lut.lattice_rows_reused").value == 0.0
+            lut_for_models(models, cell=cell)
+            assert obs.REGISTRY.counter("pv.lut.lattice_rows_built").value == built
+            assert obs.REGISTRY.counter("pv.lut.lattice_rows_reused").value == rows
+            assert lattice_rows() == rows
+        finally:
+            obs.disable()
+            obs.REGISTRY.reset()
+
+    def test_tables_do_not_depend_on_lattice_history(self):
+        cell = am_1815()
+        models = _off_lattice_models(cell)
+        cold = lut_for_models(models, cell=cell).power_table
+        clear_lattice()
+        # Pre-warm with overlapping conditions, in another order and in
+        # other build batches.
+        lut_for_models(_off_lattice_models(cell, shift=0.26)[::-1], cell=cell)
+        lut_for_models(models[::3], cell=cell)
+        warm = lut_for_models(models, cell=cell).power_table
+        assert np.array_equal(cold, warm)
+
+    def test_concurrent_builds_agree(self):
+        cell = am_1815()
+        models = _off_lattice_models(cell)
+        serial = lut_for_models(models, cell=cell).power_table
+        rows = lattice_rows()
+        clear_lattice()
+        workers = 4  # more threads than cores
+        start = threading.Barrier(workers)
+        tables = [None] * workers
+
+        def build(slot):
+            start.wait()
+            tables[slot] = lut_for_models(models, cell=cell).power_table
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(k,)) for k in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for table in tables:
+            assert np.array_equal(table, serial)
+        assert lattice_rows() == rows  # no row built twice
+
+    def test_row_cap_resets_the_lattice(self, monkeypatch):
+        cell = am_1815()
+        first = _off_lattice_models(cell)
+        second = _off_lattice_models(cell, shift=7.3)
+        lut_for_models(second, cell=cell)
+        second_rows = lattice_rows()
+        clear_lattice()
+        lut_for_models(first, cell=cell)
+        first_rows = lattice_rows()
+        monkeypatch.setattr(lut_module, "LATTICE_MAX_ROWS", first_rows + 1)
+        table = lut_for_models(second, cell=cell).power_table
+        # The cap was passed: the lattice now holds only the second build.
+        assert lattice_rows() == second_rows
+        clear_lattice()
+        assert np.array_equal(table, lut_for_models(second, cell=cell).power_table)
+
+    def test_dark_rows_are_zero(self):
+        cell = am_1815()
+        models = [
+            cell.model_at(0.0),
+            cell.model_at(300.0),
+            cell.model_at(500.0).with_photocurrent(0.0),
+        ]
+        table = lut_for_models(models, cell=cell)
+        assert np.all(table.power_table[[0, 2]] == 0.0)
+        assert table.power_table[1].max() > 0.0
+        assert table.validate().ok
+
+    def test_single_cells_need_their_cell(self, models):
+        with pytest.raises(ModelParameterError, match="cell="):
+            lut_for_models(models)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelParameterError, OperatingPointError
-from repro.pv.single_diode import MPPResult, SingleDiodeModel, lambertw_of_exp
+from repro.pv.single_diode import MPPResult, SingleDiodeModel, lambertw_of_exp, wright_omega
 
 
 def simple_model(**overrides):
@@ -44,6 +44,12 @@ class TestLambertWOfExp:
 
     def test_scalar_in_scalar_out(self):
         assert isinstance(lambertw_of_exp(3.0), float)
+
+    def test_wright_omega_is_the_same_function(self):
+        # The power tables evaluate W(exp(x)) as the Wright omega function;
+        # it must agree with the solver's form on both of its branches.
+        x = np.linspace(-40.0, 400.0, 4001)
+        assert np.allclose(wright_omega(x), lambertw_of_exp(x), rtol=1e-14, atol=0.0)
 
 
 class TestConstruction:
