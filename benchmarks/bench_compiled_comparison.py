@@ -9,14 +9,14 @@ Warm and cold are timed and reported separately because they answer
 different questions:
 
 * cold — first run from an empty program cache: batch Lambert-W
-  precompute, LUT build + validation gate, lane compilation (and Numba
-  JIT when numba is importable).  This is the fixed setup cost a user
+  precompute, LUT build + validation gate, lane compilation.  This is
+  the fixed setup cost a user
   pays once per (cell, scenario, horizon) tuple.  A second cold run
   finds the process-wide P(V) lattice warm (``repro.pv.lut``) and must
   give the first cold run's results bit for bit.
 * warm — the steady-state figure the 215 k floor applies to.
 
-Folding the two into one number would let a JIT/cache regression hide
+Folding the two into one number would let a cache regression hide
 inside warm throughput headroom, or a kernel regression hide behind a
 faster build.
 """
@@ -26,16 +26,15 @@ import time
 from repro.env.profiles import HOURS
 from repro.experiments import comparison
 from repro.pv.lut import clear_lattice
-from repro.sim.compiled import HAVE_NUMBA, clear_program_cache
+from repro.sim.compiled import clear_program_cache
 
 DURATION = 24.0 * HOURS
 DT = 10.0
 STEPS = 9 * 3 * int(DURATION / DT)  # 233 280
 
-# The ISSUE 6 acceptance floor.  The interpreted (no-numba) kernels
-# clear it with ~4x headroom on the reference container; numba-jitted
-# kernels clear it by far more.  A machine that cannot hold 215 k
-# steps/s warm is a genuine regression, not timing noise.
+# The ISSUE 6 acceptance floor.  The interpreted kernel clears it with
+# ~4x headroom on the reference container.  A machine that cannot hold
+# 215 k steps/s warm is a genuine regression, not timing noise.
 COMPILED_STEPS_PER_S_FLOOR = 215_000.0
 
 
@@ -46,12 +45,10 @@ def _run():
 
 
 def test_compiled_comparison_throughput(benchmark, save_result):
-    backend = "numba-jitted" if HAVE_NUMBA else "interpreted fallback"
-
     def timed_run():
         # Cold: empty program cache and lattice -> precompute + LUT build +
-        # validation (+ JIT).  Reported, never floor-gated: setup cost
-        # is machine- and backend-dependent by design.
+        # validation.  Reported, never floor-gated: setup cost is
+        # machine-dependent by design.
         clear_program_cache()
         clear_lattice()
         cold_results, cold_s = _run()
@@ -79,12 +76,12 @@ def test_compiled_comparison_throughput(benchmark, save_result):
 
     assert warm_steps_per_s >= COMPILED_STEPS_PER_S_FLOOR, (
         f"compiled tier too slow: {warm_steps_per_s:.0f} steps/s warm "
-        f"< floor {COMPILED_STEPS_PER_S_FLOOR:.0f} ({backend})"
+        f"< floor {COMPILED_STEPS_PER_S_FLOOR:.0f}"
     )
 
     save_result(
         "compiled_comparison_perf",
-        f"compiled comparison ({backend}): {STEPS} steps\n"
+        f"compiled comparison: {STEPS} steps\n"
         f"  cold (build + first run): {cold_s:.2f} s "
         f"({STEPS / cold_s:.0f} steps/s)\n"
         f"  cold, lattice warm:       {relattice_s:.2f} s "

@@ -55,7 +55,7 @@ def test_perf_smoke(benchmark, save_result):
 
 # Compiled-tier smoke: the same one-hour slice through the fused lane
 # kernel + LUT engine.  The cold pass (program build: precompute, LUT fit and
-# validation, lane compilation, JIT when numba is present) is reported
+# validation, lane compilation) is reported
 # but never floor-gated; the warm pass must
 # clear a floor an order of magnitude above the scalar gate.  The full
 # 215 k steps/s acceptance gate lives in bench_compiled_comparison.py
@@ -64,12 +64,11 @@ COMPILED_SMOKE_FLOOR = 50_000.0
 
 
 def test_perf_smoke_compiled(save_result):
-    from repro.sim.compiled import HAVE_NUMBA, clear_program_cache
+    from repro.sim.compiled import clear_program_cache
 
     duration = 1.0 * HOURS
     dt = 10.0
     steps = 9 * 3 * int(duration / dt)
-    backend = "numba-jitted" if HAVE_NUMBA else "interpreted fallback"
 
     def compiled_run():
         t0 = time.perf_counter()
@@ -89,11 +88,11 @@ def test_perf_smoke_compiled(save_result):
 
     assert warm_steps_per_s > COMPILED_SMOKE_FLOOR, (
         f"compiled tier smoke regressed: {warm_steps_per_s:.0f} steps/s "
-        f"< floor {COMPILED_SMOKE_FLOOR:.0f} ({backend})"
+        f"< floor {COMPILED_SMOKE_FLOOR:.0f}"
     )
     save_result(
         "perf_smoke_compiled",
-        f"compiled perf smoke ({backend}): {steps} steps — "
+        f"compiled perf smoke: {steps} steps — "
         f"cold {cold_s:.3f} s ({steps / cold_s:.0f}/s), "
         f"warm {warm_s:.3f} s ({warm_steps_per_s:.0f}/s; "
         f"floor {COMPILED_SMOKE_FLOOR:.0f})",

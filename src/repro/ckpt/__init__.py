@@ -28,7 +28,6 @@ from repro.ckpt.atomic import (
     atomic_write_text,
     file_lock,
     locked_append_text,
-    locked_update_json,
 )
 from repro.ckpt.checkpoint import (
     CHECKPOINT_SCHEMA,
@@ -59,7 +58,6 @@ __all__ = [
     "atomic_write_json",
     "file_lock",
     "locked_append_text",
-    "locked_update_json",
     "CHECKPOINT_SCHEMA",
     "save_checkpoint",
     "load_checkpoint",

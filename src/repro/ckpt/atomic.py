@@ -3,9 +3,9 @@
 Every durable artifact this repo produces — golden traces, profile
 exports, experiment checkpoints, the job store — used to be written
 with a bare ``open(path, "w")``.  A crash (or a SIGKILL) mid-write
-leaves a truncated file, and two concurrent runs doing
-read-modify-write on the same shared file silently drop each other's
-updates.  This module fixes both failure modes:
+leaves a truncated file, and two concurrent writers appending to the
+same shared file tear each other's records.  This module fixes both
+failure modes:
 
 * :func:`atomic_write_bytes` / :func:`atomic_write_text` /
   :func:`atomic_write_json` — write to a same-directory temp file,
@@ -16,12 +16,12 @@ updates.  This module fixes both failure modes:
   file, with a bounded spin so a dead holder cannot wedge callers
   forever (``flock`` locks die with their process, so the timeout only
   fires on genuine long holders).
-* :func:`locked_update_json` — the read-modify-write pattern done
-  right: lock, read, update, atomic-replace, unlock.
+* :func:`locked_append_text` — one ``O_APPEND`` write under the lock,
+  so concurrent writers interleave whole lines.
 
 Locking degrades gracefully where ``fcntl`` is unavailable (non-POSIX):
 the lock becomes a no-op and the atomic rename still guarantees
-untorn files — only cross-process read-modify-write atomicity is lost.
+untorn files — only cross-process lock exclusion is lost.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import tempfile
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 from repro.errors import LockTimeoutError
 
@@ -205,53 +205,10 @@ def locked_append_text(
     return path
 
 
-def locked_update_json(
-    path: Union[str, Path],
-    update: Callable[[Any], Any],
-    default: Callable[[], Any] = dict,
-    timeout: Optional[float] = 30.0,
-    fsync: bool = True,
-) -> Any:
-    """Read-modify-write a JSON artifact under the advisory lock.
-
-    The whole cycle — read, ``update``, atomic replace — happens while
-    holding the sidecar lock, so two concurrent writers serialize
-    instead of dropping each other's changes.  A missing or corrupt
-    file (e.g. truncated by a pre-atomic-era crash) is replaced by
-    ``default()`` rather than aborting the run.
-
-    Args:
-        path: the JSON artifact.
-        update: called with the current payload; its return value (or
-            the mutated payload, if it returns None) is written back.
-        default: factory for the payload when the file is absent or
-            unreadable.
-        timeout: lock acquisition bound, seconds (``None``: block
-            forever, see :func:`file_lock`).
-        fsync: forwarded to :func:`atomic_write_json`.
-
-    Returns:
-        The payload that was written.
-    """
-    path = Path(path)
-    with file_lock(path, timeout=timeout):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError):
-            payload = default()
-        result = update(payload)
-        if result is None:
-            result = payload
-        atomic_write_json(path, result, fsync=fsync)
-    return result
-
-
 __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "atomic_write_json",
     "file_lock",
     "locked_append_text",
-    "locked_update_json",
 ]

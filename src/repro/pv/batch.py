@@ -116,25 +116,26 @@ def batch_current_at(p: _ParamArrays, v: np.ndarray, w_of_exp=lambertw_of_exp) -
 
     m = ideal_rs
     if np.any(m):
-        shunt = np.where(finite_rsh[m], v[m] / p.rsh[m], 0.0)
-        out[m] = p.iph[m] - p.i0[m] * np.expm1(np.minimum(v[m] / p.a[m], 700.0)) - shunt
+        q, vm = take_params(p, m), v[m]
+        shunt = np.where(finite_rsh[m], vm / q.rsh, 0.0)
+        out[m] = q.iph - q.i0 * np.expm1(np.minimum(vm / q.a, 700.0)) - shunt
 
     m = ~ideal_rs & ~finite_rsh
     if np.any(m):
-        log_theta = np.log(p.i0[m] * p.rs[m] / p.a[m]) + (
-            v[m] + p.rs[m] * (p.iph[m] + p.i0[m])
-        ) / p.a[m]
+        q, vm = take_params(p, m), v[m]
+        log_theta = np.log(q.i0 * q.rs / q.a) + (vm + q.rs * (q.iph + q.i0)) / q.a
         w = w_of_exp(log_theta)
-        out[m] = p.iph[m] + p.i0[m] - (p.a[m] / p.rs[m]) * w
+        out[m] = q.iph + q.i0 - (q.a / q.rs) * w
 
     m = ~ideal_rs & finite_rsh
     if np.any(m):
-        rt = p.rs[m] + p.rsh[m]
-        log_theta = np.log(p.rs[m] * p.rsh[m] * p.i0[m] / (p.a[m] * rt)) + p.rsh[m] * (
-            p.rs[m] * (p.iph[m] + p.i0[m]) + v[m]
-        ) / (p.a[m] * rt)
+        q, vm = take_params(p, m), v[m]
+        rt = q.rs + q.rsh
+        log_theta = np.log(q.rs * q.rsh * q.i0 / (q.a * rt)) + q.rsh * (
+            q.rs * (q.iph + q.i0) + vm
+        ) / (q.a * rt)
         w = w_of_exp(log_theta)
-        out[m] = (p.rsh[m] * (p.iph[m] + p.i0[m]) - v[m]) / rt - (p.a[m] / p.rs[m]) * w
+        out[m] = (q.rsh * (q.iph + q.i0) - vm) / rt - (q.a / q.rs) * w
 
     return out
 
@@ -146,14 +147,16 @@ def _batch_voc(p: _ParamArrays) -> np.ndarray:
 
     m = ~finite_rsh
     if np.any(m):
-        ratio = np.maximum((p.iph[m] + p.i0[m]) / p.i0[m], 1e-300)
-        out[m] = p.a[m] * np.log(ratio)
+        q = take_params(p, m)
+        ratio = np.maximum((q.iph + q.i0) / q.i0, 1e-300)
+        out[m] = q.a * np.log(ratio)
 
     m = finite_rsh
     if np.any(m):
-        log_theta = np.log(p.i0[m] * p.rsh[m] / p.a[m]) + p.rsh[m] * (p.iph[m] + p.i0[m]) / p.a[m]
+        q = take_params(p, m)
+        log_theta = np.log(q.i0 * q.rsh / q.a) + q.rsh * (q.iph + q.i0) / q.a
         w = lambertw_of_exp(log_theta)
-        out[m] = p.rsh[m] * (p.iph[m] + p.i0[m]) - p.a[m] * w
+        out[m] = q.rsh * (q.iph + q.i0) - q.a * w
 
     return out
 
@@ -169,18 +172,20 @@ def _batch_isc(p: _ParamArrays) -> np.ndarray:
 
     m = ~ideal_rs & ~finite_rsh
     if np.any(m):
-        log_theta = np.log(p.i0[m] * p.rs[m] / p.a[m]) + p.rs[m] * (p.iph[m] + p.i0[m]) / p.a[m]
+        q = take_params(p, m)
+        log_theta = np.log(q.i0 * q.rs / q.a) + q.rs * (q.iph + q.i0) / q.a
         w = lambertw_of_exp(log_theta)
-        out[m] = p.iph[m] + p.i0[m] - (p.a[m] / p.rs[m]) * w
+        out[m] = q.iph + q.i0 - (q.a / q.rs) * w
 
     m = ~ideal_rs & finite_rsh
     if np.any(m):
-        rt = p.rs[m] + p.rsh[m]
-        log_theta = np.log(p.rs[m] * p.rsh[m] * p.i0[m] / (p.a[m] * rt)) + p.rsh[m] * p.rs[m] * (
-            p.iph[m] + p.i0[m]
-        ) / (p.a[m] * rt)
+        q = take_params(p, m)
+        rt = q.rs + q.rsh
+        log_theta = np.log(q.rs * q.rsh * q.i0 / (q.a * rt)) + q.rsh * q.rs * (
+            q.iph + q.i0
+        ) / (q.a * rt)
         w = lambertw_of_exp(log_theta)
-        out[m] = p.rsh[m] * (p.iph[m] + p.i0[m]) / rt - (p.a[m] / p.rs[m]) * w
+        out[m] = q.rsh * (q.iph + q.i0) / rt - (q.a / q.rs) * w
 
     return out
 

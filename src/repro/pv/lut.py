@@ -27,9 +27,8 @@ stays O(1) with no search.  Interpolation is linear in ``u``.
 
 One lookup.  :func:`row_power` is the only scalar lookup, for both row
 families: :meth:`CellPowerLUT.power` calls it, and so does the compiled
-lane kernel (:mod:`repro.sim.compiled`, jitted alongside the kernel
-when numba is available).  :meth:`CellPowerLUT.power_many` is its
-vectorized twin, bit-for-bit.
+lane kernel (:mod:`repro.sim.compiled`).  :meth:`CellPowerLUT.power_many`
+is its vectorized twin, bit-for-bit.
 
 Error contract.  Every table carries a *declared* relative error
 budget (:attr:`CellPowerLUT.rel_budget`, relative to each condition's
@@ -87,9 +86,8 @@ def row_power(flat, nodes, grid_points, closed_form, base, v, voc):
     """Interpolated harvested power at ``v`` on one table row, watts.
 
     The one scalar lookup: :meth:`CellPowerLUT.power` calls it, and the
-    compiled lane kernel calls it (jitted with the kernel when numba is
-    available).  It indexes only with ``seq[i]``, so ``flat`` / ``nodes``
-    may be arrays or plain lists.
+    compiled lane kernel calls it with plain lists.  It indexes only with
+    ``seq[i]``, so ``flat`` / ``nodes`` may be arrays or lists.
 
     Args:
         flat: the table's flattened power rows (``power_table.ravel()``).

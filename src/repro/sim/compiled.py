@@ -8,7 +8,7 @@ replaced by a :class:`~repro.pv.lut.CellPowerLUT` lookup that passed its
 pre-run validation gate.  The kernel reads the table through
 :func:`repro.pv.lut.row_power`, its one scalar lookup.
 
-:func:`_lane_kernel` advances one *comparison lane* (one technique in
+:func:`_run_lane` advances one *comparison lane* (one technique in
 one scenario) through its whole horizon.  Controllers whose operating
 point does not depend on storage state (ideal oracle, the S&H platform,
 fixed-voltage, periodic FOCV, pilot cell, photodiode reference) are
@@ -18,13 +18,10 @@ run inside the kernel.  Every series lane goes through one builder,
 ``_ScenarioTables._series_lane``: each technique states only its
 operating-voltage rule, validity mask, harvest duty and overhead.
 
-The lane kernel and ``row_power`` are jitted with Numba when it imports
-(and ``REPRO_DISABLE_NUMBA`` is unset); otherwise the identical Python
-bodies run interpreted.  The fallback is not a different algorithm — it is
-the same function object — so results never depend on whether numba is
-installed.  The kernel is written to be fast *as plain Python* (flat
-locals, list indexing, no NumPy scalar boxing), which is what carries
-the throughput target on hosts without numba.
+The kernel runs interpreted, and is written to be fast as plain Python:
+every input it reads is a float or a list, bound to a local once before
+the per-step loop, so the loop indexes lists and never boxes a NumPy
+scalar.
 
 Controllers with feedback through storage or probe history (hill
 climbing) use LUT probes where the scalar engine used exact solves, so
@@ -37,9 +34,8 @@ bootstrap episode would have shifted its one-time calibration.
 from __future__ import annotations
 
 import math
-import os
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,44 +48,9 @@ from repro.pv.lut import lut_for_models, row_power
 from repro.sim.quasistatic import HarvestSummary
 
 __all__ = [
-    "HAVE_NUMBA",
     "run_comparison_scenario",
     "clear_program_cache",
 ]
-
-
-# --------------------------------------------------------------------------
-# Numba probe (import-time; REPRO_DISABLE_NUMBA forces the fallback)
-# --------------------------------------------------------------------------
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("REPRO_DISABLE_NUMBA", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-try:
-    if _numba_disabled():
-        raise ImportError("numba disabled by REPRO_DISABLE_NUMBA")
-    from numba import njit as _njit  # type: ignore
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - exercised on numba-free hosts
-    HAVE_NUMBA = False
-
-    def _njit(*args, **kwargs):  # type: ignore
-        """No-op decorator standing in for numba.njit."""
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
 
 
 _BOOT_DROP = 0.25
@@ -108,63 +69,69 @@ _OH_POWER = 2  # oh_row holds watts; overhead = (P / max(supply, 1e-9)) * supply
 # --------------------------------------------------------------------------
 # The comparison lane kernel
 # --------------------------------------------------------------------------
-#
-# One call advances one (technique, scenario) lane through `steps` steps.
-# The body is the scalar QuasiStaticSimulator.step chain with the exact
-# Supercapacitor.exchange / BuckBoostConverter.output_power arithmetic
-# inlined.  Each step first picks the mode's operating voltage (bootstrap
-# `supply + _BOOT_DROP`, direct `supply + drop`, hill `h_vop`), then reads
-# P(V) with one `_row_power` call; the hill probe is the only other call.
-# It indexes only with `seq[i]`, so the same body runs on NumPy arrays
-# (jitted) and plain lists (interpreted fallback).
 
 
-_row_power = _njit(cache=False)(row_power) if HAVE_NUMBA else row_power
+def _run_lane(
+    tables: _ScenarioTables,
+    prog: _LaneProgram,
+    conv,
+    store,
+    supply_voltage: float,
+) -> Optional[HarvestSummary]:
+    """Advance one (technique, scenario) lane through its whole horizon.
 
+    The loop body is the scalar QuasiStaticSimulator.step chain with the
+    exact Supercapacitor.exchange / BuckBoostConverter.output_power
+    arithmetic inlined.  Each step first picks the mode's operating
+    voltage (bootstrap ``supply + _BOOT_DROP``, direct ``supply + drop``,
+    hill ``h_vop``), then reads P(V) with one ``row_power`` call; the
+    hill probe is the only other call.
 
-def _lane_kernel_py(
-    steps,
-    dt,
-    times,
-    mode,
-    min_supply,
-    drop,
-    oh_type,
-    oh_row,
-    pv_row,
-    del_row,
-    u_row,
-    voc_row,
-    lit_row,
-    lut_flat,
-    grid_points,
-    closed_form,
-    nodes_flat,
-    has_conv,
-    conv_on,
-    conv_min_vin,
-    conv_fixed,
-    conv_prop,
-    conv_rcond,
-    has_store,
-    cap_c,
-    cap_rated,
-    cap_esr,
-    cap_leak,
-    v_start,
-    supply_voltage,
-    h_step,
-    h_period,
-    h_frac,
-    h_vop,
-    h_prev,
-    h_dir,
-    h_next,
-):
+    Returns None when the photodiode calibration valve declines the lane.
+    """
+    steps = tables.steps
+    dt = tables.dt
+    times = tables.times_l
+    u_row = tables.u_row_l
+    voc_row = tables.voc_row_l
+    lit_row = tables.lit_row_l
+    lut_flat = tables.flat_l
+    nodes_flat = tables.nodes_l
+    grid_points = tables.lut.grid_points
+    closed_form = tables.lut.closed_form
+
+    mode = prog.mode
+    min_supply = prog.min_supply
+    drop = prog.drop
+    oh_type = prog.oh_type
+    pv_row = prog.pv_row
+    del_row = prog.del_row
+    oh_row = prog.oh_row
+    hill = prog.hill if prog.hill is not None else (0.0,) * 7
+    h_step, h_period, h_frac, h_vop, h_prev, h_dir, h_next = hill
+
+    conv_on = bool(conv.enabled)
+    conv_min_vin = float(conv.min_input_voltage)
+    conv_fixed = float(conv.losses.fixed_power)
+    conv_prop = float(conv.losses.proportional_loss)
+    conv_rcond = float(conv.losses.conduction_resistance)
+
+    has_store = store is not None
+    if has_store:
+        cap_c = float(store.capacitance)
+        cap_rated = float(store.rated_voltage)
+        cap_esr = float(store.esr)
+        cap_leak = float(store.leakage_current)
+        v = float(store.voltage)
+    else:
+        cap_c = cap_rated = 1.0
+        cap_esr = cap_leak = 0.0
+        v = 0.0
+    supply_voltage = float(supply_voltage)
+
     e_cell = 0.0
     e_del = 0.0
     e_over = 0.0
-    v = v_start
     first_boot = -1
 
     for i in range(steps):
@@ -206,7 +173,7 @@ def _lane_kernel_py(
                     h_vop = h_frac * voc
                 t_now = times[i]
                 if t_now >= h_next:
-                    probe = _row_power(
+                    probe = row_power(
                         lut_flat, nodes_flat, grid_points, closed_form,
                         u_row[i] * grid_points, h_vop, voc,
                     )
@@ -223,7 +190,7 @@ def _lane_kernel_py(
                     h_next = t_now + h_period
                 vop = h_vop
         if vop > 0.0:
-            pv = _row_power(
+            pv = row_power(
                 lut_flat, nodes_flat, grid_points, closed_form,
                 u_row[i] * grid_points, vop, voc_row[i],
             )
@@ -232,20 +199,17 @@ def _lane_kernel_py(
         if mode == 0 and not boot:
             dp = del_row[i]
         elif pv > 0.0:
-            if has_conv:
-                if conv_on and vop >= conv_min_vin:
-                    q = pv / vop
-                    lossw = conv_fixed + conv_prop * pv + q * q * conv_rcond
-                    eta = 1.0 - lossw / pv
-                    if eta < 0.0:
-                        eta = 0.0
-                    elif eta > 1.0:
-                        eta = 1.0
-                    dp = pv * eta
-                else:
-                    dp = 0.0
+            if conv_on and vop >= conv_min_vin:
+                q = pv / vop
+                lossw = conv_fixed + conv_prop * pv + q * q * conv_rcond
+                eta = 1.0 - lossw / pv
+                if eta < 0.0:
+                    eta = 0.0
+                elif eta > 1.0:
+                    eta = 1.0
+                dp = pv * eta
             else:
-                dp = pv
+                dp = 0.0
         else:
             dp = 0.0
 
@@ -302,14 +266,21 @@ def _lane_kernel_py(
         e_del += acc * dt
         e_over += oh_w * dt
 
-    if has_store:
-        v_final = v
-    else:
-        v_final = supply_voltage
-    return e_cell, e_del, e_over, v_final, first_boot
+    # Photodiode safety valve: its one-time calibration was precomputed
+    # at the first lit step; a bootstrap episode at or before that step
+    # would have deferred it in the scalar engine — fall back.
+    if prog.cal_step >= 0 and 0 <= first_boot <= prog.cal_step:
+        return None
 
-
-_lane_kernel = _njit(cache=False)(_lane_kernel_py) if HAVE_NUMBA else _lane_kernel_py
+    return HarvestSummary(
+        duration=tables.duration,
+        energy_ideal=tables.e_ideal,
+        energy_at_cell=e_cell,
+        energy_delivered=e_del,
+        energy_overhead=e_over,
+        energy_load=0.0,
+        final_storage_voltage=v if has_store else supply_voltage,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -319,33 +290,23 @@ _lane_kernel = _njit(cache=False)(_lane_kernel_py) if HAVE_NUMBA else _lane_kern
 
 @dataclass
 class _LaneProgram:
-    """Kernel-ready description of one technique's lane."""
+    """Kernel-ready description of one technique's lane.
+
+    The three per-step rows are plain lists, which the interpreted
+    kernel indexes ~3x faster than ndarray scalars."""
 
     mode: int
+    pv_row: list
+    del_row: list
+    oh_row: list
     oh_type: int = 0
     min_supply: float = 0.0
     drop: float = 0.0
-    pv_row: Optional[np.ndarray] = None
-    del_row: Optional[np.ndarray] = None
-    oh_row: Optional[np.ndarray] = None
     hill: Optional[Tuple[float, ...]] = None
     cal_step: int = -1
-    # list twins for the interpreted kernel (built lazily)
-    _lists: Optional[tuple] = field(default=None, repr=False)
-
-    def rows_as_lists(self) -> tuple:
-        if self._lists is None:
-            self._lists = (
-                self.pv_row.tolist(),
-                self.del_row.tolist(),
-                self.oh_row.tolist(),
-            )
-        return self._lists
 
 
 def _conv_fingerprint(conv) -> tuple:
-    if conv is None:
-        return ()
     return (
         bool(conv.enabled),
         float(conv.min_input_voltage),
@@ -375,8 +336,7 @@ class _ScenarioTables:
         self.cell = cell
         self.pc = pc
         self.dt = float(pc.dt)
-        self.times = np.ascontiguousarray(np.asarray(pc.times, dtype=float))
-        self.steps = int(self.times.shape[0])
+        self.steps = len(pc)
         lux_arr = np.asarray(pc.lux, dtype=float)
 
         # Unique conditions in first-encounter (step) order, as the
@@ -412,8 +372,8 @@ class _ScenarioTables:
         self.e_ideal = e_id
         self.duration = dur
 
-        # List twins for the interpreted kernel.
-        self.times_l = self.times.tolist()
+        # List forms of the kernel's per-step inputs.
+        self.times_l = np.asarray(pc.times, dtype=float).tolist()
         self.u_row_l = u_row.tolist()
         self.voc_row_l = self.voc_row.tolist()
         self.lit_row_l = self.lit_row.tolist()
@@ -440,8 +400,6 @@ class _ScenarioTables:
 
     def _delivered_series(self, pv_row: np.ndarray, vop_row: np.ndarray, conv) -> np.ndarray:
         """BuckBoostConverter.output_power, vectorized over the lane."""
-        if conv is None:
-            return pv_row.copy()
         routed = pv_row > 0.0
         dp = np.where(routed, 0.0, pv_row)
         running = routed & bool(conv.enabled) & (vop_row >= conv.min_input_voltage)
@@ -481,11 +439,11 @@ class _ScenarioTables:
         pv = self._lut_series(vop, valid, duty)
         return _LaneProgram(
             mode=_MODE_SERIES,
+            pv_row=pv.tolist(),
+            del_row=self._delivered_series(pv, vop, conv).tolist(),
+            oh_row=oh_row.tolist(),
             oh_type=oh_type,
             min_supply=float(min_supply),
-            pv_row=pv,
-            del_row=self._delivered_series(pv, vop, conv),
-            oh_row=oh_row,
             cal_step=cal_step,
         )
 
@@ -553,23 +511,25 @@ class _ScenarioTables:
             )
 
         if name == "NoMPPT":
+            idle = [0.0] * self.steps
             return _LaneProgram(
                 mode=_MODE_DIRECT,
+                pv_row=idle,
+                del_row=idle,
+                oh_row=idle,
                 min_supply=0.0,
                 drop=float(ctl.diode_drop),
-                pv_row=zeros,
-                del_row=zeros,
-                oh_row=zeros,
             )
 
         if name == "HillClimbing":
+            idle = [0.0] * self.steps
             return _LaneProgram(
                 mode=_MODE_HILL,
+                pv_row=idle,
+                del_row=idle,
+                oh_row=np.full(self.steps, float(ctl.average_overhead_current())).tolist(),
                 oh_type=_OH_CURRENT,
                 min_supply=float(ctl.min_supply),
-                pv_row=zeros,
-                del_row=zeros,
-                oh_row=np.full(self.steps, float(ctl.average_overhead_current())),
                 hill=(
                     float(ctl.step_voltage),
                     float(ctl.update_period),
@@ -611,19 +571,6 @@ class _ScenarioTables:
 
 _PROGRAM_CACHE: "OrderedDict[tuple, _ScenarioTables]" = OrderedDict()
 _PROGRAM_CACHE_MAX = 4
-
-_LANE_KERNEL_WARM = False
-"""Whether the lane kernel has run in this process — with numba
-installed, its first call is the one that pays JIT compilation, so the
-cold call gets its own trace span."""
-
-
-def _kernel_is_cold() -> bool:
-    """True exactly once per process: on the lane kernel's first call."""
-    global _LANE_KERNEL_WARM
-    cold = not _LANE_KERNEL_WARM
-    _LANE_KERNEL_WARM = True
-    return cold
 
 
 def clear_program_cache() -> None:
@@ -704,126 +651,6 @@ def _tables_for(
 # --------------------------------------------------------------------------
 # Comparison lane runner
 # --------------------------------------------------------------------------
-
-
-def _run_lane(
-    tables: _ScenarioTables,
-    prog: _LaneProgram,
-    conv,
-    store,
-    supply_voltage: float,
-) -> Optional[HarvestSummary]:
-    if conv is None:
-        has_conv = False
-        conv_on = False
-        cmv = cf = cp = cr = 0.0
-    else:
-        has_conv = True
-        conv_on = bool(conv.enabled)
-        cmv = float(conv.min_input_voltage)
-        cf = float(conv.losses.fixed_power)
-        cp = float(conv.losses.proportional_loss)
-        cr = float(conv.losses.conduction_resistance)
-    if store is None:
-        has_store = False
-        cap_c = cap_rated = 1.0
-        cap_esr = cap_leak = 0.0
-        v0 = 0.0
-    else:
-        has_store = True
-        cap_c = float(store.capacitance)
-        cap_rated = float(store.rated_voltage)
-        cap_esr = float(store.esr)
-        cap_leak = float(store.leakage_current)
-        v0 = float(store.voltage)
-
-    hill = prog.hill if prog.hill is not None else (0.0,) * 7
-    h_step, h_period, h_frac, h_vop, h_prev, h_dir, h_next = hill
-
-    from contextlib import nullcontext
-
-    compile_span = (
-        TRACER.span("compiled:kernel-compile[lane]")
-        if _kernel_is_cold()
-        else nullcontext()
-    )
-
-    if HAVE_NUMBA:
-        rows = (prog.pv_row, prog.del_row, prog.oh_row)
-        times = tables.times
-        u_row = tables.u_row
-        voc_row = tables.voc_row
-        lit_row = tables.lit_row
-        flat = tables.lut._flat
-        nodes = tables.lut._nodes_flat
-    else:
-        # interpreted path: lists index ~3x faster than ndarray scalars
-        rows = prog.rows_as_lists()
-        times = tables.times_l
-        u_row = tables.u_row_l
-        voc_row = tables.voc_row_l
-        lit_row = tables.lit_row_l
-        flat = tables.flat_l
-        nodes = tables.nodes_l
-    pv_row, del_row, oh_row = rows
-
-    with compile_span:
-        result = _lane_kernel(
-        tables.steps,
-        tables.dt,
-        times,
-        prog.mode,
-        prog.min_supply,
-        prog.drop,
-        prog.oh_type,
-        oh_row,
-        pv_row,
-        del_row,
-        u_row,
-        voc_row,
-        lit_row,
-        flat,
-        tables.lut.grid_points,
-        tables.lut.closed_form,
-        nodes,
-        has_conv,
-        conv_on,
-        cmv,
-        cf,
-        cp,
-        cr,
-        has_store,
-        cap_c,
-        cap_rated,
-        cap_esr,
-        cap_leak,
-        v0,
-        float(supply_voltage),
-        h_step,
-        h_period,
-        h_frac,
-        h_vop,
-        h_prev,
-        h_dir,
-        h_next,
-    )
-    e_cell, e_del, e_over, v_final, first_boot = result
-
-    # Photodiode safety valve: its one-time calibration was precomputed
-    # at the first lit step; a bootstrap episode at or before that step
-    # would have deferred it in the scalar engine — fall back.
-    if prog.cal_step >= 0 and 0 <= first_boot <= prog.cal_step:
-        return None
-
-    return HarvestSummary(
-        duration=tables.duration,
-        energy_ideal=tables.e_ideal,
-        energy_at_cell=e_cell,
-        energy_delivered=e_del,
-        energy_overhead=e_over,
-        energy_load=0.0,
-        final_storage_voltage=v_final,
-    )
 
 
 def run_comparison_scenario(

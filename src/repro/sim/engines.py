@@ -11,17 +11,16 @@ Three tiers advance the same physics at different throughput:
   the scalar engine (run by :class:`~repro.sim.fleet.FleetSimulator`).
   Matches scalar to a-few-ulp tolerance.
 * ``compiled`` — :mod:`repro.sim.compiled`: a fused comparison/strings
-  lane kernel (Numba-jitted when numba is importable, pure-Python
-  otherwise) over a validated power LUT (:mod:`repro.pv.lut`).  Matches
-  scalar within the table's declared error budget.
+  lane kernel, run interpreted, over a validated power LUT
+  (:mod:`repro.pv.lut`).  Matches scalar within the table's declared
+  error budget.
 
 :data:`EXPERIMENT_ENGINES` is the one table of which tiers each
 experiment implements; the entry points, the CLI ``--engine`` choices and
 the service's spec fields all read it.
 
 ``engine="auto"`` resolves to the fastest tier an experiment supports.
-The compiled tier is *always* available — the import-time numba probe
-only decides whether its lane kernel is jitted or interpreted — so auto
+The compiled tier is *always* available and has one backend, so auto
 never depends on the environment and results never silently change
 with it.
 
@@ -68,10 +67,10 @@ def engine_choices(experiment: str) -> tuple:
 
 
 def have_numba() -> bool:
-    """Whether the compiled tier's lane kernel is jitted (vs interpreted)."""
-    from repro.sim.compiled import HAVE_NUMBA
+    """Always False: the compiled tier's lane kernel is always interpreted.
 
-    return HAVE_NUMBA
+    Kept because run records report it in their context."""
+    return False
 
 
 def resolve_engine(

@@ -107,6 +107,8 @@ class DifferentialSpec:
             always prepended by the experiment itself).
         duration / dt: horizon and quasi-static step, seconds.
         seed: campaign seed (resilience only).
+        use_storage: charge a supercapacitor; False runs every lane
+            against the ideal 3 V rail (comparison only).
     """
 
     experiment: str = "comparison"
@@ -119,6 +121,7 @@ class DifferentialSpec:
     duration: float = 24.0 * 3600.0
     dt: float = 1800.0
     seed: int = 0
+    use_storage: bool = True
 
     def build_cell(self):
         if self.n_cells <= 1:
@@ -145,6 +148,7 @@ def run_spec(spec: DifferentialSpec, engine: str) -> dict:
             dt=spec.dt,
             techniques=list(spec.techniques),
             scenarios=[spec.scenario],
+            use_storage=spec.use_storage,
             engine=engine,
             shading=spec.shading,
         )

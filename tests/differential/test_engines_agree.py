@@ -17,6 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.comparison import default_controllers
+from repro.pv.cells import am_1815
 from tests.differential.harness import (
     DifferentialSpec,
     Tolerances,
@@ -77,6 +79,17 @@ class TestFixedSpecs:
             ),
             tols=Tolerances(fleet_rtol=0.0),
             engines=("scalar", "fleet"),
+        )
+
+    def test_storage_less_lanes_all_techniques(self):
+        """Every technique against the ideal 3 V rail: the compiled
+        kernel's no-store branch agrees with scalar within the budget."""
+        assert_engines_agree(
+            DifferentialSpec(
+                techniques=tuple(default_controllers(am_1815())),
+                dt=60.0,
+                use_storage=False,
+            )
         )
 
     def test_tolerance_violation_is_reported_per_field(self):

@@ -3,11 +3,11 @@
 Mirrors ``test_golden_traces.py`` for the heterogeneous-string
 workload: a mismatched 4s AM-1815 string under the indoor edge-sweep
 and the outdoor blob-occlusion shadow maps, frozen bit-for-bit from the
-scalar engine.  The compiled tier is held to its knee-aligned string
-LUT's validated budget.  (Fleet members step on the scalar engine and
-sample through the same string bisection, so the fleet tier is bitwise
-here; the differential harness pins that through a resilience
-clean-campaign spec.)
+scalar engine.  The compiled tier, reading its knee-aligned string
+LUT, is held to ~3x its measured error against them.  (Fleet members
+step on the scalar engine and sample through the same string
+bisection, so the fleet tier is bitwise here; the differential harness
+pins that through a resilience clean-campaign spec.)
 
 Re-baseline (after a reviewed numerical change)::
 
@@ -23,6 +23,7 @@ from repro.env.profiles import HOURS
 from repro.experiments.comparison import run_comparison
 from repro.pv.cells import am_1815
 from repro.pv.string import CellString
+from tests.integration.test_golden_traces import FLEET_RTOL
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"
 DURATION = 24.0 * HOURS
@@ -52,8 +53,14 @@ SUMMARY_FIELDS = (
 )
 ENERGY_FIELDS = ("energy_at_cell", "energy_delivered", "energy_overhead", "energy_load")
 
-COMPILED_ENERGY_TOL = {"default": 1e-3, "hill-climbing": 2e-2}
-COMPILED_VOLTAGE_TOL = {"default": 1e-3, "hill-climbing": 1e-2}
+# Compiled-tier declared tolerances, one for every lane: energies
+# relative to the lane's ideal harvest, final voltage absolute, ~3x the
+# worst error measured against these fixtures (energy 3.6e-5 on the
+# indoor ideal oracle, voltage 2.0e-5 V on the indoor photodiode
+# reference; hill climbing measures below both, 9.9e-6 / 6.8e-6 V).
+# ``energy_ideal`` is replayed bitwise, held to FLEET_RTOL.
+COMPILED_ENERGY_TOL = 1.1e-4
+COMPILED_VOLTAGE_TOL = 6e-5
 
 
 def golden_path(label: str) -> pathlib.Path:
@@ -90,23 +97,21 @@ def assert_matches_golden(engine, label, technique, measured, golden_fields):
                 "intentional, re-baseline with --update-golden)"
             )
         return
-    etol = COMPILED_ENERGY_TOL.get(technique, COMPILED_ENERGY_TOL["default"])
-    vtol = COMPILED_VOLTAGE_TOL.get(technique, COMPILED_VOLTAGE_TOL["default"])
     scale = max(abs(golden_fields["energy_ideal"]), 1e-9)
     assert measured["duration"] == golden_fields["duration"]
     assert measured["energy_ideal"] == pytest.approx(
-        golden_fields["energy_ideal"], rel=1e-12, abs=1e-18
+        golden_fields["energy_ideal"], rel=FLEET_RTOL, abs=1e-18
     ), f"{label}/{technique}: energy_ideal is replayed exactly, not interpolated"
     for f in ENERGY_FIELDS:
         err = abs(measured[f] - golden_fields[f]) / scale
-        assert err <= etol, (
+        assert err <= COMPILED_ENERGY_TOL, (
             f"{label}/{technique}/{f}: compiled error {err:.3e} exceeds "
-            f"the declared budget {etol:.1e} (relative to ideal harvest)"
+            f"the declared budget {COMPILED_ENERGY_TOL:.1e} (relative to ideal harvest)"
         )
     dv = abs(measured["final_storage_voltage"] - golden_fields["final_storage_voltage"])
-    assert dv <= vtol, (
+    assert dv <= COMPILED_VOLTAGE_TOL, (
         f"{label}/{technique}: compiled final storage voltage off by "
-        f"{dv:.3e} V (declared budget {vtol:.1e} V)"
+        f"{dv:.3e} V (declared budget {COMPILED_VOLTAGE_TOL:.1e} V)"
     )
 
 

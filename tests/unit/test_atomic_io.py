@@ -1,7 +1,6 @@
 """Unit tests for the atomic artifact I/O layer (repro.ckpt.atomic)."""
 
 import json
-import multiprocessing
 import os
 
 import pytest
@@ -11,7 +10,6 @@ from repro.ckpt.atomic import (
     atomic_write_json,
     atomic_write_text,
     file_lock,
-    locked_update_json,
 )
 from repro.errors import LockTimeoutError
 
@@ -116,53 +114,3 @@ class TestFileLock:
         releaser.cancel()
         # Blocked until the holder let go — never raised, never spun out.
         assert waited >= 0.15
-
-
-def _contend(args):
-    """Worker: append one entry to the shared ledger under the lock."""
-    path, worker_id = args
-    for i in range(5):
-        locked_update_json(
-            path,
-            lambda payload: payload["entries"].append([worker_id, i]),
-            default=lambda: {"entries": []},
-            fsync=False,
-        )
-    return worker_id
-
-
-class TestLockedUpdateJson:
-    def test_creates_file_from_default(self, tmp_path):
-        target = tmp_path / "ledger.json"
-        result = locked_update_json(
-            target, lambda p: p.update(runs=[]), default=dict
-        )
-        assert json.loads(target.read_text()) == {"runs": []}
-        assert result == {"runs": []}
-
-    def test_update_return_value_replaces_payload(self, tmp_path):
-        target = tmp_path / "ledger.json"
-        locked_update_json(target, lambda p: {"replaced": True})
-        assert json.loads(target.read_text()) == {"replaced": True}
-
-    def test_corrupt_file_replaced_by_default(self, tmp_path):
-        target = tmp_path / "ledger.json"
-        target.write_text("{ torn json")
-        locked_update_json(
-            target,
-            lambda p: p.update(recovered=True),
-            default=lambda: {"recovered": False},
-        )
-        assert json.loads(target.read_text()) == {"recovered": True}
-
-    def test_concurrent_writers_lose_nothing(self, tmp_path):
-        target = tmp_path / "ledger.json"
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(4) as pool:
-            pool.map(_contend, [(str(target), w) for w in range(4)])
-        entries = json.loads(target.read_text())["entries"]
-        # 4 workers x 5 appends, none dropped by a racing read-modify-write.
-        assert len(entries) == 20
-        assert sorted(map(tuple, entries)) == sorted(
-            (w, i) for w in range(4) for i in range(5)
-        )

@@ -171,40 +171,6 @@ class TestEngineRegistry:
             run_resilience(duration=600.0, dt=60.0, engine="compiled")
 
 
-def _span_count(node, name):
-    own = node.count if node.name == name else 0
-    return own + sum(_span_count(child, name) for child in node.children.values())
-
-
-class TestKernelCompileSpan:
-    def test_cold_lane_kernel_traced_once(self, monkeypatch):
-        import repro.obs as obs
-        from repro.sim import compiled
-
-        kwargs = dict(
-            duration=3600.0,
-            dt=60.0,
-            scenarios=["office-desk"],
-            techniques=["proposed-S&H-FOCV", "no-MPPT-direct"],
-            engine="compiled",
-        )
-        monkeypatch.setattr(compiled, "_LANE_KERNEL_WARM", False)
-        obs.enable()
-        obs.TRACER.reset()
-        try:
-            run_comparison(**kwargs)
-            cold = _span_count(obs.TRACER.root, "compiled:kernel-compile[lane]")
-            obs.TRACER.reset()
-            run_comparison(**kwargs)
-            warm = _span_count(obs.TRACER.root, "compiled:kernel-compile[lane]")
-        finally:
-            obs.disable()
-            obs.TRACER.reset()
-            obs.REGISTRY.reset()
-        assert cold == 1
-        assert warm == 0
-
-
 class TestLaneStepCounter:
     def test_compiled_lanes_count_into_their_own_counter(self):
         import repro.obs as obs
