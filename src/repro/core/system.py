@@ -371,15 +371,7 @@ def sample_hold_constants(controller, models: Sequence[object], voc) -> SampleHo
     )
 
 
-def replay_sample_hold(
-    c: SampleHoldConstants,
-    times: Sequence[float],
-    dt: float,
-    target: Sequence[float],
-    voc: Sequence[float],
-    leak_schedule=None,
-    leak_multiplier: float = 1.0,
-) -> tuple:
+def replay_sample_hold(controller, precomputed) -> tuple:
     """Walk a started S&H chain over a whole condition trace, once.
 
     Step by step this is :meth:`SampleHoldMPPT.decide` on the powered
@@ -389,24 +381,37 @@ def replay_sample_hold(
     reads storage, which is what lets the chain run ahead of the engine.
 
     Args:
-        c: the chain's constants and initial state
+        controller: a started :class:`SampleHoldMPPT`, optionally
+            wrapped in :class:`HoldLeakageFault` (:func:`fleet_supported`).
+            On the fault's active steps the hold capacitor droops an
+            extra ``dt·(multiplier − 1)`` after the comparator, as the
+            wrapper does.
+        precomputed: the :class:`~repro.sim.precompute.PrecomputedConditions`
+            to replay over; its ``unique`` models and ``voc`` give the
+            chain's per-condition targets
             (:func:`sample_hold_constants`).
-        times: step start times, seconds.
-        dt: step length, seconds.
-        target: per-step U2 sample target (``c.target`` at the trace's
-            condition index), volts.
-        voc: per-step open-circuit voltage, volts.
-        leak_schedule: a :class:`HoldLeakageFault`'s schedule, or None.
-        leak_multiplier: that fault's droop multiplier.  On active steps
-            the hold capacitor droops an extra ``dt·(multiplier − 1)``
-            after the comparator, as the wrapper does.
 
     Returns:
         ``(v_op, duty, overhead_current, valid)`` arrays, one entry per
         step: the held-sample setpoint, the harvest duty, the controller
         supply current, and whether the step's decision connects the
         cell at ``v_op``.
+
+    Raises:
+        ModelParameterError: the controller is not a started S&H chain.
     """
+    if not fleet_supported(controller):
+        raise ModelParameterError(
+            f"{controller.name!r} is not a started S&H chain; run it on the scalar engine"
+        )
+    base, leak_schedule, leak_multiplier = _unwrap_controller(controller)
+    pc = precomputed
+    c = sample_hold_constants(base, pc.unique, pc.voc)
+    dt = float(pc.dt)
+    times = pc.times.tolist()
+    target = c.target[pc.u_row].tolist()
+    voc = pc.voc[pc.u_row].tolist()
+
     steps = len(times)
     held = c.held
     pulse = c.next_pulse
@@ -503,25 +508,10 @@ class ReplayedSampleHold:
     """
 
     def __init__(self, controller, precomputed):
-        if not fleet_supported(controller):
-            raise ModelParameterError(
-                f"{controller.name!r} is not a started S&H chain; run it on the scalar engine"
-            )
-        base, leak_schedule, leak_multiplier = _unwrap_controller(controller)
+        series = replay_sample_hold(controller, precomputed)
         self.name = controller.name
         self.dt = float(precomputed.dt)
-        self._times = np.asarray(precomputed.times, dtype=float).tolist()
-        voc = np.array([model.voc() for model in precomputed.unique])
-        c = sample_hold_constants(base, precomputed.unique, voc)
-        series = replay_sample_hold(
-            c,
-            self._times,
-            self.dt,
-            c.target[precomputed.u_row].tolist(),
-            voc[precomputed.u_row].tolist(),
-            leak_schedule,
-            leak_multiplier,
-        )
+        self._times = precomputed.times.tolist()
         self._v_op, self._duty, self._overhead, self._valid = (
             row.tolist() for row in series
         )

@@ -184,97 +184,8 @@ REGISTRY = MetricsRegistry()
 """The process-wide registry every instrumented path reports into."""
 
 
-class Hooks:
-    """Hot-path instrument slots, ``None`` until observability is enabled.
-
-    Call sites load one slot, test ``is None``, and increment — the
-    cheapest conditional instrumentation CPython allows.  Slots:
-
-    * ``lambertw_calls`` / ``lambertw_newton_iters`` — explicit solver
-      invocations and asymptotic-Newton iterations
-      (:mod:`repro.pv.single_diode`).
-    * ``mpp_solves`` / ``mpp_iters`` — golden-section MPP searches
-      and the section-narrowing iterations they took.
-    * ``batch_solves`` / ``batch_conditions`` — vectorized solve passes
-      and the conditions they covered (:mod:`repro.pv.batch`).
-    * ``cache_hits`` / ``cache_misses`` — the quasi-static engine's
-      quantised ideal-MPP memo (:mod:`repro.sim.quasistatic`).
-    * ``scheduler_clamps`` — report periods clamped at the min/max
-      bound (:mod:`repro.node.scheduler`).
-    * ``fault_activations`` — fault-window queries that found a window
-      active (:mod:`repro.faults.schedule`).
-    * ``converter_gated`` / ``converter_transitions`` — quasi-static
-      steps where the converter refused power, and hysteretic
-      run/idle mode flips (:mod:`repro.converter.buck_boost`).
-    * ``ckpt_saves`` / ``ckpt_restores`` — checkpoint envelopes written
-      and loaded (:mod:`repro.ckpt.checkpoint`).
-    * ``fleet_nodes`` / ``fleet_steps`` — population sizes taken on by
-      the fleet engine and node-steps it advanced (replayed S&H lanes
-      in :mod:`repro.sim.fleet`, Monte Carlo boards in
-      :mod:`repro.core.sample_hold`).
-    * ``lut_builds`` / ``lut_validations`` — power-LUT tables built and
-      pre-run validation gates executed (:mod:`repro.pv.lut`) — the
-      compiled tier's dominant cold-start costs.
-    * ``lut_lattice_built`` / ``lut_lattice_reused`` — single-cell
-      lattice rows a table build solved exactly, and rows it found
-      already built (:mod:`repro.pv.lut`).
-    * ``compiled_program_hits`` / ``compiled_program_misses`` — compiled
-      comparison-program cache traffic (:mod:`repro.sim.compiled`); a
-      miss pays LUT build + validation + lane compilation.
-    * ``compiled_lane_steps`` — lane-steps advanced by the compiled
-      comparison kernel (declined lanes run scalar and are not counted).
-    * ``service_submitted`` / ``service_coalesced`` /
-      ``service_rejected`` / ``service_retries`` /
-      ``service_quarantined`` / ``service_completed`` /
-      ``service_recovered`` — job-server lifecycle traffic
-      (:mod:`repro.service`): admissions, duplicate specs coalesced
-      onto a live run or served from the result cache, 429
-      backpressure rejections, per-job retry attempts, poison jobs
-      dead-lettered, jobs finished, and jobs re-admitted from the
-      store after a crash.
-    """
-
-    __slots__ = (
-        "lambertw_calls",
-        "lambertw_newton_iters",
-        "mpp_solves",
-        "mpp_iters",
-        "batch_solves",
-        "batch_conditions",
-        "cache_hits",
-        "cache_misses",
-        "scheduler_clamps",
-        "fault_activations",
-        "converter_gated",
-        "converter_transitions",
-        "ckpt_saves",
-        "ckpt_restores",
-        "fleet_nodes",
-        "fleet_steps",
-        "lut_builds",
-        "lut_validations",
-        "lut_lattice_built",
-        "lut_lattice_reused",
-        "compiled_program_hits",
-        "compiled_program_misses",
-        "compiled_lane_steps",
-        "service_submitted",
-        "service_coalesced",
-        "service_rejected",
-        "service_retries",
-        "service_quarantined",
-        "service_completed",
-        "service_recovered",
-    )
-
-    def __init__(self):
-        for slot in self.__slots__:
-            setattr(self, slot, None)
-
-
-HOOKS = Hooks()
-"""The module-level hook struct hot paths consult."""
-
+# Hook slot -> (counter name, description): the one list of hook
+# slots, which both Hooks and install_hooks read.
 _HOOK_INSTRUMENTS = {
     "lambertw_calls": ("solver.lambertw_calls", "explicit Lambert-W solver invocations"),
     "lambertw_newton_iters": (
@@ -352,6 +263,67 @@ _HOOK_INSTRUMENTS = {
         "jobs re-admitted from the crash-safe store after a server restart",
     ),
 }
+
+
+class Hooks:
+    """Hot-path instrument slots, ``None`` until observability is enabled.
+
+    Call sites load one slot, test ``is None``, and increment — the
+    cheapest conditional instrumentation CPython allows.  Slots:
+
+    * ``lambertw_calls`` / ``lambertw_newton_iters`` — explicit solver
+      invocations and asymptotic-Newton iterations
+      (:mod:`repro.pv.single_diode`).
+    * ``mpp_solves`` / ``mpp_iters`` — golden-section MPP searches
+      and the section-narrowing iterations they took.
+    * ``batch_solves`` / ``batch_conditions`` — vectorized solve passes
+      and the conditions they covered (:mod:`repro.pv.batch`).
+    * ``cache_hits`` / ``cache_misses`` — the quasi-static engine's
+      quantised ideal-MPP memo (:mod:`repro.sim.quasistatic`).
+    * ``scheduler_clamps`` — report periods clamped at the min/max
+      bound (:mod:`repro.node.scheduler`).
+    * ``fault_activations`` — fault-window queries that found a window
+      active (:mod:`repro.faults.schedule`).
+    * ``converter_gated`` / ``converter_transitions`` — quasi-static
+      steps where the converter refused power, and hysteretic
+      run/idle mode flips (:mod:`repro.converter.buck_boost`).
+    * ``ckpt_saves`` / ``ckpt_restores`` — checkpoint envelopes written
+      and loaded (:mod:`repro.ckpt.checkpoint`).
+    * ``fleet_nodes`` / ``fleet_steps`` — population sizes taken on by
+      the fleet engine and node-steps it advanced (replayed S&H lanes
+      in :mod:`repro.sim.fleet`, Monte Carlo boards in
+      :mod:`repro.core.sample_hold`).
+    * ``lut_builds`` / ``lut_validations`` — power-LUT tables built and
+      pre-run validation gates executed (:mod:`repro.pv.lut`) — the
+      compiled tier's dominant cold-start costs.
+    * ``lut_lattice_built`` / ``lut_lattice_reused`` — single-cell
+      lattice rows a table build solved exactly, and rows it found
+      already built (:mod:`repro.pv.lut`).
+    * ``compiled_program_hits`` / ``compiled_program_misses`` — compiled
+      comparison-program cache traffic (:mod:`repro.sim.compiled`); a
+      miss pays LUT build + validation + lane compilation.
+    * ``compiled_lane_steps`` — lane-steps advanced by the compiled
+      comparison kernel (declined lanes run scalar and are not counted).
+    * ``service_submitted`` / ``service_coalesced`` /
+      ``service_rejected`` / ``service_retries`` /
+      ``service_quarantined`` / ``service_completed`` /
+      ``service_recovered`` — job-server lifecycle traffic
+      (:mod:`repro.service`): admissions, duplicate specs coalesced
+      onto a live run or served from the result cache, 429
+      backpressure rejections, per-job retry attempts, poison jobs
+      dead-lettered, jobs finished, and jobs re-admitted from the
+      store after a crash.
+    """
+
+    __slots__ = tuple(_HOOK_INSTRUMENTS)
+
+    def __init__(self):
+        for slot in self.__slots__:
+            setattr(self, slot, None)
+
+
+HOOKS = Hooks()
+"""The module-level hook struct hot paths consult."""
 
 
 def install_hooks(registry: MetricsRegistry = REGISTRY) -> None:

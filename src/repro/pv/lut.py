@@ -86,8 +86,9 @@ def row_power(flat, nodes, grid_points, closed_form, base, v, voc):
     """Interpolated harvested power at ``v`` on one table row, watts.
 
     The one scalar lookup: :meth:`CellPowerLUT.power` calls it, and the
-    compiled lane kernel calls it with plain lists.  It indexes only with
-    ``seq[i]``, so ``flat`` / ``nodes`` may be arrays or lists.
+    compiled lane kernel calls it with memoryviews of the table's
+    arrays.  It indexes only with ``seq[i]``, so ``flat`` / ``nodes``
+    may be arrays, memoryviews or lists.
 
     Args:
         flat: the table's flattened power rows (``power_table.ravel()``).

@@ -37,6 +37,7 @@ import numpy as np
 from repro.errors import ModelParameterError
 from repro.pv.batch import (
     STRING_BISECTION_ITERS,
+    BatchSolveResult,
     StringParamArrays,
     _StringEval,
     stack_string_params,
@@ -438,18 +439,23 @@ class CellString:
         return voltage * current
 
 
-def solve_string_models(models: Sequence[StringModel]) -> None:
-    """Pre-fill Voc/Isc/MPP memos of many string models in one pass.
+def solve_string_models(models: Sequence[StringModel]) -> BatchSolveResult:
+    """Solve Voc/Isc/MPP of many string models in one pass.
 
     The string analogue of :func:`repro.pv.batch.solve_models`: stacks
-    every string into one ragged cell-axis stack and runs the vectorized
-    kernels once, so later per-instance calls are dictionary lookups.
-    The per-row arithmetic is identical to each instance's own one-row
-    solve, so memoised values match lazy values exactly.
+    every string into one ragged cell-axis stack, runs the vectorized
+    kernels once and pre-fills each instance's memos, so later
+    per-instance calls are dictionary lookups.  The per-row arithmetic
+    is identical to each instance's own one-row solve, so memoised
+    values match lazy values exactly.
+
+    Returns:
+        A :class:`~repro.pv.batch.BatchSolveResult` aligned with ``models``.
     """
-    models = [m for m in models if isinstance(m, StringModel)]
+    models = list(models)
     if not models:
-        return
+        empty = np.empty(0)
+        return BatchSolveResult(voc=empty, isc=empty, v_mpp=empty, i_mpp=empty, p_mpp=empty)
     sp = stack_string_params(
         [m.cells for m in models], [m.bypass_drop for m in models]
     )
@@ -467,6 +473,7 @@ def solve_string_models(models: Sequence[StringModel]) -> None:
             isc=float(isc[j]),
             knees=tuple(maxima[j]),
         )
+    return BatchSolveResult(voc=voc, isc=isc, v_mpp=v_mpp, i_mpp=i_mpp, p_mpp=p_mpp)
 
 
 __all__ = [

@@ -19,9 +19,9 @@ run inside the kernel.  Every series lane goes through one builder,
 operating-voltage rule, validity mask, harvest duty and overhead.
 
 The kernel runs interpreted, and is written to be fast as plain Python:
-every input it reads is a float or a list, bound to a local once before
-the per-step loop, so the loop indexes lists and never boxes a NumPy
-scalar.
+every input it reads is bound to a local once before the per-step loop
+— floats, lists for the per-step rows, and memoryviews of the table's
+arrays — so the loop never boxes a NumPy scalar.
 
 Controllers with feedback through storage or probe history (hill
 climbing) use LUT probes where the scalar engine used exact solves, so
@@ -40,7 +40,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.system import fleet_supported, replay_sample_hold, sample_hold_constants
+from repro.core.system import fleet_supported, replay_sample_hold
 from repro.obs import journal as _journal
 from repro.obs.metrics import HOOKS as _OBS
 from repro.obs.tracing import TRACER
@@ -95,8 +95,10 @@ def _run_lane(
     u_row = tables.u_row_l
     voc_row = tables.voc_row_l
     lit_row = tables.lit_row_l
-    lut_flat = tables.flat_l
-    nodes_flat = tables.nodes_l
+    # The table itself, read in place: indexing a float64 memoryview
+    # returns a Python float, with no list copy of the whole table.
+    lut_flat = tables.lut._flat.data
+    nodes_flat = tables.lut._nodes_flat.data
     grid_points = tables.lut.grid_points
     closed_form = tables.lut.closed_form
 
@@ -337,28 +339,11 @@ class _ScenarioTables:
         self.pc = pc
         self.dt = float(pc.dt)
         self.steps = len(pc)
-        lux_arr = np.asarray(pc.lux, dtype=float)
-
-        # Unique conditions in first-encounter (step) order, as the
-        # precompute indexed them.
-        self.models = unique = pc.unique
         self.u_row = u_row = pc.u_row
-        self.lux_u = pc.unique_lux
-        self.voc_u = np.array([m.voc() for m in unique])
-        self.lit_row = lux_arr > 0.0
-        self.voc_row = np.ascontiguousarray(self.voc_u[u_row])
+        self.lit_row = pc.lux > 0.0
+        self.voc_row = pc.voc[u_row]
 
-        vmpp = np.zeros(len(unique))
-        pmpp = np.zeros(len(unique))
-        for k, (m, lux, voc) in enumerate(zip(unique, self.lux_u.tolist(), self.voc_u.tolist())):
-            if lux > 0.0 and voc > 0.0:
-                r = m.mpp()
-                vmpp[k] = r.voltage
-                pmpp[k] = r.power
-        self.vmpp_u = vmpp
-        self.pmpp_u = pmpp
-
-        self.lut = lut_for_models(unique, voc=self.voc_u, cell=cell)
+        self.lut = lut_for_models(pc.unique, voc=pc.voc, cell=cell)
         self.lut_report = self.lut.validate()
 
         # energy_ideal replay, bitwise the scalar engine's accumulator.
@@ -372,13 +357,13 @@ class _ScenarioTables:
         self.e_ideal = e_id
         self.duration = dur
 
-        # List forms of the kernel's per-step inputs.
-        self.times_l = np.asarray(pc.times, dtype=float).tolist()
+        # List forms of the kernel's per-step rows, kept on purpose:
+        # every step reads them, and a list index costs ~2.5x less than
+        # a memoryview index, which boxes a new float on each read.
+        self.times_l = pc.times.tolist()
         self.u_row_l = u_row.tolist()
         self.voc_row_l = self.voc_row.tolist()
         self.lit_row_l = self.lit_row.tolist()
-        self.flat_l = self.lut._flat.tolist()
-        self.nodes_l = self.lut._nodes_flat.tolist()
 
         self._lanes: Dict[tuple, Optional[_LaneProgram]] = {}
 
@@ -452,9 +437,9 @@ class _ScenarioTables:
         zeros = np.zeros(self.steps)
 
         if name == "IdealMPPT":
-            valid = self.lit_row & (self.pmpp_u[self.u_row] > 0.0)
+            valid = self.lit_row & (self.pc.p_mpp[self.u_row] > 0.0)
             return self._series_lane(
-                self.vmpp_u[self.u_row], valid, 1.0, conv, _OH_CURRENT, zeros, 0.0
+                self.pc.v_mpp[self.u_row], valid, 1.0, conv, _OH_CURRENT, zeros, 0.0
             )
 
         if name == "FixedVoltage":
@@ -495,13 +480,12 @@ class _ScenarioTables:
                 )
             ts = int(lit_idx[0])
             model_t = self.pc.models[ts]
-            lux_t = float(np.asarray(self.pc.lux)[ts])
+            lux_t = float(self.pc.lux[ts])
             scale = ctl.calibration_lux / lux_t
             cal_v = model_t.with_photocurrent(model_t.photocurrent * scale).mpp().voltage
-            lux_row = self.lux_u[self.u_row]
             with np.errstate(divide="ignore", invalid="ignore"):
                 decades = np.where(
-                    self.lit_row, np.log10(lux_row / ctl.calibration_lux), 0.0
+                    self.lit_row, np.log10(self.pc.lux / ctl.calibration_lux), 0.0
                 )
             vop = np.where(self.lit_row, cal_v + ctl.volts_per_decade * decades, 0.0)
             vop = np.minimum(vop, self.voc_row * 0.999)
@@ -549,8 +533,6 @@ class _ScenarioTables:
     def _sample_hold_lane(self, ctl, conv) -> Optional[_LaneProgram]:
         """Replay the S&H platform chain into a precomputed series.
 
-        :func:`~repro.core.system.sample_hold_constants` supplies the
-        chain's parameters and per-condition targets, and
         :func:`~repro.core.system.replay_sample_hold` — the replay
         :class:`~repro.core.system.ReplayedSampleHold` hands the scalar
         engine — walks the pulse/droop/sample/comparator chain once,
@@ -558,10 +540,7 @@ class _ScenarioTables:
         """
         if not fleet_supported(ctl):
             return None
-        c = sample_hold_constants(ctl, self.models, self.voc_u)
-        vop_row, duty_row, oh_row, valid_row = replay_sample_hold(
-            c, self.times_l, self.dt, c.target[self.u_row].tolist(), self.voc_row_l
-        )
+        vop_row, duty_row, oh_row, valid_row = replay_sample_hold(ctl, self.pc)
         return self._series_lane(vop_row, valid_row, duty_row, conv, _OH_CURRENT, oh_row, 0.0)
 
 

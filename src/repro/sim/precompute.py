@@ -18,9 +18,11 @@ resulting :class:`PrecomputedConditions` plugs into the simulator's
 ``precomputed=`` argument; controllers then see exactly the models they
 would have seen live, with the solves already memoised.
 
-The dedup index (``unique`` / ``u_row``) and the ideal-MPP replay
-(:meth:`PrecomputedConditions.ideal_power`) are published, so the fleet
-and compiled tiers read these conditions instead of rebuilding them.
+The dedup index (``unique`` / ``u_row``), the solve's per-condition
+``voc`` / ``v_mpp`` / ``p_mpp`` arrays and the ideal-MPP replay
+(:meth:`PrecomputedConditions.ideal_power`) are published, so the
+compiled tier and the S&H replay read these conditions instead of
+gathering them back from the models.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from repro.errors import ModelParameterError, NumericalGuardError
 from repro.obs.tracing import TRACER
-from repro.pv.batch import solve_models
+from repro.pv.batch import solve_models, string_population
 from repro.pv.cells import PVCell
 from repro.pv.irradiance import FLUORESCENT, LightSource
 from repro.pv.single_diode import SingleDiodeModel
@@ -72,6 +74,11 @@ class PrecomputedConditions:
         unique: the distinct condition models, in first-encounter order.
         u_row: per-step index into ``unique`` (``models[i] is
             unique[u_row[i]]``).
+        voc: open-circuit voltage of each ``unique`` condition, volts.
+        v_mpp: MPP voltage of each ``unique`` condition (0 when dark).
+        p_mpp: MPP power of each ``unique`` condition (0 when dark).
+            All three come from the batch solve and equal each model's
+            memoised ``voc()`` / ``mpp()`` exactly.
         source: the light-source spectrum the models were built for.
     """
 
@@ -82,6 +89,9 @@ class PrecomputedConditions:
     models: List[SingleDiodeModel]
     unique: List[SingleDiodeModel]
     u_row: np.ndarray
+    voc: np.ndarray
+    v_mpp: np.ndarray
+    p_mpp: np.ndarray
     source: LightSource = FLUORESCENT
 
     def __len__(self) -> int:
@@ -92,26 +102,21 @@ class PrecomputedConditions:
         """Number of distinct conditions (the batch-solve workload)."""
         return len(self.unique)
 
-    @property
-    def unique_lux(self) -> np.ndarray:
-        """Illuminance of each unique condition."""
-        out = np.empty(len(self.unique))
-        out[self.u_row] = self.lux
-        return out
-
     def ideal_power(self) -> np.ndarray:
         """Ideal-MPP power per unique condition, replaying the scalar
         engine's memo: colliding :func:`ideal_cache_key` values reuse the
         first claimant's power in step order and dark conditions give 0,
-        so ``ideal_power()[u_row]`` sums bitwise like ``energy_ideal``."""
+        so ``ideal_power()[u_row]`` sums bitwise like ``energy_ideal``.
+        Photocurrent is linear in lux, so ``photocurrent > 0`` is also
+        the engine's ``lux > 0`` test."""
         memo: dict = {}
         out = np.zeros(len(self.unique))
-        for k, (model, lux) in enumerate(zip(self.unique, self.unique_lux.tolist())):
-            if lux > 0.0 and model.photocurrent > 0.0:
+        for k, (model, p_mpp) in enumerate(zip(self.unique, self.p_mpp.tolist())):
+            if model.photocurrent > 0.0:
                 key = ideal_cache_key(model)
                 power = memo.get(key)
                 if power is None:
-                    power = memo[key] = model.mpp().power
+                    power = memo[key] = p_mpp
                 out[k] = power
         return out
 
@@ -205,15 +210,12 @@ def precompute_conditions(
         u_row.append(u)
     models = [unique[u] for u in u_row]
 
-    if unique:
-        from repro.pv.string import StringModel, solve_string_models
+    if string_population(unique):
+        from repro.pv.string import solve_string_models
 
-        plain = [m for m in unique if isinstance(m, SingleDiodeModel)]
-        strings = [m for m in unique if isinstance(m, StringModel)]
-        if plain:
-            solve_models(plain, memoize=True)
-        if strings:
-            solve_string_models(strings)
+        solved = solve_string_models(unique)
+    else:
+        solved = solve_models(unique, memoize=True)
 
     # One pre-timed span per scenario precompute; no-op while disabled.
     TRACER.add("precompute", time.perf_counter() - t_start)
@@ -225,5 +227,8 @@ def precompute_conditions(
         models=models,
         unique=unique,
         u_row=np.array(u_row, dtype=np.int64),
+        voc=solved.voc,
+        v_mpp=solved.v_mpp,
+        p_mpp=solved.p_mpp,
         source=source,
     )

@@ -274,7 +274,7 @@ class QuasiStaticSimulator:
         self.precomputed = precomputed
         self.shading = shading
         self.traces = TraceSet()
-        self.summary = HarvestSummary()
+        self.summary = HarvestSummary(final_storage_voltage=self._storage_voltage())
         self.time = 0.0
         self._step_index = 0
         # Fault wrappers (repro.faults.components) are time-aware but

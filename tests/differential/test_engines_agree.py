@@ -92,6 +92,33 @@ class TestFixedSpecs:
             )
         )
 
+    def test_zero_step_horizon_all_engines(self):
+        """A horizon shorter than half a step runs no step at all: every
+        tier still reports the store's starting voltage (the 3 V rail
+        without storage) as the final voltage, not 0 V."""
+        techniques = tuple(default_controllers(am_1815()))
+        for use_storage, volts in ((True, 2.7), (False, 3.0)):
+            outputs = assert_engines_agree(
+                DifferentialSpec(
+                    techniques=techniques, duration=3.6, dt=10.0, use_storage=use_storage
+                )
+            )
+            for summary in outputs["scalar"].values():
+                assert summary["duration"] == 0.0
+                assert summary["final_storage_voltage"] == volts
+        outputs = assert_engines_agree(
+            DifferentialSpec(
+                experiment="resilience",
+                techniques=techniques,
+                campaigns=("converter-brownout",),
+                duration=3.6,
+                dt=10.0,
+            )
+        )
+        for engine in ("scalar", "fleet"):
+            for summary in outputs[engine].values():
+                assert summary["final_storage_voltage"] == 2.7
+
     def test_tolerance_violation_is_reported_per_field(self):
         """The harness fails loudly, naming lane and field."""
         spec = DifferentialSpec(techniques=("proposed-S&H-FOCV",))

@@ -117,3 +117,25 @@ def test_run_beyond_precomputed_trace_falls_back_to_live_path():
     fast = _make_sim(cell, IdealMPPT(), office_desk_24h(), precomputed=pc)
     live = _make_sim(cell, IdealMPPT(), office_desk_24h())
     _summaries_identical(fast.run(duration, dt=dt), live.run(duration, dt=dt))
+
+
+@pytest.mark.parametrize("geometry", ["plain-cell", "edge-sweep-4s"])
+def test_precomputed_solve_arrays_match_model_memos(geometry):
+    """The per-condition arrays the precompute publishes are the batch
+    solve's values: each equals its unique model's memoised solve."""
+    from repro.env.shading import build_shadow_map
+    from repro.pv.string import CellString
+
+    if geometry == "plain-cell":
+        cell, shading = am_1815(), None
+    else:
+        cell = CellString(am_1815(), 4, mismatch=(1.0, 0.9, 1.05, 0.85))
+        shading = build_shadow_map("edge-sweep", 4)
+    pc = precompute_conditions(cell, office_desk_24h(), 24.0 * HOURS, 600.0, shading=shading)
+    assert len(pc.voc) == len(pc.v_mpp) == len(pc.p_mpp) == pc.unique_conditions
+    assert (pc.p_mpp > 0.0).any()
+    for k, model in enumerate(pc.unique):
+        mpp = model.mpp()
+        assert pc.voc[k] == model.voc()
+        assert pc.v_mpp[k] == mpp.voltage
+        assert pc.p_mpp[k] == mpp.power
