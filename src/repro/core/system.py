@@ -301,7 +301,9 @@ class SampleHoldConstants:
     target: np.ndarray  # per-condition U2 output: loaded tap + offset, clamped
 
 
-def sample_hold_constants(controller, models: Sequence[object], voc) -> SampleHoldConstants:
+def sample_hold_constants(
+    controller, models: Sequence[object], voc, params=None
+) -> SampleHoldConstants:
     """Extract an S&H controller's constants and solve its sample targets.
 
     Args:
@@ -309,6 +311,9 @@ def sample_hold_constants(controller, models: Sequence[object], voc) -> SampleHo
         models: the run's unique condition models — all single cells or
             all series strings (:func:`~repro.pv.batch.string_population`).
         voc: open-circuit voltage of each model, volts.
+        params: the single-cell models' stacked parameters
+            (:func:`~repro.pv.batch.stack_model_params`), when the
+            caller already holds them; ignored for strings.
 
     Returns:
         The chain's :class:`SampleHoldConstants`, with ``target``
@@ -336,7 +341,9 @@ def sample_hold_constants(controller, models: Sequence[object], voc) -> SampleHo
         sp = stack_string_params([m.cells for m in models], [m.bypass_drop for m in models])
         v_pv = string_loaded_point(sp, voc, rtot)
     else:
-        v_pv = batch_loaded_point(stack_model_params(models), voc, rtot)
+        if params is None:
+            params = stack_model_params(models)
+        v_pv = batch_loaded_point(params, voc, rtot)
     TRACER.add("sample-hold:loaded-point", _time.perf_counter() - t0)
     target = np.minimum(
         sh.supply,
@@ -406,7 +413,7 @@ def replay_sample_hold(controller, precomputed) -> tuple:
         )
     base, leak_schedule, leak_multiplier = _unwrap_controller(controller)
     pc = precomputed
-    c = sample_hold_constants(base, pc.unique, pc.voc)
+    c = sample_hold_constants(base, pc.unique, pc.voc, params=pc.params)
     dt = float(pc.dt)
     times = pc.times.tolist()
     target = c.target[pc.u_row].tolist()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -66,6 +67,27 @@ class ClearSkySun(LightProfile):
         return FULL_SUN_LUX * sin_e * extinction
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _cloud_state(seed: int, index: int, cloudy_fraction: float) -> bool:
+    """Whether :class:`CloudField` dwell ``index`` is cloudy.
+
+    A pure function of its arguments, memoised process-wide like
+    :func:`repro.env.profiles._unit_noise`: seeding a generator costs
+    more than the rest of a light-walk step, and every run of a scenario
+    walks the same dwells.
+    """
+    rng = np.random.default_rng((seed * 7_368_787 + index) & 0x7FFFFFFF)
+    return bool(rng.random() < cloudy_fraction)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _cloud_dwell(seed: int, index: int, mean_dwell: float) -> float:
+    """Length of :class:`CloudField` dwell ``index``, seconds (memoised
+    like :func:`_cloud_state`)."""
+    rng = np.random.default_rng((seed * 15_485_863 + index) & 0x7FFFFFFF)
+    return float(rng.exponential(mean_dwell))
+
+
 class CloudField(LightProfile):
     """Cloud attenuation over a base profile (seeded random telegraph).
 
@@ -106,21 +128,14 @@ class CloudField(LightProfile):
         self.edge_seconds = max(1e-6, edge_seconds)
         self.seed = seed
         self._boundaries: list[float] = [0.0]
-        self._states: list[bool] = [self._draw_state(0)]
-
-    def _draw_state(self, index: int) -> bool:
-        rng = np.random.default_rng((self.seed * 7_368_787 + index) & 0x7FFFFFFF)
-        return bool(rng.random() < self.cloudy_fraction)
-
-    def _draw_dwell(self, index: int) -> float:
-        rng = np.random.default_rng((self.seed * 15_485_863 + index) & 0x7FFFFFFF)
-        return float(rng.exponential(self.mean_dwell))
+        self._states: list[bool] = [_cloud_state(seed, 0, cloudy_fraction)]
 
     def _extend_to(self, t: float) -> None:
         while self._boundaries[-1] <= t:
             index = len(self._boundaries)
-            self._boundaries.append(self._boundaries[-1] + self._draw_dwell(index))
-            self._states.append(self._draw_state(index))
+            dwell = _cloud_dwell(self.seed, index, self.mean_dwell)
+            self._boundaries.append(self._boundaries[-1] + dwell)
+            self._states.append(_cloud_state(self.seed, index, self.cloudy_fraction))
 
     def _attenuation(self, t: float) -> float:
         self._extend_to(t + self.edge_seconds)

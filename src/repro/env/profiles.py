@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -194,7 +195,7 @@ class NoisyProfile(LightProfile):
         if base <= 0.0 or self.relative_sigma == 0.0:
             return base
         position = t / self.correlation_time
-        bucket = int(np.floor(position))
+        bucket = math.floor(position)
         frac = position - bucket
         lo = _unit_noise(self.seed, bucket)
         hi = _unit_noise(self.seed, bucket + 1)

@@ -99,44 +99,99 @@ def take_params(p: _ParamArrays, index: np.ndarray) -> _ParamArrays:
     )
 
 
+class _Branch:
+    """One branch of :func:`batch_current_at` over a set of conditions.
+
+    Every per-condition term of the branch's current expression is
+    evaluated once here, so a caller that evaluates the same conditions
+    many times (the golden-section search) pays only the voltage-dependent
+    terms per call.  The hoisted terms are the very subexpressions of the
+    branch formula, evaluated in the same order, so the result is bit for
+    bit the unhoisted expression.
+    """
+
+    __slots__ = ("kind", "terms", "w_of_exp")
+
+    IDEAL_RS, INFINITE_RSH, FINITE = range(3)
+
+    def __init__(self, kind: int, q: _ParamArrays, w_of_exp):
+        self.kind = kind
+        self.w_of_exp = w_of_exp
+        if kind == _Branch.IDEAL_RS:
+            self.terms = (q.iph, q.i0, q.a, q.rsh, np.isfinite(q.rsh))
+        elif kind == _Branch.INFINITE_RSH:
+            self.terms = (
+                np.log(q.i0 * q.rs / q.a),  # log-theta offset
+                q.rs * (q.iph + q.i0),
+                q.a,
+                q.iph + q.i0,
+                q.a / q.rs,
+            )
+        else:
+            rt = q.rs + q.rsh
+            self.terms = (
+                np.log(q.rs * q.rsh * q.i0 / (q.a * rt)),  # log-theta offset
+                q.rsh,
+                q.rs * (q.iph + q.i0),
+                q.a * rt,
+                q.rsh * (q.iph + q.i0),
+                rt,
+                q.a / q.rs,
+            )
+
+    def take(self, index: np.ndarray) -> "_Branch":
+        """The same branch over a subset of its conditions."""
+        out = _Branch.__new__(_Branch)
+        out.kind = self.kind
+        out.w_of_exp = self.w_of_exp
+        out.terms = tuple(t[index] for t in self.terms)
+        return out
+
+    def current(self, v: np.ndarray) -> np.ndarray:
+        """Terminal current of each condition at its voltage ``v``."""
+        if self.kind == _Branch.IDEAL_RS:
+            iph, i0, a, rsh, finite_rsh = self.terms
+            shunt = np.where(finite_rsh, v / rsh, 0.0)
+            return iph - i0 * np.expm1(np.minimum(v / a, 700.0)) - shunt
+        if self.kind == _Branch.INFINITE_RSH:
+            offset, drop, a, iphpi0, a_over_rs = self.terms
+            w = self.w_of_exp(offset + (v + drop) / a)
+            return iphpi0 - a_over_rs * w
+        offset, rsh, drop, a_rt, rsh_iphpi0, rt, a_over_rs = self.terms
+        w = self.w_of_exp(offset + rsh * (drop + v) / a_rt)
+        return (rsh_iphpi0 - v) / rt - a_over_rs * w
+
+
+def _branches(p: _ParamArrays, w_of_exp=lambertw_of_exp) -> "list[tuple[np.ndarray, _Branch]]":
+    """Split conditions by current branch: ``(indices, branch)`` pairs."""
+    finite_rsh = np.isfinite(p.rsh)
+    ideal_rs = p.rs < 1e-9
+    out = []
+    for kind, mask in (
+        (_Branch.IDEAL_RS, ideal_rs),
+        (_Branch.INFINITE_RSH, ~ideal_rs & ~finite_rsh),
+        (_Branch.FINITE, ~ideal_rs & finite_rsh),
+    ):
+        index = np.nonzero(mask)[0]
+        if index.size:
+            out.append((index, _Branch(kind, take_params(p, index), w_of_exp)))
+    return out
+
+
 def batch_current_at(p: _ParamArrays, v: np.ndarray, w_of_exp=lambertw_of_exp) -> np.ndarray:
     """Elementwise terminal current for (condition j, voltage v[j]) pairs.
 
     Same three-branch structure as ``SingleDiodeModel.current_at``, with
-    the branches selected per element by mask — the kernel behind the
-    batch Lambert-W solver, exposed for population-axis consumers.
-    ``w_of_exp`` evaluates ``W(exp(x))``: the solver keeps
+    the branches selected per element (:class:`_Branch`) — the kernel
+    behind the batch Lambert-W solver, exposed for population-axis
+    consumers.  ``w_of_exp`` evaluates ``W(exp(x))``: the solver keeps
     :func:`~repro.pv.single_diode.lambertw_of_exp`, and the power tables
     pass the faster :func:`~repro.pv.single_diode.wright_omega`.
     """
     v = np.asarray(v, dtype=float)
     out = np.empty_like(v)
-    finite_rsh = np.isfinite(p.rsh)
-    ideal_rs = p.rs < 1e-9
-
-    m = ideal_rs
-    if np.any(m):
-        q, vm = take_params(p, m), v[m]
-        shunt = np.where(finite_rsh[m], vm / q.rsh, 0.0)
-        out[m] = q.iph - q.i0 * np.expm1(np.minimum(vm / q.a, 700.0)) - shunt
-
-    m = ~ideal_rs & ~finite_rsh
-    if np.any(m):
-        q, vm = take_params(p, m), v[m]
-        log_theta = np.log(q.i0 * q.rs / q.a) + (vm + q.rs * (q.iph + q.i0)) / q.a
-        w = w_of_exp(log_theta)
-        out[m] = q.iph + q.i0 - (q.a / q.rs) * w
-
-    m = ~ideal_rs & finite_rsh
-    if np.any(m):
-        q, vm = take_params(p, m), v[m]
-        rt = q.rs + q.rsh
-        log_theta = np.log(q.rs * q.rsh * q.i0 / (q.a * rt)) + q.rsh * (
-            q.rs * (q.iph + q.i0) + vm
-        ) / (q.a * rt)
-        w = w_of_exp(log_theta)
-        out[m] = (q.rsh * (q.iph + q.i0) - vm) / rt - (q.a / q.rs) * w
-
+    for index, branch in _branches(p, w_of_exp):
+        out[index] = branch.current(v[index])
     return out
 
 
@@ -190,68 +245,146 @@ def _batch_isc(p: _ParamArrays) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class Endpoints:
+    """Stacked parameters of a batch of conditions and their curve endpoints.
+
+    The half of a batch solve every consumer needs: Voc and Isc are one
+    closed-form Lambert-W each, while the MPP is a ~57-step search.  A
+    precompute solves the endpoints of all its conditions once and hands
+    subsets (:meth:`take`) to :func:`solve_models` for the MPPs it needs.
+
+    Attributes:
+        params: stacked five-parameter arrays, one row per condition.
+        voc: open-circuit voltages, volts.
+        isc: short-circuit currents, amps.
+    """
+
+    params: _ParamArrays
+    voc: np.ndarray
+    isc: np.ndarray
+
+    def take(self, index: np.ndarray) -> "Endpoints":
+        """The endpoints of a subset of the conditions."""
+        return Endpoints(take_params(self.params, index), self.voc[index], self.isc[index])
+
+
+def solve_endpoints(params: _ParamArrays) -> Endpoints:
+    """Voc and Isc of every stacked condition, in one vectorized pass each."""
+    return Endpoints(params, _batch_voc(params), _batch_isc(params))
+
+
+def _golden_section(
+    branch: _Branch, voc: np.ndarray, tolerance: float
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Golden-section MPP search over lit conditions of one branch.
+
+    Returns ``(v_mpp, i_mpp)``.  Elements leave the working arrays as
+    their bracket converges, so each step evaluates only the brackets
+    still open.  Every element sees the scalar search's update sequence
+    in elementwise arithmetic, so its bits do not depend on its batch
+    while the current's Lambert-W arguments (about ``Rs*Iph/a``) stay on
+    :func:`~repro.pv.single_diode.lambertw_of_exp`'s direct branch,
+    below 100: a cell would need a series drop of ~90 ``a`` to leave it.
+    """
+    n = len(voc)
+    lo = np.zeros(n)
+    hi = voc.copy()
+    span = hi - lo
+    x1 = hi - _INV_PHI * span
+    x2 = lo + _INV_PHI * span
+    p1 = x1 * branch.current(x1)
+    p2 = x2 * branch.current(x2)
+    tol = tolerance * np.maximum(voc, 1.0)
+
+    lo_out = np.empty(n)
+    hi_out = np.empty(n)
+    live = np.arange(n)
+    work = branch
+    for _ in range(200):
+        run = span > tol
+        if not run.all():
+            done = ~run
+            lo_out[live[done]] = lo[done]
+            hi_out[live[done]] = hi[done]
+            live = live[run]
+            if not live.size:
+                break
+            lo, hi, span, x1, x2, p1, p2, tol = (
+                a[run] for a in (lo, hi, span, x1, x2, p1, p2, tol)
+            )
+            work = work.take(run)
+        move = p1 < p2  # move the lower bracket up; otherwise the upper down
+        lo = np.where(move, x1, lo)
+        hi = np.where(move, hi, x2)
+        # The survivor slides over and one new point is evaluated per
+        # element — exactly as in the scalar loop.
+        span = hi - lo
+        step = _INV_PHI * span
+        x_eval = np.where(move, lo + step, hi - step)
+        x1, x2 = np.where(move, x2, x_eval), np.where(move, x_eval, x1)
+        p_eval = x_eval * work.current(x_eval)
+        p1, p2 = np.where(move, p2, p_eval), np.where(move, p_eval, p1)
+    else:
+        lo_out[live] = lo
+        hi_out[live] = hi
+
+    v_mpp = 0.5 * (lo_out + hi_out)
+    return v_mpp, branch.current(v_mpp)
+
+
 def _batch_golden_mpp(
     p: _ParamArrays, voc: np.ndarray, tolerance: float = 1e-12
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Vectorized golden-section MPP search over all conditions at once.
 
     Mirrors ``SingleDiodeModel.mpp`` update-for-update: the same bracket
-    arithmetic, the same stop test, applied per element; elements whose
-    bracket has converged (or whose curve is dark) are frozen while the
-    rest keep iterating.  Returns ``(v_mpp, i_mpp, p_mpp)``.
+    arithmetic, the same stop test, applied per element
+    (:func:`_golden_section`, one pass per current branch); dark curves
+    get the zero MPP.  Returns ``(v_mpp, i_mpp, p_mpp)``.
     """
-    n = len(voc)
-    active = (voc > 0.0) & (p.iph > 0.0)
+    v_mpp = np.zeros(len(voc))
+    i_mpp = np.zeros(len(voc))
+    lit = np.nonzero((voc > 0.0) & (p.iph > 0.0))[0]
+    for index, branch in _branches(take_params(p, lit)):
+        rows = lit[index]
+        v_mpp[rows], i_mpp[rows] = _golden_section(branch, voc[rows], tolerance)
+    return v_mpp, i_mpp, v_mpp * i_mpp
 
-    lo = np.zeros(n)
-    hi = np.where(active, voc, 0.0)
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    p1 = np.zeros(n)
-    p2 = np.zeros(n)
-    if np.any(active):
-        p1[active] = x1[active] * batch_current_at(take_params(p, active), x1[active])
-        p2[active] = x2[active] * batch_current_at(take_params(p, active), x2[active])
 
-    tol = tolerance * np.maximum(voc, 1.0)
-    for _ in range(200):
-        run = active & ((hi - lo) > tol)
-        if not np.any(run):
-            break
-        cond = p1 < p2  # move the lower bracket up
-        move = run & cond
-        keep = run & ~cond
+def memoize_points(
+    models: Sequence[SingleDiodeModel],
+    voc: np.ndarray,
+    isc: np.ndarray,
+    v_mpp: np.ndarray,
+    i_mpp: np.ndarray,
+) -> None:
+    """Pre-fill each model's memoised ``voc``/``isc``/``mpp`` from batch arrays.
 
-        lo = np.where(move, x1, lo)
-        hi = np.where(keep, x2, hi)
-        # Shifted interior points; the survivor slides over, one new
-        # point is evaluated per element — exactly as in the scalar loop.
-        new_x1 = np.where(move, x2, np.where(keep, hi - _INV_PHI * (hi - lo), x1))
-        new_x2 = np.where(keep, x1, np.where(move, lo + _INV_PHI * (hi - lo), x2))
-        new_p1 = np.where(move, p2, p1)
-        new_p2 = np.where(keep, p1, p2)
-
-        fresh = move | keep
-        idx = np.nonzero(fresh)[0]
-        x_eval = np.where(move, new_x2, new_x1)[idx]
-        p_eval = x_eval * batch_current_at(take_params(p, fresh), x_eval)
-        is_move = move[idx]
-        new_p2[idx[is_move]] = p_eval[is_move]
-        new_p1[idx[~is_move]] = p_eval[~is_move]
-
-        x1, x2, p1, p2 = new_x1, new_x2, new_p1, new_p2
-
-    v_mpp = np.where(active, 0.5 * (lo + hi), 0.0)
-    i_mpp = np.zeros(n)
-    if np.any(active):
-        i_mpp[active] = batch_current_at(take_params(p, active), v_mpp[active])
-    p_mpp = v_mpp * i_mpp
-    return v_mpp, i_mpp, p_mpp
+    Dark curves (``photocurrent <= 0`` or ``voc <= 0``) follow the scalar
+    solver's convention: a zero MPP whose ``voc`` is clamped at zero.
+    """
+    for m, voc_j, isc_j, v_j, i_j in zip(
+        models, voc.tolist(), isc.tolist(), v_mpp.tolist(), i_mpp.tolist()
+    ):
+        object.__setattr__(m, "_voc_memo", voc_j)
+        object.__setattr__(m, "_isc_memo", isc_j)
+        dark = voc_j <= 0.0 or m.photocurrent <= 0.0
+        result = MPPResult(
+            voltage=v_j,
+            current=i_j,
+            power=v_j * i_j,
+            voc=max(voc_j, 0.0) if dark else voc_j,
+            isc=isc_j,
+        )
+        object.__setattr__(m, "_mpp_memo", result)
 
 
 def solve_models(
     models: Sequence[SingleDiodeModel],
     memoize: bool = True,
+    *,
+    endpoints: "Endpoints | None" = None,
 ) -> BatchSolveResult:
     """Solve Voc/Isc/MPP for every model in one vectorized pass.
 
@@ -259,9 +392,12 @@ def solve_models(
         models: the conditions to solve (any sequence; duplicates are
             solved per entry — dedupe upstream if profitable).
         memoize: pre-fill each instance's memoised ``voc``/``isc``/
-            ``mpp`` so subsequent scalar calls are free.  Dark curves
-            (``photocurrent <= 0`` or ``voc <= 0``) follow the scalar
-            solver's convention of a zero MPP.
+            ``mpp`` so subsequent scalar calls are free
+            (:func:`memoize_points`).
+        endpoints: the models' stacked parameters with Voc and Isc
+            already solved (:func:`solve_endpoints`, or a subset of a
+            larger batch through :meth:`Endpoints.take`); default: solve
+            them here.
 
     Returns:
         A :class:`BatchSolveResult` aligned with ``models``.
@@ -278,24 +414,13 @@ def solve_models(
         if conditions is not None:
             conditions.inc(len(models))
 
-    p = stack_model_params(models)
-    voc = _batch_voc(p)
-    isc = _batch_isc(p)
-    v_mpp, i_mpp, p_mpp = _batch_golden_mpp(p, voc)
+    if endpoints is None:
+        endpoints = solve_endpoints(stack_model_params(models))
+    voc, isc = endpoints.voc, endpoints.isc
+    v_mpp, i_mpp, p_mpp = _batch_golden_mpp(endpoints.params, voc)
 
     if memoize:
-        dark = (voc <= 0.0) | (p.iph <= 0.0)
-        for j, m in enumerate(models):
-            object.__setattr__(m, "_voc_memo", float(voc[j]))
-            object.__setattr__(m, "_isc_memo", float(isc[j]))
-            result = MPPResult(
-                voltage=float(v_mpp[j]),
-                current=float(i_mpp[j]),
-                power=float(p_mpp[j]),
-                voc=float(max(voc[j], 0.0)) if dark[j] else float(voc[j]),
-                isc=float(isc[j]),
-            )
-            object.__setattr__(m, "_mpp_memo", result)
+        memoize_points(models, voc, isc, v_mpp, i_mpp)
     return BatchSolveResult(voc=voc, isc=isc, v_mpp=v_mpp, i_mpp=i_mpp, p_mpp=p_mpp)
 
 

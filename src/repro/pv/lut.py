@@ -547,13 +547,16 @@ class _Lattice:
 
     def __init__(self, grid_points: int):
         self.index: "dict[int, int]" = {}
-        self.rows = np.empty((0, grid_points))
+        # One reservation of the row cap: its pages become resident only
+        # as rows are written, so the lattice never copies itself to grow.
+        self.rows = np.empty((LATTICE_MAX_ROWS, grid_points))
         self.count = 0
 
     def add(self, rows: np.ndarray) -> None:
         need = self.count + rows.shape[0]
         if need > self.rows.shape[0]:
-            grown = np.empty((max(need, 2 * self.rows.shape[0], 256), self.rows.shape[1]))
+            # Only a single build larger than the cap gets here.
+            grown = np.empty((need, self.rows.shape[1]))
             grown[: self.count] = self.rows[: self.count]
             self.rows = grown
         self.rows[self.count : need] = rows
@@ -679,6 +682,7 @@ def lut_for_models(
     *,
     voc: Optional[np.ndarray] = None,
     cell=None,
+    params=None,
     **kwargs,
 ) -> CellPowerLUT:
     """Build the right LUT family for a model population.
@@ -698,6 +702,9 @@ def lut_for_models(
         voc: their open-circuit voltages (default: each model's own).
         cell: the :class:`~repro.pv.cells.PVCell` the models came from;
             required for single cells, unused for strings.
+        params: the single-cell models' stacked parameters
+            (:func:`~repro.pv.batch.stack_model_params`), when the caller
+            already holds them; unused for strings.
         **kwargs: table knobs (``grid_points``, ``rel_budget``,
             ``abs_floor``).
 
@@ -719,7 +726,8 @@ def lut_for_models(
                 raise ModelParameterError(
                     "single-cell tables are blended from the cell's lattice; pass cell="
                 )
-            params = stack_model_params(models)
+            if params is None:
+                params = stack_model_params(models)
             grid_points = _check_grid_points(kwargs.get("grid_points", DEFAULT_GRID_POINTS))
             temperature = np.array([m.temperature for m in models], dtype=float)
             table = _lattice_table(cell, params.iph, temperature, voc, grid_points)

@@ -335,7 +335,6 @@ class _ScenarioTables:
     """Shared per-scenario precomputation: conditions, LUT, ideal replay."""
 
     def __init__(self, cell, pc):
-        self.cell = cell
         self.pc = pc
         self.dt = float(pc.dt)
         self.steps = len(pc)
@@ -343,8 +342,8 @@ class _ScenarioTables:
         self.lit_row = pc.lux > 0.0
         self.voc_row = pc.voc[u_row]
 
-        self.lut = lut_for_models(pc.unique, voc=pc.voc, cell=cell)
-        self.lut_report = self.lut.validate()
+        self.lut = lut_for_models(pc.unique, voc=pc.voc, cell=cell, params=pc.params)
+        self.lut.validate()
 
         # energy_ideal replay, bitwise the scalar engine's accumulator.
         ideal_row = pc.ideal_power()[u_row].tolist()
@@ -437,9 +436,12 @@ class _ScenarioTables:
         zeros = np.zeros(self.steps)
 
         if name == "IdealMPPT":
-            valid = self.lit_row & (self.pc.p_mpp[self.u_row] > 0.0)
+            # The oracle's MPP, where precompute solved it; otherwise its
+            # ideal key's first claimant's, the point energy_ideal credits.
+            v_mpp, p_mpp = self.pc.ideal_mpp()
+            valid = self.lit_row & (p_mpp[self.u_row] > 0.0)
             return self._series_lane(
-                self.pc.v_mpp[self.u_row], valid, 1.0, conv, _OH_CURRENT, zeros, 0.0
+                v_mpp[self.u_row], valid, 1.0, conv, _OH_CURRENT, zeros, 0.0
             )
 
         if name == "FixedVoltage":

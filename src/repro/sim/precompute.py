@@ -11,16 +11,25 @@ times.
 :func:`precompute_conditions` walks the run once, builds the per-step
 model list (deduplicated on exact ``(lux, temperature)`` — plus the
 shadow-map factors tuple when a :mod:`repro.env.shading` map drives a
-string), and solves every unique condition's Voc/Isc/MPP in one
-vectorized pass (:func:`repro.pv.batch.solve_models` for cells,
-:func:`repro.pv.string.solve_string_models` for strings).  The
-resulting :class:`PrecomputedConditions` plugs into the simulator's
-``precomputed=`` argument; controllers then see exactly the models they
-would have seen live, with the solves already memoised.
+string), and solves the unique conditions in vectorized passes.  For
+single cells it stacks their parameters once
+(:attr:`PrecomputedConditions.endpoints`), solves every condition's
+Voc/Isc, and runs the exact-MPP search
+(:func:`repro.pv.batch.solve_models`) only where the ideal-MPP replay
+reads it: the first claimant of each lit
+:func:`ideal_cache_key`, as the scalar engine's memo does.  Dark
+conditions take the zero MPP unsolved.  The remaining lit conditions
+are *deferred*: :meth:`PrecomputedConditions.solve_deferred` solves them
+in one more ``solve_models`` pass, which every
+:class:`~repro.sim.quasistatic.QuasiStaticSimulator` over the trace (and
+any reader of ``v_mpp`` / ``p_mpp``) runs first, so scalar consumers see
+the memoised solves of one whole-trace batch.  Strings
+(:func:`repro.pv.string.solve_string_models`) are solved whole.
 
-The dedup index (``unique`` / ``u_row``), the solve's per-condition
-``voc`` / ``v_mpp`` / ``p_mpp`` arrays and the ideal-MPP replay
-(:meth:`PrecomputedConditions.ideal_power`) are published, so the
+The dedup index (``unique`` / ``u_row``), the per-condition ``voc``,
+each condition's ideal-key claimant and the ideal-MPP replay
+(:meth:`PrecomputedConditions.ideal_power`,
+:meth:`PrecomputedConditions.ideal_mpp`) are published, so the
 compiled tier and the S&H replay read these conditions instead of
 gathering them back from the models.
 """
@@ -28,15 +37,23 @@ gathering them back from the models.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import ModelParameterError, NumericalGuardError
 from repro.obs.tracing import TRACER
-from repro.pv.batch import solve_models, string_population
+from repro.pv.batch import (
+    Endpoints,
+    memoize_points,
+    solve_endpoints,
+    solve_models,
+    stack_model_params,
+    string_population,
+)
 from repro.pv.cells import PVCell
 from repro.pv.irradiance import FLUORESCENT, LightSource
 from repro.pv.single_diode import SingleDiodeModel
@@ -70,16 +87,25 @@ class PrecomputedConditions:
         lux: illuminance per step (already clamped at zero).
         temperature: cell temperature per step, kelvin.
         models: per-step single-diode models; repeated conditions share
-            one instance, whose characteristic points are pre-solved.
+            one instance, whose characteristic points are pre-solved
+            (deferred ones by :meth:`solve_deferred`).
         unique: the distinct condition models, in first-encounter order.
         u_row: per-step index into ``unique`` (``models[i] is
             unique[u_row[i]]``).
         voc: open-circuit voltage of each ``unique`` condition, volts.
-        v_mpp: MPP voltage of each ``unique`` condition (0 when dark).
-        p_mpp: MPP power of each ``unique`` condition (0 when dark).
-            All three come from the batch solve and equal each model's
-            memoised ``voc()`` / ``mpp()`` exactly.
+        claimant: per ``unique`` condition, the index of the first
+            condition with its :func:`ideal_cache_key` (itself for a
+            first claimant), or -1 when dark.  Claimants come first in
+            step order, as in the scalar engine's ideal-MPP memo.
+        deferred: per ``unique`` condition, whether precompute left its
+            exact MPP to :meth:`solve_deferred` (lit single-cell
+            conditions that are not their key's first claimant).
+        endpoints: for single cells, the unique conditions' stacked
+            parameters with their Voc/Isc (``endpoints.voc is voc``);
+            None for strings.
         source: the light-source spectrum the models were built for.
+
+    ``v_mpp`` / ``p_mpp`` (properties) hold each condition's exact MPP.
     """
 
     dt: float
@@ -90,9 +116,17 @@ class PrecomputedConditions:
     unique: List[SingleDiodeModel]
     u_row: np.ndarray
     voc: np.ndarray
-    v_mpp: np.ndarray
-    p_mpp: np.ndarray
+    claimant: np.ndarray
+    deferred: np.ndarray
+    _v_mpp: np.ndarray
+    _p_mpp: np.ndarray
+    endpoints: Optional[Endpoints] = None
     source: LightSource = FLUORESCENT
+
+    def __post_init__(self) -> None:
+        self._pending = bool(self.deferred.any())
+        # Cached compiled programs share one trace across service threads.
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.models)
@@ -102,23 +136,69 @@ class PrecomputedConditions:
         """Number of distinct conditions (the batch-solve workload)."""
         return len(self.unique)
 
+    @property
+    def params(self):
+        """The unique conditions' stacked single-cell parameters
+        (:func:`~repro.pv.batch.stack_model_params`), or None for strings."""
+        return None if self.endpoints is None else self.endpoints.params
+
+    @property
+    def v_mpp(self) -> np.ndarray:
+        """MPP voltage of each ``unique`` condition (0 when dark); reading
+        it runs :meth:`solve_deferred` first."""
+        self.solve_deferred()
+        return self._v_mpp
+
+    @property
+    def p_mpp(self) -> np.ndarray:
+        """MPP power of each ``unique`` condition (0 when dark); reading
+        it runs :meth:`solve_deferred` first.  Equal to each model's
+        memoised ``mpp()`` exactly, like ``voc`` to ``voc()``."""
+        self.solve_deferred()
+        return self._p_mpp
+
+    def solve_deferred(self) -> None:
+        """Solve the exact MPP of every deferred condition, once.
+
+        One :func:`~repro.pv.batch.solve_models` pass over them from the
+        Voc/Isc already in :attr:`endpoints`, memoised onto their models:
+        the search is elementwise, so arrays and memos are bitwise those
+        of one whole-trace solve.  Scalar consumers must call this before
+        reading a model's ``mpp()``, which would otherwise run the scalar
+        search (whose last bits differ); a
+        :class:`~repro.sim.quasistatic.QuasiStaticSimulator` does on
+        construction.  Thread-safe: the first caller solves, and
+        concurrent ones wait for it.
+        """
+        if not self._pending:
+            return
+        with self._lock:
+            if not self._pending:
+                return
+            index = np.nonzero(self.deferred)[0]
+            solved = solve_models(
+                [self.unique[k] for k in index.tolist()], endpoints=self.endpoints.take(index)
+            )
+            self._v_mpp[index] = solved.v_mpp
+            self._p_mpp[index] = solved.p_mpp
+            self._pending = False
+
     def ideal_power(self) -> np.ndarray:
         """Ideal-MPP power per unique condition, replaying the scalar
-        engine's memo: colliding :func:`ideal_cache_key` values reuse the
-        first claimant's power in step order and dark conditions give 0,
-        so ``ideal_power()[u_row]`` sums bitwise like ``energy_ideal``.
-        Photocurrent is linear in lux, so ``photocurrent > 0`` is also
-        the engine's ``lux > 0`` test."""
-        memo: dict = {}
-        out = np.zeros(len(self.unique))
-        for k, (model, p_mpp) in enumerate(zip(self.unique, self.p_mpp.tolist())):
-            if model.photocurrent > 0.0:
-                key = ideal_cache_key(model)
-                power = memo.get(key)
-                if power is None:
-                    power = memo[key] = p_mpp
-                out[k] = power
-        return out
+        engine's memo: every lit condition takes its :attr:`claimant`'s
+        exact power and dark conditions give 0, so ``ideal_power()[u_row]``
+        sums bitwise like ``energy_ideal``.  Photocurrent is linear in
+        lux, so ``photocurrent > 0`` is also the engine's ``lux > 0``
+        test.  Reads no deferred solve."""
+        return np.where(self.claimant >= 0, self._p_mpp[self.claimant], 0.0)
+
+    def ideal_mpp(self) -> "tuple[np.ndarray, np.ndarray]":
+        """``(v_mpp, p_mpp)`` per unique condition for the ideal oracle,
+        without the deferred solve: a condition's own exact MPP where
+        precompute solved it, else its :attr:`claimant`'s (the point the
+        ideal-MPP replay credits it with)."""
+        at = np.where(self.deferred, self.claimant, np.arange(len(self.unique)))
+        return self._v_mpp[at], self._p_mpp[at]
 
 
 def precompute_conditions(
@@ -185,6 +265,8 @@ def precompute_conditions(
     unique: List[SingleDiodeModel] = []
     index: Dict[tuple, int] = {}
     u_row: List[int] = []
+    claims: Dict[tuple, int] = {}
+    claimants: List[int] = []
     for i in range(steps):
         if shading is not None:
             factors = shading.factors_at(float(times[i]))
@@ -207,15 +289,39 @@ def precompute_conditions(
                 )
             u = index[key] = len(unique)
             unique.append(model)
+            if model.photocurrent > 0.0:
+                claimants.append(claims.setdefault(ideal_cache_key(model), u))
+            else:
+                claimants.append(-1)
         u_row.append(u)
     models = [unique[u] for u in u_row]
+    claimant = np.array(claimants, dtype=np.int64)
 
     if string_population(unique):
         from repro.pv.string import solve_string_models
 
         solved = solve_string_models(unique)
+        endpoints = None
+        voc, v_mpp, p_mpp = solved.voc, solved.v_mpp, solved.p_mpp
+        deferred = np.zeros(len(unique), dtype=bool)
     else:
-        solved = solve_models(unique, memoize=True)
+        endpoints = solve_endpoints(stack_model_params(unique))
+        voc = endpoints.voc
+        first_claim = claimant == np.arange(len(unique))
+        deferred = (claimant >= 0) & ~first_claim
+        v_mpp = np.full(len(unique), np.nan)
+        p_mpp = np.full(len(unique), np.nan)
+        first = np.nonzero(first_claim)[0]
+        solved = solve_models([unique[k] for k in first.tolist()], endpoints=endpoints.take(first))
+        v_mpp[first] = solved.v_mpp
+        p_mpp[first] = solved.p_mpp
+        # Dark conditions take the batch solver's zero MPP without a search.
+        dark = np.nonzero(claimant < 0)[0]
+        v_mpp[dark] = p_mpp[dark] = 0.0
+        zeros = np.zeros(len(dark))
+        memoize_points(
+            [unique[k] for k in dark.tolist()], voc[dark], endpoints.isc[dark], zeros, zeros
+        )
 
     # One pre-timed span per scenario precompute; no-op while disabled.
     TRACER.add("precompute", time.perf_counter() - t_start)
@@ -227,8 +333,11 @@ def precompute_conditions(
         models=models,
         unique=unique,
         u_row=np.array(u_row, dtype=np.int64),
-        voc=solved.voc,
-        v_mpp=solved.v_mpp,
-        p_mpp=solved.p_mpp,
+        voc=voc,
+        claimant=claimant,
+        deferred=deferred,
+        _v_mpp=v_mpp,
+        _p_mpp=p_mpp,
+        endpoints=endpoints,
         source=source,
     )

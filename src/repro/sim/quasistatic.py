@@ -272,6 +272,9 @@ class QuasiStaticSimulator:
         self.thermal = thermal
         self.record = record
         self.precomputed = precomputed
+        if precomputed is not None:
+            # Controllers read model.mpp() from the trace's memos.
+            precomputed.solve_deferred()
         self.shading = shading
         self.traces = TraceSet()
         self.summary = HarvestSummary(final_storage_voltage=self._storage_voltage())

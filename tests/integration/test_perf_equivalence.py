@@ -139,3 +139,100 @@ def test_precomputed_solve_arrays_match_model_memos(geometry):
         assert pc.voc[k] == model.voc()
         assert pc.v_mpp[k] == mpp.voltage
         assert pc.p_mpp[k] == mpp.power
+
+
+def test_compiled_comparison_searches_only_ideal_key_claimants():
+    """A compiled comparison runs the exact-MPP search only for the first
+    claimant of each lit ideal key; a scalar run over the same trace then
+    solves every other lit condition in one more batch pass, and the
+    arrays and memos equal one whole-trace solve bit for bit."""
+    import dataclasses
+
+    import numpy as np
+
+    import repro.obs as obs
+    from repro.pv.batch import solve_models
+    from repro.sim.compiled import clear_program_cache, run_comparison_scenario
+
+    cell = am_1815()
+    lanes = [
+        (
+            "ideal-oracle",
+            IdealMPPT(),
+            BuckBoostConverter(),
+            Supercapacitor(capacitance=25.0, rated_voltage=5.5, voltage=2.7),
+        )
+    ]
+    clear_program_cache()
+    obs.enable()
+    obs.reset()
+    try:
+        solved = obs.REGISTRY.counter("solver.batch_conditions")
+        _, pc = run_comparison_scenario(
+            cell, "office-desk", office_desk_24h, lanes, 24.0 * HOURS, 300.0
+        )
+        lit = pc.claimant >= 0
+        first = pc.claimant == np.arange(pc.unique_conditions)
+        assert 0 < solved.value == int(first.sum()) < pc.unique_conditions
+        assert np.array_equal(pc.deferred, lit & ~first) and pc.deferred.any()
+        for k in np.nonzero(pc.deferred)[0].tolist():
+            assert "_mpp_memo" not in vars(pc.unique[k])
+
+        QuasiStaticSimulator(cell, IdealMPPT(), None, record=False, precomputed=pc)
+        assert solved.value == int(lit.sum())
+    finally:
+        obs.disable()
+        obs.reset()
+        clear_program_cache()
+
+    for k, model in enumerate(pc.unique):
+        mpp = model.mpp()
+        assert pc.v_mpp[k] == mpp.voltage
+        assert pc.p_mpp[k] == mpp.power
+    whole = solve_models([dataclasses.replace(m) for m in pc.unique], memoize=False)
+    assert np.array_equal(pc.v_mpp, whole.v_mpp)
+    assert np.array_equal(pc.p_mpp, whole.p_mpp)
+    assert np.array_equal(pc.voc, whole.voc)
+
+
+def test_concurrent_simulators_solve_the_deferred_conditions_once():
+    """Service threads share cached traces: simulators starting on one
+    trace at once solve its deferred conditions in a single pass."""
+    import sys
+    import threading
+
+    import repro.obs as obs
+
+    cell = am_1815()
+    pc = precompute_conditions(
+        cell,
+        office_desk_24h(),
+        24.0 * HOURS,
+        600.0,
+        thermal=CellThermalModel(area_cm2=cell.parameters.area_cm2),
+    )
+    assert pc.deferred.any()
+    interval = sys.getswitchinterval()
+    obs.enable()
+    obs.reset()
+    sys.setswitchinterval(1e-6)
+    try:
+        solved = obs.REGISTRY.counter("solver.batch_conditions")
+        threads = [
+            threading.Thread(
+                target=QuasiStaticSimulator,
+                args=(cell, IdealMPPT(), None),
+                kwargs={"record": False, "precomputed": pc},
+            )
+            for _ in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert solved.value == int(pc.deferred.sum())
+    finally:
+        sys.setswitchinterval(interval)
+        obs.disable()
+        obs.reset()

@@ -6,17 +6,93 @@ sub-epsilon power differences — so ``v_mpp`` is only pinned to the
 noise ball around the optimum while ``p_mpp`` (the physically
 meaningful output) agrees to ~1e-12 relative, and Voc/Isc (closed-form
 Lambert-W evaluations) agree essentially bitwise.
+
+Between batches the contract is exact: the search is elementwise, so
+solving a population in parts gives the one-batch bits.  The precompute
+relies on it to search only the conditions the ideal-MPP replay reads
+first and the rest later.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pv.batch import batch_mpp, solve_models
+from repro.pv.batch import batch_mpp, solve_endpoints, solve_models, stack_model_params
 from repro.pv.cells import am_1815, generic_csi, schott_1116929
 from repro.pv.mpp import k_factor, k_factor_curve
+from repro.pv.single_diode import SingleDiodeModel
 
 lux_levels = st.floats(min_value=200.0, max_value=5000.0)
+
+FIELDS = ("voc", "isc", "v_mpp", "i_mpp", "p_mpp")
+
+
+@st.composite
+def branch_models(draw, branch):
+    """A single-diode model on one ``batch_current_at`` branch (or dark)."""
+    dark = draw(st.integers(0, 7)) == 0
+    return SingleDiodeModel(
+        photocurrent=0.0 if dark else 10.0 ** draw(st.floats(-7.0, -3.0)),
+        saturation_current=10.0 ** draw(st.floats(-12.0, -8.0)),
+        ideality=draw(st.floats(1.0, 2.0)),
+        n_series=draw(st.integers(1, 8)),
+        series_resistance=0.0 if branch == "ideal-rs" else 10.0 ** draw(st.floats(-2.0, 2.0)),
+        shunt_resistance=(
+            float("inf") if branch == "infinite-rsh" else 10.0 ** draw(st.floats(3.0, 7.0))
+        ),
+        temperature=draw(st.floats(270.0, 340.0)),
+    )
+
+
+def _partition_solves(models, labels, endpoints=None):
+    """Solve ``models`` in the parts ``labels`` assigns, reassembled in order."""
+    out = {f: np.empty(len(models)) for f in FIELDS}
+    for part in sorted(set(labels)):
+        index = np.array([j for j, label in enumerate(labels) if label == part])
+        solved = solve_models(
+            [models[j] for j in index],
+            memoize=False,
+            endpoints=None if endpoints is None else endpoints.take(index),
+        )
+        for f in FIELDS:
+            out[f][index] = getattr(solved, f)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), branch=st.sampled_from(["ideal-rs", "infinite-rsh", "finite-rsh"]))
+def test_solving_in_parts_matches_one_batch_bitwise(data, branch):
+    # The precompute's split: Voc/Isc of every condition in one pass,
+    # the MPP search over any parts of them.  (Voc itself is solved once:
+    # lambertw_of_exp's asymptotic Newton branch iterates until its whole
+    # batch converges, so Voc past that branch may differ between batches
+    # by an ulp.)
+    models = data.draw(st.lists(branch_models(branch), min_size=1, max_size=24))
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=len(models), max_size=len(models)))
+    endpoints = solve_endpoints(stack_model_params(models))
+    whole = solve_models(models, memoize=False, endpoints=endpoints)
+    parts = _partition_solves(models, labels, endpoints)
+    for f in FIELDS:
+        assert np.array_equal(parts[f], getattr(whole, f)), f
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    levels=st.lists(
+        st.tuples(lux_levels, st.floats(280.0, 330.0)), min_size=1, max_size=16
+    ),
+    data=st.data(),
+)
+def test_whole_solves_in_parts_match_one_batch_bitwise(levels, data):
+    # Indoor conditions keep every Lambert-W argument on the direct
+    # branch, so even Voc/Isc solved per part are the one-batch bits.
+    cell = am_1815()
+    models = [cell.model_at(lux, temperature=t) for lux, t in levels]
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=len(models), max_size=len(models)))
+    whole = solve_models(models, memoize=False)
+    parts = _partition_solves(models, labels)
+    for f in FIELDS:
+        assert np.array_equal(parts[f], getattr(whole, f)), f
 
 
 @settings(max_examples=30, deadline=None)

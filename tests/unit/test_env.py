@@ -1,5 +1,7 @@
 """Unit tests for light environments."""
 
+import bisect
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,42 @@ class TestBasicProfiles:
         times = np.arange(0.0, 3600.0, 7.3)
         cold = [p(t) for t in times]
         warm = [p(t) for t in times]
+        assert cold == warm == [direct(t) for t in times]
+
+    def test_memoised_cloud_draws_match_direct_draws_bitwise(self):
+        # CloudField's dwell and state draws are memoised process-wide;
+        # a fresh field must read exactly what freshly seeded generators
+        # give, warm or cold.
+        seed, fraction, mean = 5, 0.4, 300.0
+        base = ConstantProfile(1000.0)
+
+        def draw_state(index):
+            rng = np.random.default_rng((seed * 7_368_787 + index) & 0x7FFFFFFF)
+            return bool(rng.random() < fraction)
+
+        def draw_dwell(index):
+            rng = np.random.default_rng((seed * 15_485_863 + index) & 0x7FFFFFFF)
+            return float(rng.exponential(mean))
+
+        def direct(t):
+            bounds, states = [0.0], [draw_state(0)]
+            while bounds[-1] <= t + 20.0:
+                index = len(bounds)
+                bounds.append(bounds[-1] + draw_dwell(index))
+                states.append(draw_state(index))
+            i = bisect.bisect_right(bounds, t) - 1
+            now = 0.25 if states[i] else 1.0
+            until = bounds[i + 1] - t
+            if until < 20.0:
+                blend = until / 20.0
+                nxt = 0.25 if states[i + 1] else 1.0
+                return 1000.0 * (blend * now + (1.0 - blend) * nxt)
+            return 1000.0 * now
+
+        times = np.arange(0.0, 7200.0, 13.7)
+        cold = [CloudField(base, fraction, mean, seed=seed)(t) for t in times]
+        field = CloudField(base, fraction, mean, seed=seed)
+        warm = [field(t) for t in times]
         assert cold == warm == [direct(t) for t in times]
 
     def test_noise_different_seeds_differ(self):

@@ -289,6 +289,18 @@ class TestLattice:
         clear_lattice()
         assert np.array_equal(table, lut_for_models(second, cell=cell).power_table)
 
+    def test_lattice_rows_grow_in_place_up_to_the_cap(self):
+        # The lattice reserves its row cap once; adding rows past the old
+        # doubling step (17 888 -> 35 776) never copies the array.
+        lattice = lut_module._Lattice(8)
+        rows = lattice.rows
+        assert rows.shape == (lut_module.LATTICE_MAX_ROWS, 8)
+        for n in (17_888, 1, lut_module.LATTICE_MAX_ROWS - 17_889):
+            lattice.add(np.full((n, 8), float(lattice.count)))
+            assert lattice.rows is rows
+        assert lattice.count == lut_module.LATTICE_MAX_ROWS
+        assert rows[17_888, 0] == 17_888.0 and rows[-1, 0] == 17_889.0
+
     def test_dark_rows_are_zero(self):
         cell = am_1815()
         models = [
