@@ -89,14 +89,14 @@ def assess_neutrality(
     harvest = 0.0
     load = 0.0
     net_series = np.empty(len(times))
-    mpp_cache: dict = {}
+    p_mpp_by_lux: dict = {}
     for i, t in enumerate(times):
         lux = max(0.0, float(environment(t)))
         key = round(lux, 1)
-        p_mpp = mpp_cache.get(key)
+        p_mpp = p_mpp_by_lux.get(key)
         if p_mpp is None:
             p_mpp = cell.mpp(lux, source=source).power if lux > 0.0 else 0.0
-            mpp_cache[key] = p_mpp
+            p_mpp_by_lux[key] = p_mpp
         delivered = p_mpp * tracking_efficiency * converter_efficiency
         p_load = max(0.0, float(load_power(t)))
         harvest += delivered * dt

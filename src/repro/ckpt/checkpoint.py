@@ -6,7 +6,7 @@ leaves the previous checkpoint intact — the resume path never sees a
 torn file.  The envelope is deliberately small::
 
     {
-      "schema": 1,                  # format version, checked on load
+      "schema": 2,                  # format version, checked on load
       "kind": "endurance",          # which experiment wrote it
       "spec": {...},                # the run's construction arguments
       "state": {...},               # the state_dict() snapshot tree
@@ -30,7 +30,7 @@ from repro.errors import CheckpointError
 from repro.obs import journal as _journal
 from repro.obs.metrics import HOOKS as _OBS
 
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 """Current checkpoint envelope version."""
 
 

@@ -258,9 +258,8 @@ def _run_campaign_scenario(spec: _CampaignSpec) -> List[ResilienceCell]:
     Mirrors :func:`repro.experiments.comparison._run_scenario` — same
     cell, storage, converter and thermal settings — with the campaign's
     wrappers laid over the chain.  Light faults are pure functions of
-    time, so the precompute fast path sees the *faulted* trace and stays
-    bit-identical to a live walk; component faults are stateful wrappers
-    ticked by the engine each step.
+    time, so the precomputed trace is the *faulted* trace; component
+    faults are stateful wrappers ticked by the engine each step.
     """
     plan = build_plan(spec.campaign, spec.seed, spec.duration)
     cell = spec.cell
@@ -494,10 +493,10 @@ def coldstart_under_flicker(
             converter=BuckBoostConverter(),
             storage=Supercapacitor(capacitance=25.0, rated_voltage=5.5, voltage=0.0),
             record=False,
+            precomputed=precompute_conditions(cell, environment, budget, dt),
         )
-        steps = int(round(budget / dt))
         woke_at = float("nan")
-        for _ in range(steps):
+        for _ in range(len(sim.precomputed)):
             sim.step(dt)
             if controller.powered:
                 woke_at = sim.time

@@ -196,8 +196,6 @@ _HOOK_INSTRUMENTS = {
     "mpp_iters": ("solver.mpp_iterations", "golden-section narrowing iterations"),
     "batch_solves": ("solver.batch_solves", "vectorized batch solve passes"),
     "batch_conditions": ("solver.batch_conditions", "conditions covered by batch solves"),
-    "cache_hits": ("pv.cache.hits", "ideal-MPP memo lookups answered from cache"),
-    "cache_misses": ("pv.cache.misses", "ideal-MPP memo lookups that had to solve"),
     "scheduler_clamps": (
         "node.scheduler_clamps",
         "report periods clamped at the min/max period bound",
@@ -278,8 +276,6 @@ class Hooks:
       and the section-narrowing iterations they took.
     * ``batch_solves`` / ``batch_conditions`` — vectorized solve passes
       and the conditions they covered (:mod:`repro.pv.batch`).
-    * ``cache_hits`` / ``cache_misses`` — the quasi-static engine's
-      quantised ideal-MPP memo (:mod:`repro.sim.quasistatic`).
     * ``scheduler_clamps`` — report periods clamped at the min/max
       bound (:mod:`repro.node.scheduler`).
     * ``fault_activations`` — fault-window queries that found a window

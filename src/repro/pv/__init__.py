@@ -25,7 +25,6 @@ from repro.pv.cells import PVCell, CellParameters, am_1815, schott_1116929, gene
 from repro.pv.mpp import k_factor, k_factor_curve, efficiency_at_voltage
 from repro.pv.thermal import CellThermalModel
 from repro.pv.teg import ThermoelectricGenerator
-from repro.pv.fitting import FitTarget, FitResult, fit_cell_parameters, am_1815_targets
 from repro.pv.string import CellString, StringModel, StringMPPResult, solve_string_models
 from repro.pv.batch import BatchSolveResult, batch_mpp, solve_models
 
@@ -48,10 +47,6 @@ __all__ = [
     "efficiency_at_voltage",
     "CellThermalModel",
     "ThermoelectricGenerator",
-    "FitTarget",
-    "FitResult",
-    "fit_cell_parameters",
-    "am_1815_targets",
     "CellString",
     "StringModel",
     "StringMPPResult",

@@ -73,13 +73,17 @@ def lambertw_of_exp(log_theta: ArrayLike) -> ArrayLike:
     For large ``x`` (where ``exp(x)`` overflows) it solves
     ``w + ln(w) = x`` by Newton iteration from the asymptotic seed
     ``w0 = x - ln(x)``, which converges quadratically in a handful of
-    steps.
+    steps.  Each element iterates until it converges itself, so the
+    array path equals ``_lambertw_of_exp_scalar(x, exp=np.exp,
+    log=np.log)`` element for element, whatever else shares the call.
     """
     if type(log_theta) is float or type(log_theta) is int:
         return _lambertw_of_exp_scalar(float(log_theta))
     x = np.asarray(log_theta, dtype=float)
     scalar = x.ndim == 0
-    x = np.atleast_1d(x)
+    shape = x.shape
+    # Work on a flat copy so the Newton branch can index elements, not rows.
+    x = x.ravel()
     out = np.empty_like(x)
     calls = _OBS.lambertw_calls
     if calls is not None:
@@ -90,25 +94,32 @@ def lambertw_of_exp(log_theta: ArrayLike) -> ArrayLike:
         vals = lambertw(np.exp(x[small]))
         out[small] = vals.real
 
-    big = ~small
-    if np.any(big):
+    big = np.nonzero(~small)[0]
+    if big.size:
+        # Solve w + ln(w) = x.  Seed with the two-term asymptotic series,
+        # then iterate only the elements still moving, so each stops where
+        # the scalar iteration would and its bits do not depend on its call.
         xb = x[big]
-        # Solve w + ln(w) = x.  Seed with the two-term asymptotic series.
         w = xb - np.log(xb)
-        for iteration in range(24):
+        newton = 0
+        for _ in range(24):
             f = w + np.log(w) - xb
             dw = -f / (1.0 + 1.0 / w)
             w = w + dw
-            if np.all(np.abs(dw) <= 1e-14 * np.maximum(np.abs(w), 1.0)):
+            newton += w.size
+            done = np.abs(dw) <= 1e-14 * np.maximum(np.abs(w), 1.0)
+            out[big[done]] = w[done]
+            if done.all():
                 break
+            moving = ~done
+            big, xb, w = big[moving], xb[moving], w[moving]
         else:
             raise ConvergenceError("lambertw_of_exp Newton iteration did not converge", iterations=24)
-        out[big] = w
         iters = _OBS.lambertw_newton_iters
         if iters is not None:
-            iters.inc((iteration + 1) * xb.size)
+            iters.inc(newton)
 
-    return float(out[0]) if scalar else out
+    return float(out[0]) if scalar else out.reshape(shape)
 
 
 def wright_omega(x: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ chain is replayed once per lane by
 real :class:`~repro.sim.quasistatic.QuasiStaticSimulator` over the
 shared precomputed trace with its own (possibly fault-wrapped)
 converter and storage.  Converter transfer, supercapacitor exchange,
-fault ticks, numerical guards and the ideal-MPP memo are therefore the
+fault ticks, numerical guards and the ideal-MPP replay are therefore the
 scalar engine's own code, and summaries match the scalar walk to a few
 ulp (the replay solves the loaded sample point in closed form).
 """

@@ -1,12 +1,13 @@
-"""Whole-run condition precomputation for the quasi-static engine.
+"""Whole-run condition precomputation: the quasi-static engine's one
+condition walk.
 
-A :class:`~repro.sim.quasistatic.QuasiStaticSimulator` spends most of a
-24-hour run re-deriving things that do not depend on the controller:
-the environment's lux at each step, the thermal state that follows it,
-the single-diode model for each condition, and that model's Voc/MPP.
-All of it is a pure function of ``(cell, environment, thermal, dt)`` —
-so the nine-controller comparison recomputes the identical trace nine
-times.
+The environment's lux at each step, the thermal state that follows it,
+the single-diode model for each condition and that model's Voc/MPP do
+not depend on the controller: all of it is a pure function of
+``(cell, environment, thermal, dt)``.  So a
+:class:`~repro.sim.quasistatic.QuasiStaticSimulator` only ever steps a
+trace built here (its ``run()`` builds one when none is given), and the
+nine-controller comparison shares one trace per scenario.
 
 :func:`precompute_conditions` walks the run once, builds the per-step
 model list (deduplicated on exact ``(lux, temperature)`` — plus the
@@ -17,7 +18,7 @@ single cells it stacks their parameters once
 Voc/Isc, and runs the exact-MPP search
 (:func:`repro.pv.batch.solve_models`) only where the ideal-MPP replay
 reads it: the first claimant of each lit
-:func:`ideal_cache_key`, as the scalar engine's memo does.  Dark
+:func:`ideal_cache_key`.  Dark
 conditions take the zero MPP unsolved.  The remaining lit conditions
 are *deferred*: :meth:`PrecomputedConditions.solve_deferred` solves them
 in one more ``solve_models`` pass, which every
@@ -96,7 +97,8 @@ class PrecomputedConditions:
         claimant: per ``unique`` condition, the index of the first
             condition with its :func:`ideal_cache_key` (itself for a
             first claimant), or -1 when dark.  Claimants come first in
-            step order, as in the scalar engine's ideal-MPP memo.
+            step order; every lit condition is credited its claimant's
+            exact MPP power (:meth:`ideal_power`).
         deferred: per ``unique`` condition, whether precompute left its
             exact MPP to :meth:`solve_deferred` (lit single-cell
             conditions that are not their key's first claimant).
@@ -184,12 +186,11 @@ class PrecomputedConditions:
             self._pending = False
 
     def ideal_power(self) -> np.ndarray:
-        """Ideal-MPP power per unique condition, replaying the scalar
-        engine's memo: every lit condition takes its :attr:`claimant`'s
-        exact power and dark conditions give 0, so ``ideal_power()[u_row]``
-        sums bitwise like ``energy_ideal``.  Photocurrent is linear in
-        lux, so ``photocurrent > 0`` is also the engine's ``lux > 0``
-        test.  Reads no deferred solve."""
+        """Ideal-MPP power per unique condition, the claimant replay:
+        every lit condition takes its :attr:`claimant`'s exact power and
+        dark conditions give 0.  ``ideal_power()[u_row]`` is the per-step
+        power every tier integrates into ``energy_ideal``.  Reads no
+        deferred solve."""
         return np.where(self.claimant >= 0, self._p_mpp[self.claimant], 0.0)
 
     def ideal_mpp(self) -> "tuple[np.ndarray, np.ndarray]":
@@ -214,10 +215,10 @@ def precompute_conditions(
 ) -> PrecomputedConditions:
     """Sample a run's conditions once and batch-solve the unique ones.
 
-    The walk replicates the live simulator exactly: the environment is
-    evaluated at the same accumulated times, and a supplied thermal
-    model is stepped through the same sequence (it is *consumed* — pass
-    a fresh instance, not one shared with a live simulator).
+    The environment is evaluated at accumulated times (``t += dt`` from
+    ``start_time``, the clock the simulator steps on), and a supplied
+    thermal model is stepped through the same sequence (it is
+    *consumed* — pass a fresh instance for each trace).
 
     Args:
         cell: the harvesting cell.
@@ -250,7 +251,7 @@ def precompute_conditions(
         times[i] = t
         level = float(environment(t))
         if level != level:
-            # Same guard as the live step: max(0.0, nan) would be darkness.
+            # max(0.0, nan) would silently be darkness.
             raise NumericalGuardError(
                 f"environment produced NaN lux at t={t:.6g} s", signal="lux", time=t
             )

@@ -34,7 +34,7 @@ from repro.obs import journal as _journal
 from repro.pv.cells import PVCell
 from repro.pv.irradiance import FLUORESCENT, LightSource
 from repro.pv.single_diode import SingleDiodeModel
-from repro.sim.precompute import PrecomputedConditions, ideal_cache_key
+from repro.sim.precompute import PrecomputedConditions, precompute_conditions
 from repro.sim.traces import TraceSet
 from repro.units import T_STC
 
@@ -198,14 +198,20 @@ class HarvestSummary:
 
 
 class QuasiStaticSimulator:
-    """Run a harvesting controller against a light environment.
+    """Run a harvesting controller over a precomputed condition trace.
+
+    Every step reads its lux, cell model and ideal-MPP power from one
+    :class:`~repro.sim.precompute.PrecomputedConditions` trace: either
+    the ``precomputed`` one passed in, or one :meth:`run` builds from
+    step 0 out of ``environment``, ``source``, ``thermal`` and
+    ``temperature``.  A step off that trace raises ModelParameterError.
 
     Args:
-        cell: the PV cell (or any object with ``model_at``/``mpp``).
+        cell: the PV cell (or any object with ``model_at``/``mpp``);
+            read only to build a trace.
         controller: the MPPT controller under test.
         environment: callable ``lux(t)`` giving illuminance at time t;
-            None for a run that only steps its ``precomputed`` trace
-            (a step off that trace then raises ModelParameterError).
+            None for a run that only steps its ``precomputed`` trace.
         converter: optional converter with
             ``output_power(p_in, v_in, v_out) -> float``; identity if None.
         storage: optional energy store; if None an ideal infinite sink at
@@ -219,20 +225,15 @@ class QuasiStaticSimulator:
         thermal: optional :class:`~repro.pv.thermal.CellThermalModel`;
             when given, the cell temperature follows the light level —
             which is what separates FOCV from fixed-voltage operation on
-            a sun-heated outdoor cell.
+            a sun-heated outdoor cell.  The trace :meth:`run` builds
+            steps (consumes) it.
         record: whether to record traces.
         precomputed: optional
             :class:`~repro.sim.precompute.PrecomputedConditions` for
-            this (cell, environment) pair: steps aligned with the trace
-            skip the environment/thermal/model solves entirely and
-            consume the pre-solved operating points (identical
-            numerics).  Mutually exclusive with ``thermal`` — the
-            precompute owns the thermal stepping.
-        shading: optional :class:`~repro.env.shading.ShadowMap`; its
-            per-cell factors are forwarded to the cell's ``model_at``
-            each step (requires a string-style cell such as
-            :class:`~repro.pv.string.CellString`).  Precomputed traces
-            bake the shading in, so this only drives the live path.
+            this (cell, environment) pair, for runs that share one
+            trace.  Mutually exclusive with ``thermal`` — the precompute
+            owns the thermal stepping.  Shading is baked into the trace
+            by :func:`~repro.sim.precompute.precompute_conditions`.
     """
 
     def __init__(
@@ -249,7 +250,6 @@ class QuasiStaticSimulator:
         thermal=None,
         record: bool = True,
         precomputed: Optional[PrecomputedConditions] = None,
-        shading=None,
     ):
         from repro.validation import require_finite, require_positive
 
@@ -260,6 +260,8 @@ class QuasiStaticSimulator:
                 "pass the thermal model to precompute_conditions, not the simulator, "
                 "when running from a precomputed trace"
             )
+        if precomputed is None and environment is None:
+            raise ModelParameterError("a run needs an environment or a precomputed trace")
         self.cell = cell
         self.controller = controller
         self.environment = environment
@@ -271,11 +273,9 @@ class QuasiStaticSimulator:
         self.temperature = temperature
         self.thermal = thermal
         self.record = record
-        self.precomputed = precomputed
+        self.precomputed = None
         if precomputed is not None:
-            # Controllers read model.mpp() from the trace's memos.
-            precomputed.solve_deferred()
-        self.shading = shading
+            self._attach(precomputed)
         self.traces = TraceSet()
         self.summary = HarvestSummary(final_storage_voltage=self._storage_voltage())
         self.time = 0.0
@@ -285,10 +285,15 @@ class QuasiStaticSimulator:
         # a tick(t, dt) hook the engine calls at the top of each step.
         self._converter_tick = getattr(converter, "tick", None)
         self._storage_tick = getattr(storage, "tick", None)
-        # MPP solves are the cost centre of long runs; light levels are
-        # smooth, so cache the ideal-MPP power on a quantised
-        # photocurrent grid (0.25 % bins -> well under 0.1 % power error).
-        self._mpp_cache: dict = {}
+
+    def _attach(self, precomputed: PrecomputedConditions) -> None:
+        """Make ``precomputed`` the run's trace."""
+        # Controllers read model.mpp() from the trace's memos.
+        precomputed.solve_deferred()
+        self.precomputed = precomputed
+        # The ideal-MPP power each step is credited with: its condition's
+        # ideal-key claimant replay (PrecomputedConditions.ideal_power).
+        self._ideal = precomputed.ideal_power()[precomputed.u_row].tolist()
 
     def _storage_voltage(self) -> float:
         if self.storage is not None:
@@ -300,18 +305,12 @@ class QuasiStaticSimulator:
     def state_dict(self) -> dict:
         """Snapshot everything needed to resume this run bitwise-identically.
 
-        Captures the clock, step index, energy accumulators, the
-        quantised MPP cache, and the mutable children (controller,
-        storage, converter, thermal) via their own ``state_dict``.  The
-        environment, cell, and precompute are pure functions of the
-        run's construction arguments, so a resumed run rebuilds them
-        from the spec instead of serialising them.
-
-        The MPP cache *must* travel with the checkpoint: its keys are
-        quantised, so colliding conditions reuse the first-computed
-        value — an empty cache on resume could recompute a subtly
-        different ideal power for a later step and break bitwise
-        equality.
+        Captures the clock, step index, energy accumulators and the
+        mutable children (controller, storage, converter) via their own
+        ``state_dict``.  The condition trace — environment, thermal
+        state, models and ideal-MPP powers — is a pure function of the
+        run's construction arguments, so a resumed run rebuilds it from
+        the spec instead of serialising it.
 
         Recorded traces are not captured; run checkpointed simulations
         with ``record=False`` (the long-run drivers already do).
@@ -322,11 +321,9 @@ class QuasiStaticSimulator:
             "time": self.time,
             "step_index": self._step_index,
             "summary": self.summary.to_dict(),
-            "mpp_cache": [[*k, v] for k, v in self._mpp_cache.items()],
             "controller": child_state(self.controller),
             "storage": child_state(self.storage),
             "converter": child_state(self.converter),
-            "thermal": child_state(self.thermal),
         }
 
     def load_state(self, state: dict) -> None:
@@ -339,106 +336,33 @@ class QuasiStaticSimulator:
         from repro.ckpt.state import load_child_state
         from repro.errors import StateFormatError
 
-        missing = [
-            key
-            for key in ("time", "step_index", "summary", "mpp_cache")
-            if key not in state
-        ]
+        missing = [key for key in ("time", "step_index", "summary") if key not in state]
         if missing:
             raise StateFormatError(f"QuasiStaticSimulator state missing {missing}")
         self.time = state["time"]
         self._step_index = state["step_index"]
         self.summary = HarvestSummary.from_dict(state["summary"])
-        # Keys are variable-length tuples (2 for cells, 3 with nested
-        # per-cell tuples for strings); JSON stores them as lists, so
-        # rebuild the hashable form recursively.
-        def _tuplify(value):
-            if isinstance(value, list):
-                return tuple(_tuplify(item) for item in value)
-            return value
-
-        self._mpp_cache = {
-            _tuplify(entry[:-1]): entry[-1] for entry in state["mpp_cache"]
-        }
         load_child_state(self.controller, state.get("controller"), "controller")
         load_child_state(self.storage, state.get("storage"), "storage")
         load_child_state(self.converter, state.get("converter"), "converter")
-        load_child_state(self.thermal, state.get("thermal"), "thermal")
-
-    def _ideal_power(self, model) -> float:
-        """True-MPP power for the step's curve, cached on
-        :func:`~repro.sim.precompute.ideal_cache_key`.
-
-        String models publish ``ideal_cache_key`` covering every cell:
-        two shading patterns can share a headline photocurrent while
-        having very different MPPs, so the single-cell key would collide.
-        """
-        if model.photocurrent <= 0.0:
-            return 0.0
-        key = ideal_cache_key(model)
-        cached = self._mpp_cache.get(key)
-        if cached is None:
-            h = obs.HOOKS.cache_misses
-            if h is not None:
-                h.inc()
-            cached = model.mpp().power
-            self._mpp_cache[key] = cached
-        else:
-            h = obs.HOOKS.cache_hits
-            if h is not None:
-                h.inc()
-        return cached
 
     def step(self, dt: float) -> StepResult:
-        """Advance one quasi-static step of ``dt`` seconds."""
+        """Advance one quasi-static step of ``dt`` seconds along the trace."""
         if dt <= 0.0:
             raise ModelParameterError(f"dt must be positive, got {dt!r}")
         t = self.time
+        pc = self.precomputed
+        index = self._step_index
+        if pc is None or not (
+            0 <= index < len(pc.models) and dt == pc.dt and t == pc.times[index]
+        ):
+            raise ModelParameterError(f"step t={t!r} s, dt={dt!r} s is off the precomputed trace")
         if self._converter_tick is not None:
             self._converter_tick(t, dt)
         if self._storage_tick is not None:
             self._storage_tick(t, dt)
-        pc = self.precomputed
-        index = self._step_index
-        if (
-            pc is not None
-            and index < len(pc.models)
-            and dt == pc.dt
-            and t == pc.times[index]
-        ):
-            # Fast path: the whole condition chain (environment, thermal,
-            # model, Voc/MPP) was computed once for this trace — steps
-            # that stay aligned with it just consume the results.
-            lux = float(pc.lux[index])
-            model = pc.models[index]
-        elif self.environment is None:
-            raise ModelParameterError(
-                f"step t={t!r} s, dt={dt!r} s is off the precomputed trace "
-                "and this run has no environment to walk"
-            )
-        else:
-            raw_lux = float(self.environment(t))
-            if raw_lux != raw_lux:
-                # max(0.0, nan) silently yields 0.0 — surface it instead.
-                raise NumericalGuardError(
-                    f"environment produced NaN lux at t={t:.6g} s", signal="lux", time=t
-                )
-            lux = max(0.0, raw_lux)
-            if self.thermal is not None:
-                temperature = self.thermal.step(lux, dt, self.source.efficacy_lm_per_w)
-            else:
-                temperature = self.temperature
-            if self.shading is not None:
-                model = self.cell.model_at(
-                    lux,
-                    source=self.source,
-                    temperature=temperature,
-                    factors=self.shading.factors_at(t),
-                )
-            else:
-                model = self.cell.model_at(
-                    lux, source=self.source, temperature=temperature
-                )
+        lux = float(pc.lux[index])
+        model = pc.models[index]
         storage_v = self._storage_voltage()
         supply_v = storage_v if self.storage is not None else self.supply_voltage
 
@@ -479,8 +403,8 @@ class QuasiStaticSimulator:
         overhead = decision.overhead_current * supply_v
         load_power = self.load(t) if self.load is not None else 0.0
 
-        # Ideal benchmark for the same step (cached on quantised Iph).
-        ideal = self._ideal_power(model) if lux > 0.0 else 0.0
+        # Ideal benchmark for the same step.
+        ideal = self._ideal[index]
 
         # Storage bookkeeping.
         if self.storage is not None:
@@ -530,6 +454,13 @@ class QuasiStaticSimulator:
     def run(self, duration: float, dt: float = 1.0) -> HarvestSummary:
         """Run for ``duration`` seconds in steps of ``dt``; returns the summary.
 
+        A run without a trace first builds one from step 0 through the
+        end of this run (:func:`~repro.sim.precompute.precompute_conditions`
+        over the simulator's environment, source and thermal model), so
+        a further ``run()`` on the same simulator steps off that trace
+        and raises; to run in chunks, pass ``precomputed=`` covering
+        the whole horizon.
+
         With observability enabled (:func:`repro.obs.enable`) the run is
         wrapped in a ``technique:<name>`` span, step timing is sampled
         into ``step`` child spans and the ``sim.step_seconds`` histogram,
@@ -537,6 +468,18 @@ class QuasiStaticSimulator:
         The disabled path is byte-for-byte the original loop.
         """
         steps = int(round(duration / dt))
+        if self.precomputed is None:
+            self._attach(
+                precompute_conditions(
+                    self.cell,
+                    self.environment,
+                    (self._step_index + steps) * dt,
+                    dt,
+                    source=self.source,
+                    thermal=self.thermal,
+                    temperature=self.temperature,
+                )
+            )
         j = _journal.JOURNAL
         if j is not None:
             j.emit(

@@ -1,8 +1,9 @@
 """Integration: the example scripts run end to end.
 
-The three fast examples execute fully; the two long ones (24-hour
-multi-technique sweeps) are compile-checked and have their core loop
-exercised in miniature elsewhere (test_comparison_repro).
+The fast examples execute fully and the adaptive node runs its chunked
+loop over a short horizon; the two long ones (24-hour multi-technique
+sweeps) are compile-checked and have their core loop exercised in
+miniature elsewhere (test_comparison_repro).
 """
 
 import pathlib
@@ -47,6 +48,14 @@ class TestFastExamples:
         out = run_example("teg_harvester.py")
         assert "TEG extension" in out
         assert "k = 0.5" in out
+
+    def test_adaptive_node_steps_one_trace_in_chunks(self):
+        # Two run() calls on one simulator: the second must continue
+        # along the precomputed trace, not fall off a per-run one.
+        out = run_example("adaptive_node.py", "6")
+        rows = [line.split() for line in out.splitlines() if line.strip()[:1].isdigit()]
+        assert [row[0] for row in rows] == ["3", "6"]
+        assert "over 6 h" in out
 
 
 class TestLongExamplesCompile:

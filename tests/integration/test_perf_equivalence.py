@@ -1,9 +1,11 @@
 """The fast paths change wall time, not physics.
 
-The precomputed condition trace the simulator consumes is asserted
-bit-for-bit against the live per-step path — generically, and for every
-(technique, scenario) lane of the comparison with that lane's thermal
-model, storage and converter.
+A run over an explicitly precomputed (shared) condition trace is
+asserted bit-for-bit against a run that builds its own trace from the
+simulator's environment, source and thermal model — generically, and
+for every (technique, scenario) lane of the comparison with that lane's
+thermal model, storage and converter.  That pins the wiring of
+``run()``'s self-built trace to what the comparison shares.
 """
 
 import pytest
@@ -43,18 +45,18 @@ def _make_sim(cell, controller, environment, **kwargs):
 def test_precomputed_run_is_bitwise_identical():
     duration, dt = 1.0 * HOURS, 10.0
     cell = am_1815()
-    live = _make_sim(cell, IdealMPPT(), office_desk_24h())
+    self_built = _make_sim(cell, IdealMPPT(), office_desk_24h())
     pc = precompute_conditions(cell, office_desk_24h(), duration, dt)
     fast = _make_sim(cell, IdealMPPT(), office_desk_24h(), precomputed=pc)
-    _summaries_identical(fast.run(duration, dt=dt), live.run(duration, dt=dt))
+    _summaries_identical(fast.run(duration, dt=dt), self_built.run(duration, dt=dt))
 
 
 def test_precomputed_run_with_thermal_is_bitwise_identical():
-    # Thermal stepping moves to the precompute — the outdoor scenario's
-    # sun-heated temperature trace must come out the same.
+    # The simulator's own thermal model drives its self-built trace — the
+    # outdoor scenario's sun-heated temperature trace must come out the same.
     duration, dt = 1.0 * HOURS, 10.0
     cell = am_1815()
-    live = _make_sim(
+    self_built = _make_sim(
         cell,
         IdealMPPT(),
         outdoor_day(),
@@ -68,7 +70,7 @@ def test_precomputed_run_with_thermal_is_bitwise_identical():
         thermal=CellThermalModel(area_cm2=cell.parameters.area_cm2),
     )
     fast = _make_sim(cell, IdealMPPT(), outdoor_day(), precomputed=pc)
-    _summaries_identical(fast.run(duration, dt=dt), live.run(duration, dt=dt))
+    _summaries_identical(fast.run(duration, dt=dt), self_built.run(duration, dt=dt))
 
 
 def test_precomputed_and_thermal_are_mutually_exclusive():
@@ -91,7 +93,7 @@ def test_comparison_lane_precomputed_is_bitwise_identical(technique, scenario):
     cell = am_1815()
     controller = default_controllers(cell)[technique]
     environment = default_scenarios()[scenario]
-    live = _make_sim(
+    self_built = _make_sim(
         cell,
         controller(),
         environment(),
@@ -105,18 +107,18 @@ def test_comparison_lane_precomputed_is_bitwise_identical(technique, scenario):
         thermal=CellThermalModel(area_cm2=cell.parameters.area_cm2),
     )
     fast = _make_sim(cell, controller(), environment(), precomputed=pc)
-    _summaries_identical(fast.run(duration, dt=dt), live.run(duration, dt=dt))
+    _summaries_identical(fast.run(duration, dt=dt), self_built.run(duration, dt=dt))
 
 
-def test_run_beyond_precomputed_trace_falls_back_to_live_path():
-    # The trace covers 30 min; running 60 min must keep going (live path)
-    # and match an entirely-live run.
+def test_run_beyond_precomputed_trace_raises():
+    # The trace covers 30 min; the step past it has no conditions to read.
     duration, dt = 1.0 * HOURS, 10.0
     cell = am_1815()
     pc = precompute_conditions(cell, office_desk_24h(), 0.5 * HOURS, dt)
     fast = _make_sim(cell, IdealMPPT(), office_desk_24h(), precomputed=pc)
-    live = _make_sim(cell, IdealMPPT(), office_desk_24h())
-    _summaries_identical(fast.run(duration, dt=dt), live.run(duration, dt=dt))
+    with pytest.raises(ModelParameterError, match="t=1800.0 s, dt=10.0 s is off the precomputed"):
+        fast.run(duration, dt=dt)
+    assert fast._step_index == len(pc)
 
 
 @pytest.mark.parametrize("geometry", ["plain-cell", "edge-sweep-4s"])

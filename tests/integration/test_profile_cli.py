@@ -2,8 +2,8 @@
 
 One instrumented comparison slice long enough to reach daylight (the
 scenarios start at midnight, so a too-short run never exercises the MPP
-path) must produce all three export formats with nonzero solver, cache,
-and per-technique span data — the acceptance bar for the observability
+path) must produce all three export formats with nonzero solver and
+per-technique span data — the acceptance bar for the observability
 layer.
 """
 
@@ -42,14 +42,13 @@ class TestProfileCommand:
         for suffix in (".json", ".prom", ".folded"):
             assert (out / f"profile_comparison{suffix}").exists()
 
-    def test_json_report_has_nonzero_solver_and_cache(self, profile_run):
+    def test_json_report_has_nonzero_solver_counters(self, profile_run):
         _, out = profile_run
         report = json.loads((out / "profile_comparison.json").read_text())
         values = {m["name"]: m.get("value", 0) for m in report["metrics"]}
         assert values["solver.lambertw_calls"] > 0
         assert values["solver.mpp_iterations"] > 0
-        assert values["pv.cache.hits"] > 0
-        assert values["pv.cache.misses"] > 0
+        assert values["solver.batch_conditions"] > 0
 
     def test_json_report_trace_has_per_technique_spans(self, profile_run):
         _, out = profile_run

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from repro.pv.batch import batch_mpp, solve_endpoints, solve_models, stack_model_params
 from repro.pv.cells import am_1815, generic_csi, schott_1116929
+from repro.pv.irradiance import DAYLIGHT
 from repro.pv.mpp import k_factor, k_factor_curve
-from repro.pv.single_diode import SingleDiodeModel
+from repro.pv.single_diode import SingleDiodeModel, _lambertw_of_exp_scalar, lambertw_of_exp
 
 lux_levels = st.floats(min_value=200.0, max_value=5000.0)
 
@@ -63,10 +64,7 @@ def _partition_solves(models, labels, endpoints=None):
 @given(data=st.data(), branch=st.sampled_from(["ideal-rs", "infinite-rsh", "finite-rsh"]))
 def test_solving_in_parts_matches_one_batch_bitwise(data, branch):
     # The precompute's split: Voc/Isc of every condition in one pass,
-    # the MPP search over any parts of them.  (Voc itself is solved once:
-    # lambertw_of_exp's asymptotic Newton branch iterates until its whole
-    # batch converges, so Voc past that branch may differ between batches
-    # by an ulp.)
+    # the MPP search over any parts of them.
     models = data.draw(st.lists(branch_models(branch), min_size=1, max_size=24))
     labels = data.draw(st.lists(st.integers(0, 3), min_size=len(models), max_size=len(models)))
     endpoints = solve_endpoints(stack_model_params(models))
@@ -93,6 +91,40 @@ def test_whole_solves_in_parts_match_one_batch_bitwise(levels, data):
     parts = _partition_solves(models, labels)
     for f in FIELDS:
         assert np.array_equal(parts[f], getattr(whole, f)), f
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 96),
+    make_cell=st.sampled_from([am_1815, schott_1116929, generic_csi]),
+)
+def test_outdoor_solves_in_parts_match_one_batch_bitwise(seed, size, make_cell):
+    # Outdoor Voc takes lambertw_of_exp's asymptotic Newton branch, which
+    # iterates each element to its own convergence: Voc/Isc solved per
+    # part are the one-batch bits too.
+    rng = np.random.default_rng(seed)
+    cell = make_cell()
+    models = [
+        cell.model_at(lux, source=DAYLIGHT, temperature=t)
+        for lux, t in zip(rng.uniform(2.0e4, 1.2e5, size), rng.uniform(280.0, 340.0, size))
+    ]
+    labels = rng.integers(0, 4, size).tolist()
+    whole = solve_models(models, memoize=False)
+    parts = _partition_solves(models, labels)
+    for f in FIELDS:
+        assert np.array_equal(parts[f], getattr(whole, f)), f
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_array_lambertw_matches_scalar_on_the_newton_branch(seed):
+    x = np.random.default_rng(seed).uniform(100.0, 1.0e4, 500)
+    scalar = [_lambertw_of_exp_scalar(v, exp=np.exp, log=np.log) for v in x.tolist()]
+    assert lambertw_of_exp(x).tolist() == scalar
+    # Any shape: a 2-D call (mixing both branches) equals the flat one.
+    grid = np.concatenate([x, np.linspace(-5.0, 99.0, 100)]).reshape(30, 20)
+    assert lambertw_of_exp(grid).tolist() == lambertw_of_exp(grid.ravel()).reshape(30, 20).tolist()
 
 
 @settings(max_examples=30, deadline=None)

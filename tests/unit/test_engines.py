@@ -174,7 +174,55 @@ class TestQuasiStaticSimulator:
         with pytest.raises(ModelParameterError):
             sim.step(0.0)
 
-    def test_mpp_cache_reused(self):
+    def test_constant_light_credits_its_one_condition(self):
+        """run() builds its own trace; constant light is one condition,
+        and energy_ideal sums the trace's claimant replay step by step."""
+        sim = QuasiStaticSimulator(am_1815(), FixedRatioController(), constant_bench(1000.0))
+        summary = sim.run(30.0, dt=1.0)
+        pc = sim.precomputed
+        assert pc.unique_conditions == 1
+        expected = 0.0
+        for power in pc.ideal_power()[pc.u_row].tolist():
+            expected += power * 1.0
+        assert summary.energy_ideal == expected > 0.0
+
+    def test_run_past_its_own_trace_raises(self):
         sim = QuasiStaticSimulator(am_1815(), FixedRatioController(), constant_bench(1000.0))
         sim.run(30.0)
-        assert len(sim._mpp_cache) == 1  # constant light -> one cache entry
+        with pytest.raises(ModelParameterError, match="off the precomputed trace"):
+            sim.run(30.0)
+
+    def test_step_without_a_trace_raises(self):
+        sim = QuasiStaticSimulator(am_1815(), FixedRatioController(), constant_bench(1000.0))
+        with pytest.raises(ModelParameterError, match="off the precomputed trace"):
+            sim.step(1.0)
+
+    def test_needs_an_environment_or_a_trace(self):
+        with pytest.raises(ModelParameterError, match="environment or a precomputed trace"):
+            QuasiStaticSimulator(am_1815(), FixedRatioController(), None)
+
+    def test_resumed_run_rebuilds_its_trace_from_step_zero(self):
+        """A snapshot carries no conditions: a resumed run rebuilds its
+        trace from step 0, thermal walk included, and ends bitwise where
+        the uninterrupted run does."""
+        import json
+
+        from repro.env.scenarios import step_change
+        from repro.pv.thermal import CellThermalModel
+
+        def build():
+            return QuasiStaticSimulator(
+                am_1815(),
+                FixedRatioController(),
+                step_change(300.0, 60000.0, step_time=200.0),
+                storage=Supercapacitor(capacitance=0.1, voltage=2.0),
+                thermal=CellThermalModel(area_cm2=25.0, thermal_capacitance=1.0),
+                record=False,
+            )
+
+        whole = build().run(600.0, dt=10.0)
+        first = build()
+        first.run(300.0, dt=10.0)
+        resumed = build()
+        resumed.load_state(json.loads(json.dumps(first.state_dict())))
+        assert resumed.run(300.0, dt=10.0).to_dict() == whole.to_dict()

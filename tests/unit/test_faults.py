@@ -199,7 +199,7 @@ class TestNumericalGuards:
             record=False,
         )
         with pytest.raises(NumericalGuardError):
-            sim.step(1.0)
+            sim.run(1.0, dt=1.0)
 
     def test_nan_lux_surfaces_in_precompute(self):
         """A NaN window raises in precompute too, not a silent dark stretch."""

@@ -204,13 +204,16 @@ class TestOffTrace:
         with pytest.raises(ModelParameterError, match="dt=30.0"):
             sim.step(DT / 2)
 
-    @pytest.mark.parametrize("step_index", [-3, 10**6])
+    @pytest.mark.parametrize("step_index", [-3, 10**6, -1])
     def test_off_trace_step_index_raises(self, short, step_index):
-        """A snapshot whose step index is outside the horizon cannot step."""
+        """A snapshot whose step index is outside the horizon cannot step,
+        even when its time is that of the step a negative index wraps to."""
         sim = _replayed(_build_clean(), short)
         sim.step(DT)
         state = sim.state_dict()
         state["step_index"] = step_index
+        if step_index < 0:
+            state["time"] = float(short.times[step_index])
         resumed = _replayed(_build_clean(), short)
         resumed.load_state(state)
         with pytest.raises(ModelParameterError, match="off the precomputed trace"):
@@ -226,16 +229,16 @@ class TestOffTrace:
         with pytest.raises(ModelParameterError, match="t=61.5"):
             resumed.step(DT)
 
-    def test_controller_checks_the_step_on_a_live_walk(self, short):
-        """Without the precompute fast path, the controller itself
-        refuses a step its replay does not hold."""
+    def test_controller_checks_the_step_on_a_self_built_trace(self, short):
+        """On a trace the engine built at another dt, the controller
+        itself refuses a step its replay does not hold."""
         ctl, conv, store = _build_clean()
         sim = QuasiStaticSimulator(
             am_1815(), ReplayedSampleHold(ctl, short), ConstantProfile(500.0),
             converter=conv, storage=store, supply_voltage=3.0, record=False,
         )
         with pytest.raises(ModelParameterError, match="off the trace"):
-            sim.step(DT / 2)
+            sim.run(3600.0, dt=DT / 2)
 
     def test_unsupported_controller_is_rejected(self, short):
         cold = SampleHoldMPPT(config=PlatformConfig.paper_prototype())

@@ -110,16 +110,16 @@ class TestHooks:
     def test_enable_disable_roundtrip(self):
         obs.enable()
         assert obs.is_enabled()
-        assert HOOKS.cache_hits is not None
+        assert HOOKS.mpp_solves is not None
         obs.disable()
         assert not obs.is_enabled()
-        assert HOOKS.cache_hits is None
+        assert HOOKS.mpp_solves is None
 
     def test_reset_rewires_hooks_when_enabled(self):
         obs.enable()
-        HOOKS.cache_hits.inc()
+        HOOKS.mpp_solves.inc()
         obs.reset()
         # The slot must point at a live instrument in the freshly-reset
         # registry, not the dropped one.
-        HOOKS.cache_hits.inc()
-        assert obs.REGISTRY.counter("pv.cache.hits").value == 1.0
+        HOOKS.mpp_solves.inc()
+        assert obs.REGISTRY.counter("solver.mpp_solves").value == 1.0
