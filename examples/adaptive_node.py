@@ -64,17 +64,14 @@ def main(hours: float = 51.0) -> None:
         config=PlatformConfig.trimmed_for_cell(cell), assume_started=True
     )
     # One trace covers every chunk: a simulator steps along a single
-    # trace, and run() only builds one (for its own duration) when none
-    # was given.
+    # trace, and each run() continues where the last one stopped.
     chunks = max(1, int(round(hours * HOURS / CHUNK)))
     sim = QuasiStaticSimulator(
-        cell,
         controller,
-        environment,
+        precompute_conditions(cell, environment, chunks * CHUNK, DT),
         converter=BuckBoostConverter(),
         storage=storage,
         load=scheduler.power,
-        precomputed=precompute_conditions(cell, environment, chunks * CHUNK, DT),
     )
 
     print(f"{'hour':>5} {'store(V)':>9} {'period(s)':>10} {'reports':>8} {'state':>12}")

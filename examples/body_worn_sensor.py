@@ -23,6 +23,7 @@ from repro.baselines import (
     PilotCell,
 )
 from repro.env import semi_mobile_24h
+from repro.sim import precompute_conditions
 from repro.units import si_format
 
 HOURS = 3600.0
@@ -42,12 +43,14 @@ def main() -> None:
     ]
 
     print(f"Scenario: semi-mobile 24 h (lab desk, outdoors 12:00-13:00), cell {cell.name}\n")
+    # The light and the cell's response to it do not depend on the
+    # controller, so every technique steps the same condition trace.
+    conditions = precompute_conditions(cell, semi_mobile_24h(), duration=24.0 * HOURS, dt=5.0)
     results = []
     for controller in controllers:
         sim = QuasiStaticSimulator(
-            cell,
             controller,
-            environment=semi_mobile_24h(),
+            conditions,
             converter=BuckBoostConverter(),
             supply_voltage=3.0,
             record=False,

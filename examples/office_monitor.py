@@ -14,6 +14,7 @@ Run:  python examples/office_monitor.py
 from repro import BuckBoostConverter, QuasiStaticSimulator, SampleHoldMPPT, Supercapacitor, am_1815
 from repro.env import office_desk_24h
 from repro.node import SensorNode
+from repro.sim import precompute_conditions
 from repro.units import si_format
 
 HOURS = 3600.0
@@ -49,9 +50,8 @@ def main() -> None:
     storage = Supercapacitor(capacitance=1.0, rated_voltage=5.0, voltage=3.0)
     controller = SampleHoldMPPT(assume_started=True)
     sim = QuasiStaticSimulator(
-        cell,
         controller,
-        environment=office_desk_24h(),
+        precompute_conditions(cell, office_desk_24h(), duration=24.0 * HOURS, dt=5.0),
         converter=BuckBoostConverter(),
         storage=storage,
         load=load.power,

@@ -11,18 +11,15 @@ Run:  python examples/quickstart.py
 
 from repro import BuckBoostConverter, QuasiStaticSimulator, SampleHoldMPPT, am_1815
 from repro.env import constant_bench
+from repro.sim import precompute_conditions
 from repro.units import si_format
 
 
 def main() -> None:
     cell = am_1815()
     controller = SampleHoldMPPT(assume_started=True)
-    simulator = QuasiStaticSimulator(
-        cell,
-        controller,
-        environment=constant_bench(500.0),
-        converter=BuckBoostConverter(),
-    )
+    conditions = precompute_conditions(cell, constant_bench(500.0), duration=3600.0, dt=1.0)
+    simulator = QuasiStaticSimulator(controller, conditions, converter=BuckBoostConverter())
 
     summary = simulator.run(duration=3600.0, dt=1.0)
 

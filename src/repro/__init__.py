@@ -18,10 +18,12 @@ Quick taste::
     from repro import am_1815, SampleHoldMPPT, QuasiStaticSimulator
     from repro.env import constant_bench
     from repro.converter import BuckBoostConverter
+    from repro.sim import precompute_conditions
 
+    conditions = precompute_conditions(am_1815(), constant_bench(1000.0), 3600.0, 1.0)
     sim = QuasiStaticSimulator(
-        am_1815(), SampleHoldMPPT(assume_started=True),
-        constant_bench(1000.0), converter=BuckBoostConverter(),
+        SampleHoldMPPT(assume_started=True), conditions,
+        converter=BuckBoostConverter(),
     )
     summary = sim.run(duration=3600.0)
     print(summary.tracking_efficiency)

@@ -319,22 +319,21 @@ def step_response_sweep(
     from repro.core.astable import AstableMultivibrator
     from repro.core.system import SampleHoldMPPT
     from repro.env.scenarios import step_change
+    from repro.sim.precompute import precompute_conditions
     from repro.sim.quasistatic import QuasiStaticSimulator
 
     cell = cell if cell is not None else am_1815()
     step_at = 10.0
+    precomputed = precompute_conditions(
+        cell, step_change(low_lux, high_lux, step_time=step_at), step_at + window, 1.0
+    )
     points: List[StepResponsePoint] = []
     for period in hold_periods:
         config = PlatformConfig(
             astable=AstableMultivibrator.from_timing(t_on=39e-3, t_off=period)
         )
         controller = SampleHoldMPPT(config=config, assume_started=True)
-        sim = QuasiStaticSimulator(
-            cell,
-            controller,
-            step_change(low_lux, high_lux, step_time=step_at),
-            record=False,
-        )
+        sim = QuasiStaticSimulator(controller, precomputed, record=False)
         sim.run(step_at + window, dt=1.0)
         summary = sim.summary
         # The ideal tracker's energy over the same run.

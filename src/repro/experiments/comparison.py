@@ -186,17 +186,15 @@ def _fresh_storage(spec: _ScenarioSpec):
     )
 
 
-def _run_scalar_lane(spec, cell, scenario_factory, controller, precomputed):
+def _run_scalar_lane(spec, controller, precomputed):
     """One technique through the scalar reference engine."""
     sim = QuasiStaticSimulator(
-        cell,
         controller,
-        scenario_factory(),
+        precomputed,
         converter=BuckBoostConverter(),
         storage=_fresh_storage(spec),
         supply_voltage=3.0,
         record=False,
-        precomputed=precomputed,
     )
     return sim.run(spec.duration, dt=spec.dt)
 
@@ -238,7 +236,7 @@ def _run_scenario(spec: _ScenarioSpec) -> List[ComparisonCell]:
     with TRACER.span(f"scenario:{spec.scenario}"):
         for technique_name in spec.techniques:
             controller = controller_factories[technique_name]()
-            summary = _run_scalar_lane(spec, cell, scenario_factory, controller, precomputed)
+            summary = _run_scalar_lane(spec, controller, precomputed)
             results.append(
                 ComparisonCell(technique=technique_name, scenario=spec.scenario, summary=summary)
             )
@@ -271,7 +269,7 @@ def _run_scenario_compiled(spec, cell, controller_factories, scenario_factory):
             summary = compiled_out.get(technique_name)
             if summary is None:
                 controller = controller_factories[technique_name]()
-                summary = _run_scalar_lane(spec, cell, scenario_factory, controller, precomputed)
+                summary = _run_scalar_lane(spec, controller, precomputed)
             results.append(
                 ComparisonCell(technique=technique_name, scenario=spec.scenario, summary=summary)
             )

@@ -145,14 +145,12 @@ def _build_week(
     environment = weekly_office(seed=seed)
     precomputed = precompute_conditions(cell, environment, days * DAY, dt)
     sim = QuasiStaticSimulator(
-        cell,
         controller,
-        environment,
+        precomputed,
         converter=BuckBoostConverter(),
         storage=storage,
         load=scheduler.power,
         record=False,
-        precomputed=precomputed,
     )
     return sim, storage, scheduler
 

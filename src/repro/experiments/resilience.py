@@ -296,14 +296,12 @@ def _run_campaign_scenario(spec: _CampaignSpec) -> List[ResilienceCell]:
         if technique_name in summaries:
             continue
         sim = QuasiStaticSimulator(
-            cell,
             controller,
-            environment,
+            precomputed,
             converter=converter,
             storage=storage,
             supply_voltage=3.0,
             record=False,
-            precomputed=precomputed,
         )
         summaries[technique_name] = sim.run(spec.duration, dt=spec.dt)
 
@@ -383,13 +381,13 @@ def measure_recovery(
     restored = dropout_start + dropout_width
     duration = restored + observe
 
+    environment = LightDropoutFault(ConstantProfile(lux), schedule)
+    precomputed = precompute_conditions(cell, environment, duration, dt)
     results: List[RecoveryResult] = []
     for technique in techniques:
-        environment = LightDropoutFault(ConstantProfile(lux), schedule)
         sim = QuasiStaticSimulator(
-            cell,
             factories[technique](),
-            environment,
+            precomputed,
             converter=BuckBoostConverter(),
             storage=Supercapacitor(capacitance=25.0, rated_voltage=5.5, voltage=2.7),
             supply_voltage=3.0,
@@ -487,13 +485,11 @@ def coldstart_under_flicker(
         )
         controller = SampleHoldMPPT(assume_started=False)
         sim = QuasiStaticSimulator(
-            cell,
             controller,
-            environment,
+            precompute_conditions(cell, environment, budget, dt),
             converter=BuckBoostConverter(),
             storage=Supercapacitor(capacitance=25.0, rated_voltage=5.5, voltage=0.0),
             record=False,
-            precomputed=precompute_conditions(cell, environment, budget, dt),
         )
         woke_at = float("nan")
         for _ in range(len(sim.precomputed)):

@@ -90,6 +90,33 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:
         pass  # the journal is the log; stderr chatter helps nobody
 
+    def handle_one_request(self) -> None:
+        try:
+            super().handle_one_request()
+        except ConnectionError:
+            # The client reset the connection while we read its next
+            # request (or a body); nobody is left to answer.
+            self.close_connection = True
+
+    def _send(
+        self,
+        status: int,
+        content_type: str,
+        body: bytes,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            for name, value in (headers or {}).items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(body)
+        except ConnectionError:
+            # The client went away mid-response; the job is unaffected.
+            self.close_connection = True
+
     def _send_json(
         self,
         status: int,
@@ -97,16 +124,7 @@ class _Handler(BaseHTTPRequestHandler):
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-response; the job is unaffected
+        self._send(status, "application/json", body, headers)
 
     def _read_body(self) -> bytes:
         length = int(self.headers.get("Content-Length") or 0)
@@ -129,15 +147,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(200, {"ready": True})
         elif path == "/metrics":
             text = prometheus_text() + _service_metrics_text(self.service)
-            body = text.encode("utf-8")
-            try:
-                self.send_response(200)
-                self.send_header("Content-Type", "text/plain; version=0.0.4")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-            except (BrokenPipeError, ConnectionResetError):
-                pass
+            self._send(200, "text/plain; version=0.0.4", text.encode("utf-8"))
         elif path == "/v1/jobs":
             jobs = [r.public_dict(include_result=False) for r in self.service.list_jobs()]
             self._send_json(200, {"jobs": jobs})

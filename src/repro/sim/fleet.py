@@ -45,17 +45,13 @@ class FleetSimulator:
         self.precomputed = precomputed
         self._sims = []
         for name, controller, converter, storage in lanes:
-            # Stepped in time with its precompute, the engine never reads
-            # the cell or the environment.
             sim = QuasiStaticSimulator(
-                None,
                 ReplayedSampleHold(controller, precomputed),
-                None,
+                precomputed,
                 converter=converter,
                 storage=storage,
                 supply_voltage=supply_voltage,
                 record=False,
-                precomputed=precomputed,
             )
             self._sims.append((name, sim))
         # perfbench's fleet spans read ``n`` and ``_step_index``.

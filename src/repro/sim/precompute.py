@@ -6,8 +6,8 @@ the single-diode model for each condition and that model's Voc/MPP do
 not depend on the controller: all of it is a pure function of
 ``(cell, environment, thermal, dt)``.  So a
 :class:`~repro.sim.quasistatic.QuasiStaticSimulator` only ever steps a
-trace built here (its ``run()`` builds one when none is given), and the
-nine-controller comparison shares one trace per scenario.
+trace built here, and the nine-controller comparison shares one trace
+per scenario.
 
 :func:`precompute_conditions` walks the run once, builds the per-step
 model list (deduplicated on exact ``(lux, temperature)`` — plus the
@@ -59,6 +59,7 @@ from repro.pv.cells import PVCell
 from repro.pv.irradiance import FLUORESCENT, LightSource
 from repro.pv.single_diode import SingleDiodeModel
 from repro.units import T_STC
+from repro.validation import require_positive
 
 
 def _cell_area_cm2(cell) -> float:
@@ -105,7 +106,6 @@ class PrecomputedConditions:
         endpoints: for single cells, the unique conditions' stacked
             parameters with their Voc/Isc (``endpoints.voc is voc``);
             None for strings.
-        source: the light-source spectrum the models were built for.
 
     ``v_mpp`` / ``p_mpp`` (properties) hold each condition's exact MPP.
     """
@@ -123,7 +123,6 @@ class PrecomputedConditions:
     _v_mpp: np.ndarray
     _p_mpp: np.ndarray
     endpoints: Optional[Endpoints] = None
-    source: LightSource = FLUORESCENT
 
     def __post_init__(self) -> None:
         self._pending = bool(self.deferred.any())
@@ -210,13 +209,12 @@ def precompute_conditions(
     source: LightSource = FLUORESCENT,
     thermal=None,
     temperature: float = T_STC,
-    start_time: float = 0.0,
     shading=None,
 ) -> PrecomputedConditions:
     """Sample a run's conditions once and batch-solve the unique ones.
 
     The environment is evaluated at accumulated times (``t += dt`` from
-    ``start_time``, the clock the simulator steps on), and a supplied
+    0, the clock the simulator steps on), and a supplied
     thermal model is stepped through the same sequence (it is
     *consumed* — pass a fresh instance for each trace).
 
@@ -228,8 +226,8 @@ def precompute_conditions(
         source: light-source spectrum.
         thermal: optional :class:`~repro.pv.thermal.CellThermalModel`
             driven by the lux trace (its state is advanced here).
-        temperature: fixed cell temperature when ``thermal`` is None.
-        start_time: trace start, seconds.
+        temperature: fixed cell temperature when ``thermal`` is None,
+            kelvin.
         shading: optional :class:`~repro.env.shading.ShadowMap`; its
             per-cell factors join the dedup key and are forwarded to the
             cell's ``model_at`` (requires a string-style cell such as
@@ -240,13 +238,14 @@ def precompute_conditions(
     """
     if dt <= 0.0:
         raise ModelParameterError(f"dt must be positive, got {dt!r}")
+    require_positive(temperature, "temperature")
     t_start = time.perf_counter()
     steps = int(round(duration / dt))
 
     times = np.empty(steps)
     lux = np.empty(steps)
     temps = np.empty(steps)
-    t = start_time
+    t = 0.0
     for i in range(steps):
         times[i] = t
         level = float(environment(t))
@@ -340,5 +339,4 @@ def precompute_conditions(
         _v_mpp=v_mpp,
         _p_mpp=p_mpp,
         endpoints=endpoints,
-        source=source,
     )

@@ -31,12 +31,9 @@ from typing import Callable, Optional, Protocol, runtime_checkable
 import repro.obs as obs
 from repro.errors import ModelParameterError, NumericalGuardError
 from repro.obs import journal as _journal
-from repro.pv.cells import PVCell
-from repro.pv.irradiance import FLUORESCENT, LightSource
 from repro.pv.single_diode import SingleDiodeModel
-from repro.sim.precompute import PrecomputedConditions, precompute_conditions
+from repro.sim.precompute import PrecomputedConditions
 from repro.sim.traces import TraceSet
-from repro.units import T_STC
 
 
 @dataclass(frozen=True)
@@ -200,82 +197,52 @@ class HarvestSummary:
 class QuasiStaticSimulator:
     """Run a harvesting controller over a precomputed condition trace.
 
-    Every step reads its lux, cell model and ideal-MPP power from one
-    :class:`~repro.sim.precompute.PrecomputedConditions` trace: either
-    the ``precomputed`` one passed in, or one :meth:`run` builds from
-    step 0 out of ``environment``, ``source``, ``thermal`` and
-    ``temperature``.  A step off that trace raises ModelParameterError.
+    Every step reads its lux, cell model and ideal-MPP power from the
+    ``precomputed`` trace; build it with
+    :func:`~repro.sim.precompute.precompute_conditions`, which owns the
+    cell, the environment, the light source and the thermal stepping.
+    A step off that trace raises ModelParameterError.
 
     Args:
-        cell: the PV cell (or any object with ``model_at``/``mpp``);
-            read only to build a trace.
         controller: the MPPT controller under test.
-        environment: callable ``lux(t)`` giving illuminance at time t;
-            None for a run that only steps its ``precomputed`` trace.
+        precomputed: the run's
+            :class:`~repro.sim.precompute.PrecomputedConditions`; runs
+            over the same conditions may share one trace.
         converter: optional converter with
             ``output_power(p_in, v_in, v_out) -> float``; identity if None.
         storage: optional energy store; if None an ideal infinite sink at
             ``supply_voltage`` is assumed.
         load: optional callable ``p_load(t)`` drawn from storage, watts.
-        source: light-source spectrum for lux-to-photocurrent conversion.
         supply_voltage: rail powering the controller when no storage is
             modelled (with storage, its terminal voltage is used).
-        temperature: fixed cell temperature, kelvin (ignored if a
-            thermal model is supplied).
-        thermal: optional :class:`~repro.pv.thermal.CellThermalModel`;
-            when given, the cell temperature follows the light level —
-            which is what separates FOCV from fixed-voltage operation on
-            a sun-heated outdoor cell.  The trace :meth:`run` builds
-            steps (consumes) it.
         record: whether to record traces.
-        precomputed: optional
-            :class:`~repro.sim.precompute.PrecomputedConditions` for
-            this (cell, environment) pair, for runs that share one
-            trace.  Mutually exclusive with ``thermal`` — the precompute
-            owns the thermal stepping.  Shading is baked into the trace
-            by :func:`~repro.sim.precompute.precompute_conditions`.
     """
 
     def __init__(
         self,
-        cell: PVCell,
         controller: HarvestingController,
-        environment: Callable[[float], float],
+        precomputed: PrecomputedConditions,
         converter=None,
         storage: Optional[EnergyStore] = None,
         load: Optional[Callable[[float], float]] = None,
-        source: LightSource = FLUORESCENT,
         supply_voltage: float = 3.3,
-        temperature: float = T_STC,
-        thermal=None,
         record: bool = True,
-        precomputed: Optional[PrecomputedConditions] = None,
     ):
-        from repro.validation import require_finite, require_positive
+        from repro.validation import require_finite
 
         require_finite(supply_voltage, "supply_voltage")
-        require_positive(temperature, "temperature")
-        if precomputed is not None and thermal is not None:
-            raise ModelParameterError(
-                "pass the thermal model to precompute_conditions, not the simulator, "
-                "when running from a precomputed trace"
-            )
-        if precomputed is None and environment is None:
-            raise ModelParameterError("a run needs an environment or a precomputed trace")
-        self.cell = cell
         self.controller = controller
-        self.environment = environment
         self.converter = converter
         self.storage = storage
         self.load = load
-        self.source = source
         self.supply_voltage = supply_voltage
-        self.temperature = temperature
-        self.thermal = thermal
         self.record = record
-        self.precomputed = None
-        if precomputed is not None:
-            self._attach(precomputed)
+        # Controllers read model.mpp() from the trace's memos.
+        precomputed.solve_deferred()
+        self.precomputed = precomputed
+        # The ideal-MPP power each step is credited with: its condition's
+        # ideal-key claimant replay (PrecomputedConditions.ideal_power).
+        self._ideal = precomputed.ideal_power()[precomputed.u_row].tolist()
         self.traces = TraceSet()
         self.summary = HarvestSummary(final_storage_voltage=self._storage_voltage())
         self.time = 0.0
@@ -285,15 +252,6 @@ class QuasiStaticSimulator:
         # a tick(t, dt) hook the engine calls at the top of each step.
         self._converter_tick = getattr(converter, "tick", None)
         self._storage_tick = getattr(storage, "tick", None)
-
-    def _attach(self, precomputed: PrecomputedConditions) -> None:
-        """Make ``precomputed`` the run's trace."""
-        # Controllers read model.mpp() from the trace's memos.
-        precomputed.solve_deferred()
-        self.precomputed = precomputed
-        # The ideal-MPP power each step is credited with: its condition's
-        # ideal-key claimant replay (PrecomputedConditions.ideal_power).
-        self._ideal = precomputed.ideal_power()[precomputed.u_row].tolist()
 
     def _storage_voltage(self) -> float:
         if self.storage is not None:
@@ -307,10 +265,10 @@ class QuasiStaticSimulator:
 
         Captures the clock, step index, energy accumulators and the
         mutable children (controller, storage, converter) via their own
-        ``state_dict``.  The condition trace — environment, thermal
-        state, models and ideal-MPP powers — is a pure function of the
-        run's construction arguments, so a resumed run rebuilds it from
-        the spec instead of serialising it.
+        ``state_dict``.  The condition trace — lux, thermal state,
+        models and ideal-MPP powers — is a pure function of the
+        arguments it was precomputed from, so a resumed run rebuilds it
+        from the spec instead of serialising it.
 
         Recorded traces are not captured; run checkpointed simulations
         with ``record=False`` (the long-run drivers already do).
@@ -330,7 +288,7 @@ class QuasiStaticSimulator:
         """Restore a :meth:`state_dict` snapshot onto a freshly built run.
 
         The simulator must have been constructed with the same spec
-        (cell, environment, controller type, ...) as the checkpointed
+        (trace, controller type, ...) as the checkpointed
         one; only the mutable state is restored here.
         """
         from repro.ckpt.state import load_child_state
@@ -353,9 +311,7 @@ class QuasiStaticSimulator:
         t = self.time
         pc = self.precomputed
         index = self._step_index
-        if pc is None or not (
-            0 <= index < len(pc.models) and dt == pc.dt and t == pc.times[index]
-        ):
+        if not (0 <= index < len(pc.models) and dt == pc.dt and t == pc.times[index]):
             raise ModelParameterError(f"step t={t!r} s, dt={dt!r} s is off the precomputed trace")
         if self._converter_tick is not None:
             self._converter_tick(t, dt)
@@ -454,12 +410,9 @@ class QuasiStaticSimulator:
     def run(self, duration: float, dt: float = 1.0) -> HarvestSummary:
         """Run for ``duration`` seconds in steps of ``dt``; returns the summary.
 
-        A run without a trace first builds one from step 0 through the
-        end of this run (:func:`~repro.sim.precompute.precompute_conditions`
-        over the simulator's environment, source and thermal model), so
-        a further ``run()`` on the same simulator steps off that trace
-        and raises; to run in chunks, pass ``precomputed=`` covering
-        the whole horizon.
+        Successive calls continue along the trace, so a run in chunks
+        needs a trace covering the whole horizon; a step past its end
+        raises.
 
         With observability enabled (:func:`repro.obs.enable`) the run is
         wrapped in a ``technique:<name>`` span, step timing is sampled
@@ -468,18 +421,6 @@ class QuasiStaticSimulator:
         The disabled path is byte-for-byte the original loop.
         """
         steps = int(round(duration / dt))
-        if self.precomputed is None:
-            self._attach(
-                precompute_conditions(
-                    self.cell,
-                    self.environment,
-                    (self._step_index + steps) * dt,
-                    dt,
-                    source=self.source,
-                    thermal=self.thermal,
-                    temperature=self.temperature,
-                )
-            )
         j = _journal.JOURNAL
         if j is not None:
             j.emit(

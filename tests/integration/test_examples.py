@@ -1,9 +1,7 @@
 """Integration: the example scripts run end to end.
 
-The fast examples execute fully and the adaptive node runs its chunked
-loop over a short horizon; the two long ones (24-hour multi-technique
-sweeps) are compile-checked and have their core loop exercised in
-miniature elsewhere (test_comparison_repro).
+The fast examples and the two 24-hour ones (a few seconds each) execute
+fully, and the adaptive node runs its chunked loop over a short horizon.
 """
 
 import pathlib
@@ -56,6 +54,18 @@ class TestFastExamples:
         rows = [line.split() for line in out.splitlines() if line.strip()[:1].isdigit()]
         assert [row[0] for row in rows] == ["3", "6"]
         assert "over 6 h" in out
+
+
+class TestLongExamples:
+    def test_office_monitor(self):
+        out = run_example("office_monitor.py")
+        assert "24-hour validation at a 90 s report period:" in out
+        assert "verdict:" in out
+
+    def test_body_worn_sensor(self):
+        out = run_example("body_worn_sensor.py")
+        assert "The proposed S&H nets" in out
+        assert "proposed-S&H-FOCV" in out
 
 
 class TestLongExamplesCompile:

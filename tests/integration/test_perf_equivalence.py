@@ -1,16 +1,15 @@
 """The fast paths change wall time, not physics.
 
-A run over an explicitly precomputed (shared) condition trace is
-asserted bit-for-bit against a run that builds its own trace from the
-simulator's environment, source and thermal model — generically, and
-for every (technique, scenario) lane of the comparison with that lane's
-thermal model, storage and converter.  That pins the wiring of
-``run()``'s self-built trace to what the comparison shares.
+A run over a shared condition trace — one that other lanes have already
+stepped, as every lane of a comparison scenario does — is asserted
+bit-for-bit against the same run over a trace of its own: generically,
+with the outdoor thermal walk, and for every (technique, scenario) lane
+of the comparison with that lane's thermal model, storage and converter.
 """
 
 import pytest
 
-from repro.baselines import IdealMPPT
+from repro.baselines import HillClimbing, IdealMPPT
 from repro.converter.buck_boost import BuckBoostConverter
 from repro.env.profiles import HOURS
 from repro.env.scenarios import office_desk_24h, outdoor_day
@@ -29,85 +28,64 @@ def _summaries_identical(a, b):
     )
 
 
-def _make_sim(cell, controller, environment, **kwargs):
+def _make_sim(controller, precomputed):
     return QuasiStaticSimulator(
-        cell,
         controller,
-        environment,
+        precomputed,
         converter=BuckBoostConverter(),
         storage=Supercapacitor(capacitance=25.0, rated_voltage=5.5, voltage=2.7),
         supply_voltage=3.0,
         record=False,
-        **kwargs,
+    )
+
+
+def _trace(cell, environment, duration, dt, thermal):
+    return precompute_conditions(
+        cell,
+        environment,
+        duration,
+        dt,
+        thermal=CellThermalModel(area_cm2=cell.parameters.area_cm2) if thermal else None,
+    )
+
+
+def _assert_sharing_invisible(controller, others, environment, duration, dt, thermal):
+    """``controller``'s run over a trace ``others`` stepped first equals
+    its run over a trace of its own."""
+    cell = am_1815()
+    shared = _trace(cell, environment(), duration, dt, thermal)
+    for other in others:
+        _make_sim(other(), shared).run(duration, dt=dt)
+    own = _trace(cell, environment(), duration, dt, thermal)
+    _summaries_identical(
+        _make_sim(controller(), shared).run(duration, dt=dt),
+        _make_sim(controller(), own).run(duration, dt=dt),
     )
 
 
 def test_precomputed_run_is_bitwise_identical():
-    duration, dt = 1.0 * HOURS, 10.0
-    cell = am_1815()
-    self_built = _make_sim(cell, IdealMPPT(), office_desk_24h())
-    pc = precompute_conditions(cell, office_desk_24h(), duration, dt)
-    fast = _make_sim(cell, IdealMPPT(), office_desk_24h(), precomputed=pc)
-    _summaries_identical(fast.run(duration, dt=dt), self_built.run(duration, dt=dt))
+    _assert_sharing_invisible(
+        IdealMPPT, [HillClimbing], office_desk_24h, 1.0 * HOURS, 10.0, thermal=False
+    )
 
 
 def test_precomputed_run_with_thermal_is_bitwise_identical():
-    # The simulator's own thermal model drives its self-built trace — the
-    # outdoor scenario's sun-heated temperature trace must come out the same.
-    duration, dt = 1.0 * HOURS, 10.0
-    cell = am_1815()
-    self_built = _make_sim(
-        cell,
-        IdealMPPT(),
-        outdoor_day(),
-        thermal=CellThermalModel(area_cm2=cell.parameters.area_cm2),
+    # The outdoor scenario's sun-heated temperature trace, shared.
+    _assert_sharing_invisible(
+        IdealMPPT, [HillClimbing], outdoor_day, 1.0 * HOURS, 10.0, thermal=True
     )
-    pc = precompute_conditions(
-        cell,
-        outdoor_day(),
-        duration,
-        dt,
-        thermal=CellThermalModel(area_cm2=cell.parameters.area_cm2),
-    )
-    fast = _make_sim(cell, IdealMPPT(), outdoor_day(), precomputed=pc)
-    _summaries_identical(fast.run(duration, dt=dt), self_built.run(duration, dt=dt))
-
-
-def test_precomputed_and_thermal_are_mutually_exclusive():
-    cell = am_1815()
-    pc = precompute_conditions(cell, office_desk_24h(), 60.0, 10.0)
-    with pytest.raises(ModelParameterError):
-        QuasiStaticSimulator(
-            cell,
-            IdealMPPT(),
-            office_desk_24h(),
-            thermal=CellThermalModel(area_cm2=cell.parameters.area_cm2),
-            precomputed=pc,
-        )
 
 
 @pytest.mark.parametrize("scenario", list(default_scenarios()))
 @pytest.mark.parametrize("technique", list(default_controllers()))
 def test_comparison_lane_precomputed_is_bitwise_identical(technique, scenario):
-    duration, dt = 0.5 * HOURS, 10.0
-    cell = am_1815()
-    controller = default_controllers(cell)[technique]
+    # Every other technique steps the shared trace first, as in a comparison.
+    factories = default_controllers(am_1815())
+    others = [factory for name, factory in factories.items() if name != technique]
     environment = default_scenarios()[scenario]
-    self_built = _make_sim(
-        cell,
-        controller(),
-        environment(),
-        thermal=CellThermalModel(area_cm2=cell.parameters.area_cm2),
+    _assert_sharing_invisible(
+        factories[technique], others, environment, 0.5 * HOURS, 10.0, thermal=True
     )
-    pc = precompute_conditions(
-        cell,
-        environment(),
-        duration,
-        dt,
-        thermal=CellThermalModel(area_cm2=cell.parameters.area_cm2),
-    )
-    fast = _make_sim(cell, controller(), environment(), precomputed=pc)
-    _summaries_identical(fast.run(duration, dt=dt), self_built.run(duration, dt=dt))
 
 
 def test_run_beyond_precomputed_trace_raises():
@@ -115,7 +93,7 @@ def test_run_beyond_precomputed_trace_raises():
     duration, dt = 1.0 * HOURS, 10.0
     cell = am_1815()
     pc = precompute_conditions(cell, office_desk_24h(), 0.5 * HOURS, dt)
-    fast = _make_sim(cell, IdealMPPT(), office_desk_24h(), precomputed=pc)
+    fast = _make_sim(IdealMPPT(), pc)
     with pytest.raises(ModelParameterError, match="t=1800.0 s, dt=10.0 s is off the precomputed"):
         fast.run(duration, dt=dt)
     assert fast._step_index == len(pc)
@@ -180,7 +158,7 @@ def test_compiled_comparison_searches_only_ideal_key_claimants():
         for k in np.nonzero(pc.deferred)[0].tolist():
             assert "_mpp_memo" not in vars(pc.unique[k])
 
-        QuasiStaticSimulator(cell, IdealMPPT(), None, record=False, precomputed=pc)
+        QuasiStaticSimulator(IdealMPPT(), pc, record=False)
         assert solved.value == int(lit.sum())
     finally:
         obs.disable()
@@ -223,8 +201,8 @@ def test_concurrent_simulators_solve_the_deferred_conditions_once():
         threads = [
             threading.Thread(
                 target=QuasiStaticSimulator,
-                args=(cell, IdealMPPT(), None),
-                kwargs={"record": False, "precomputed": pc},
+                args=(IdealMPPT(), pc),
+                kwargs={"record": False},
             )
             for _ in range(8)
         ]

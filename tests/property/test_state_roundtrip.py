@@ -47,13 +47,11 @@ def _engine_conditions(dt: float):
 
 def _build_sim(dt: float) -> QuasiStaticSimulator:
     return QuasiStaticSimulator(
-        am_1815(),
         HillClimbing(),
-        _wavy_office,
+        _engine_conditions(dt),
         storage=Supercapacitor(capacitance=0.05, voltage=2.5),
         load=lambda t: 150e-6,
         record=False,
-        precomputed=_engine_conditions(dt),
     )
 
 
@@ -137,14 +135,12 @@ def _build_replayed() -> "list[QuasiStaticSimulator]":
 
     def lane(controller, converter, storage):
         return QuasiStaticSimulator(
-            None,
             ReplayedSampleHold(controller, pc),
-            None,
+            pc,
             converter=converter,
             storage=storage,
             supply_voltage=3.0,
             record=False,
-            precomputed=pc,
         )
 
     clean = lane(

@@ -15,6 +15,7 @@ from repro.baselines.bootstrap import bootstrap_decision
 from repro.env.scenarios import constant_bench
 from repro.errors import ModelParameterError
 from repro.pv.cells import am_1815
+from repro.sim.precompute import precompute_conditions
 from repro.sim.quasistatic import Observation, QuasiStaticSimulator
 
 
@@ -40,8 +41,8 @@ class TestIdealMPPT:
 class TestHillClimbing:
     def test_converges_to_mpp_under_constant_light(self):
         controller = HillClimbing(step_voltage=0.05, update_period=1.0)
-        sim = QuasiStaticSimulator(am_1815(), controller, constant_bench(1000.0), record=False)
-        summary = sim.run(300.0, dt=1.0)
+        pc = precompute_conditions(am_1815(), constant_bench(1000.0), 300.0, 1.0)
+        summary = QuasiStaticSimulator(controller, pc, record=False).run(300.0, dt=1.0)
         # After convergence it oscillates one step around the true MPP.
         mpp = am_1815().mpp(1000.0)
         assert abs(controller._v_op - mpp.voltage) < 3.0 * controller.step_voltage

@@ -49,13 +49,14 @@ class TestDesignSynthesis:
     def test_config_is_runnable(self):
         from repro.core.system import SampleHoldMPPT
         from repro.env.scenarios import constant_bench
+        from repro.sim.precompute import precompute_conditions
         from repro.sim.quasistatic import QuasiStaticSimulator
 
         cell = am_1815()
         report = synthesise_platform(cell)
         controller = SampleHoldMPPT(config=report.config, assume_started=True)
-        sim = QuasiStaticSimulator(cell, controller, constant_bench(1000.0), record=False)
-        summary = sim.run(200.0, dt=1.0)
+        pc = precompute_conditions(cell, constant_bench(1000.0), 200.0, 1.0)
+        summary = QuasiStaticSimulator(controller, pc, record=False).run(200.0, dt=1.0)
         assert summary.tracking_efficiency > 0.97
 
     def test_tight_droop_budget_selects_bigger_cap(self):

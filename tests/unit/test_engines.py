@@ -8,6 +8,7 @@ from repro.converter.buck_boost import BuckBoostConverter
 from repro.env.scenarios import constant_bench
 from repro.errors import ModelParameterError, SimulationError
 from repro.pv.cells import am_1815
+from repro.sim.precompute import precompute_conditions
 from repro.sim.quasistatic import ControlDecision, Observation, QuasiStaticSimulator
 from repro.sim.transient import TransientSimulator
 from repro.storage.supercap import Supercapacitor
@@ -82,39 +83,38 @@ class FixedRatioController:
         )
 
 
+def _sim(controller, environment, duration, dt=1.0, thermal=None, **kwargs):
+    """A simulator over the AM-1815 trace of ``environment`` for ``duration``."""
+    pc = precompute_conditions(am_1815(), environment, duration, dt, thermal=thermal)
+    return QuasiStaticSimulator(controller, pc, **kwargs)
+
+
 class TestQuasiStaticSimulator:
     def test_energy_accounting_consistent(self):
-        sim = QuasiStaticSimulator(
-            am_1815(), FixedRatioController(), constant_bench(1000.0)
-        )
+        sim = _sim(FixedRatioController(), constant_bench(1000.0), 120.0)
         summary = sim.run(120.0, dt=1.0)
         assert summary.duration == pytest.approx(120.0)
         assert 0.0 < summary.energy_at_cell <= summary.energy_ideal * 1.001
         assert summary.energy_delivered == pytest.approx(summary.energy_at_cell)
 
     def test_tracking_efficiency_bounds(self):
-        sim = QuasiStaticSimulator(
-            am_1815(), FixedRatioController(ratio=0.794), constant_bench(1000.0)
-        )
+        sim = _sim(FixedRatioController(ratio=0.794), constant_bench(1000.0), 60.0)
         summary = sim.run(60.0)
         assert 0.98 < summary.tracking_efficiency <= 1.0001
 
     def test_overhead_accumulates(self):
-        sim = QuasiStaticSimulator(
-            am_1815(),
+        sim = _sim(
             FixedRatioController(overhead=10e-6),
             constant_bench(1000.0),
+            100.0,
             supply_voltage=3.3,
         )
         summary = sim.run(100.0)
         assert summary.energy_overhead == pytest.approx(10e-6 * 3.3 * 100.0, rel=1e-6)
 
     def test_converter_losses_reduce_delivery(self):
-        sim = QuasiStaticSimulator(
-            am_1815(),
-            FixedRatioController(),
-            constant_bench(1000.0),
-            converter=BuckBoostConverter(),
+        sim = _sim(
+            FixedRatioController(), constant_bench(1000.0), 60.0, converter=BuckBoostConverter()
         )
         summary = sim.run(60.0)
         assert summary.energy_delivered < summary.energy_at_cell
@@ -122,18 +122,16 @@ class TestQuasiStaticSimulator:
 
     def test_storage_charges(self):
         storage = Supercapacitor(capacitance=0.1, voltage=2.0)
-        sim = QuasiStaticSimulator(
-            am_1815(), FixedRatioController(), constant_bench(5000.0), storage=storage
-        )
+        sim = _sim(FixedRatioController(), constant_bench(5000.0), 600.0, storage=storage)
         sim.run(600.0)
         assert storage.voltage > 2.0
 
     def test_load_drains_storage(self):
         storage = Supercapacitor(capacitance=0.1, voltage=3.0)
-        sim = QuasiStaticSimulator(
-            am_1815(),
+        sim = _sim(
             FixedRatioController(),
             constant_bench(0.0),
+            300.0,
             storage=storage,
             load=lambda t: 1e-3,
         )
@@ -141,13 +139,13 @@ class TestQuasiStaticSimulator:
         assert storage.voltage < 3.0
 
     def test_dark_environment_harvests_nothing(self):
-        sim = QuasiStaticSimulator(am_1815(), FixedRatioController(), constant_bench(0.0))
+        sim = _sim(FixedRatioController(), constant_bench(0.0), 60.0)
         summary = sim.run(60.0)
         assert summary.energy_at_cell == 0.0
         assert summary.tracking_efficiency == 0.0
 
     def test_traces_recorded(self):
-        sim = QuasiStaticSimulator(am_1815(), FixedRatioController(), constant_bench(500.0))
+        sim = _sim(FixedRatioController(), constant_bench(500.0), 10.0)
         sim.run(10.0)
         assert "v_pv" in sim.traces
         assert "p_pv" in sim.traces
@@ -156,28 +154,27 @@ class TestQuasiStaticSimulator:
     def test_thermal_model_heats_cell_and_reduces_power(self):
         from repro.pv.thermal import CellThermalModel
 
-        hot = QuasiStaticSimulator(
-            am_1815(),
+        hot = _sim(
             FixedRatioController(),
             constant_bench(105000.0),
+            600.0,
+            dt=10.0,
             thermal=CellThermalModel(area_cm2=25.0, thermal_capacitance=1.0),
         )
-        cold = QuasiStaticSimulator(
-            am_1815(), FixedRatioController(), constant_bench(105000.0)
-        )
+        cold = _sim(FixedRatioController(), constant_bench(105000.0), 600.0, dt=10.0)
         hot_summary = hot.run(600.0, dt=10.0)
         cold_summary = cold.run(600.0, dt=10.0)
         assert hot_summary.energy_ideal < cold_summary.energy_ideal
 
     def test_rejects_bad_dt(self):
-        sim = QuasiStaticSimulator(am_1815(), FixedRatioController(), constant_bench(100.0))
+        sim = _sim(FixedRatioController(), constant_bench(100.0), 10.0)
         with pytest.raises(ModelParameterError):
             sim.step(0.0)
 
     def test_constant_light_credits_its_one_condition(self):
-        """run() builds its own trace; constant light is one condition,
-        and energy_ideal sums the trace's claimant replay step by step."""
-        sim = QuasiStaticSimulator(am_1815(), FixedRatioController(), constant_bench(1000.0))
+        """Constant light is one condition, and energy_ideal sums the
+        trace's claimant replay step by step."""
+        sim = _sim(FixedRatioController(), constant_bench(1000.0), 30.0)
         summary = sim.run(30.0, dt=1.0)
         pc = sim.precomputed
         assert pc.unique_conditions == 1
@@ -187,19 +184,16 @@ class TestQuasiStaticSimulator:
         assert summary.energy_ideal == expected > 0.0
 
     def test_run_past_its_own_trace_raises(self):
-        sim = QuasiStaticSimulator(am_1815(), FixedRatioController(), constant_bench(1000.0))
+        sim = _sim(FixedRatioController(), constant_bench(1000.0), 30.0)
         sim.run(30.0)
         with pytest.raises(ModelParameterError, match="off the precomputed trace"):
             sim.run(30.0)
 
-    def test_step_without_a_trace_raises(self):
-        sim = QuasiStaticSimulator(am_1815(), FixedRatioController(), constant_bench(1000.0))
+    def test_step_at_another_dt_raises(self):
+        sim = _sim(FixedRatioController(), constant_bench(1000.0), 30.0)
         with pytest.raises(ModelParameterError, match="off the precomputed trace"):
-            sim.step(1.0)
-
-    def test_needs_an_environment_or_a_trace(self):
-        with pytest.raises(ModelParameterError, match="environment or a precomputed trace"):
-            QuasiStaticSimulator(am_1815(), FixedRatioController(), None)
+            sim.step(2.0)
+        assert sim._step_index == 0
 
     def test_resumed_run_rebuilds_its_trace_from_step_zero(self):
         """A snapshot carries no conditions: a resumed run rebuilds its
@@ -211,12 +205,13 @@ class TestQuasiStaticSimulator:
         from repro.pv.thermal import CellThermalModel
 
         def build():
-            return QuasiStaticSimulator(
-                am_1815(),
+            return _sim(
                 FixedRatioController(),
                 step_change(300.0, 60000.0, step_time=200.0),
-                storage=Supercapacitor(capacitance=0.1, voltage=2.0),
+                600.0,
+                dt=10.0,
                 thermal=CellThermalModel(area_cm2=25.0, thermal_capacitance=1.0),
+                storage=Supercapacitor(capacitance=0.1, voltage=2.0),
                 record=False,
             )
 

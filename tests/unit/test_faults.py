@@ -21,6 +21,7 @@ from repro.faults import (
     StorageFault,
 )
 from repro.pv.cells import am_1815
+from repro.sim.precompute import precompute_conditions
 from repro.sim.quasistatic import Observation, QuasiStaticSimulator
 from repro.storage.supercap import Supercapacitor
 
@@ -177,9 +178,8 @@ class TestComponentFaults:
         schedule = FaultSchedule.from_windows([(0.0, 1e6)])
         conv = ConverterBrownoutFault(BuckBoostConverter(), schedule)
         sim = QuasiStaticSimulator(
-            cell,
             SampleHoldMPPT(assume_started=True),
-            ConstantProfile(500.0),
+            precompute_conditions(cell, ConstantProfile(500.0), 120.0, 10.0),
             converter=conv,
             storage=Supercapacitor(capacitance=1.0, voltage=2.7),
             record=False,
@@ -191,19 +191,11 @@ class TestComponentFaults:
 
 class TestNumericalGuards:
     def test_nan_lux_surfaces(self):
-        cell = am_1815()
-        sim = QuasiStaticSimulator(
-            cell,
-            SampleHoldMPPT(assume_started=True),
-            lambda t: float("nan"),
-            record=False,
-        )
         with pytest.raises(NumericalGuardError):
-            sim.run(1.0, dt=1.0)
+            precompute_conditions(am_1815(), lambda t: float("nan"), 1.0, 1.0)
 
     def test_nan_lux_surfaces_in_precompute(self):
         """A NaN window raises in precompute too, not a silent dark stretch."""
-        from repro.sim.precompute import precompute_conditions
 
         def flaky(t):
             return float("nan") if 600.0 <= t < 1200.0 else 500.0

@@ -106,21 +106,19 @@ def _build_faulted():
 
 def _scalar(chain, conditions):
     ctl, conv, store = chain
-    cell, env, pc = conditions
     sim = QuasiStaticSimulator(
-        cell=cell, environment=env, controller=ctl, converter=conv,
-        storage=store, supply_voltage=3.0, record=False, precomputed=pc,
+        ctl, conditions[2], converter=conv, storage=store, supply_voltage=3.0, record=False
     )
     return sim.run(duration=DUR, dt=DT)
 
 
 def _replayed(chain, pc):
-    """A replayed lane: no cell and no environment, only the trace."""
+    """A replayed lane over the trace its chain was replayed on."""
     ctl, conv, store = chain
     assert fleet_supported(ctl)
     return QuasiStaticSimulator(
-        None, ReplayedSampleHold(ctl, pc), None, converter=conv,
-        storage=store, supply_voltage=3.0, record=False, precomputed=pc,
+        ReplayedSampleHold(ctl, pc), pc, converter=conv,
+        storage=store, supply_voltage=3.0, record=False,
     )
 
 
@@ -230,11 +228,12 @@ class TestOffTrace:
             resumed.step(DT)
 
     def test_controller_checks_the_step_on_a_self_built_trace(self, short):
-        """On a trace the engine built at another dt, the controller
+        """On a simulator's own trace at another dt, the controller
         itself refuses a step its replay does not hold."""
         ctl, conv, store = _build_clean()
         sim = QuasiStaticSimulator(
-            am_1815(), ReplayedSampleHold(ctl, short), ConstantProfile(500.0),
+            ReplayedSampleHold(ctl, short),
+            precompute_conditions(am_1815(), ConstantProfile(500.0), 3600.0, DT / 2),
             converter=conv, storage=store, supply_voltage=3.0, record=False,
         )
         with pytest.raises(ModelParameterError, match="off the trace"):

@@ -130,12 +130,13 @@ class TestSchedulerDynamics:
 
     def test_integrates_with_simulator(self):
         from repro.baselines.ideal import IdealMPPT
+        from repro.sim.precompute import precompute_conditions
         from repro.sim.quasistatic import QuasiStaticSimulator
 
         storage = Supercapacitor(capacitance=1.0, voltage=3.5)
         sched = EnergyAwareScheduler(node=SensorNode(), storage=storage)
         sim = QuasiStaticSimulator(
-            am_1815(), IdealMPPT(), constant_bench(1000.0),
+            IdealMPPT(), precompute_conditions(am_1815(), constant_bench(1000.0), 1200.0, 10.0),
             storage=storage, load=sched.power, record=False,
         )
         sim.run(1200.0, dt=10.0)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.service import api
 from repro.service.api import (
     CHECKPOINTABLE,
     FIELDS,
@@ -108,3 +109,24 @@ class TestCheckpointable:
         spec = build_spec({"kind": "strings", "params": {"hours": 2}})
         again = JobSpec(**spec.to_dict())
         assert again.fingerprint == spec.fingerprint
+
+
+class TestAdmissionTablesMatchTheRegistries:
+    """The service keeps its own name tables so that admission does not
+    import the experiment drivers; they must list the drivers' names in
+    the drivers' order, or a new technique would be refused."""
+
+    def test_techniques(self):
+        from repro.experiments.comparison import default_controllers
+
+        assert api._TECHNIQUES == tuple(default_controllers())
+
+    def test_scenarios(self):
+        from repro.experiments.comparison import default_scenarios
+
+        assert api._SCENARIOS == tuple(default_scenarios())
+
+    def test_campaigns(self):
+        from repro.experiments.resilience import CAMPAIGNS
+
+        assert api._CAMPAIGNS == tuple(CAMPAIGNS)

@@ -10,6 +10,7 @@ worker or the listener down.
 import http.client
 import json
 import socket
+import struct
 import time
 
 import pytest
@@ -230,6 +231,38 @@ class TestClientDisconnect:
         # completes and new requests are served.
         done = client.wait(job["job_id"], timeout=10)
         assert done["state"] == "succeeded"
+        assert client.healthy()
+
+    def test_reset_after_a_response_raises_nothing_in_the_handler(self, make_server):
+        # A keep-alive client that reads its response and then resets the
+        # connection (RST): the handler's wait for the next request must
+        # end quietly, not reach socketserver's handle_error.
+        server, client = make_server()
+        httpd = server._httpd
+        errors, finished = [], []
+        httpd.handle_error = lambda request, address: errors.append(address)
+        shutdown_request = httpd.shutdown_request
+
+        def counted_shutdown(request):
+            shutdown_request(request)
+            finished.append(request)
+
+        httpd.shutdown_request = counted_shutdown
+        attempts = 5
+        for _ in range(attempts):
+            sock = socket.create_connection((server.host, server.port), timeout=5)
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            response = b""
+            while not response.endswith(b"}"):
+                response += sock.recv(4096)
+            time.sleep(0.02)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+        deadline = time.monotonic() + 5.0
+        while len(finished) < attempts and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(finished) == attempts
+        assert errors == []
         assert client.healthy()
 
     def test_disconnect_before_body_is_harmless(self, make_server):

@@ -9,8 +9,16 @@ from repro.core.system import SampleHoldMPPT
 from repro.env.scenarios import constant_bench
 from repro.errors import ConfigurationError
 from repro.pv.cells import am_1815
+from repro.sim.precompute import precompute_conditions
 from repro.sim.quasistatic import Observation, QuasiStaticSimulator
 from repro.sim.transient import TransientSimulator
+
+
+def _run(controller, lux, duration, dt=1.0, cell=None):
+    """Run ``controller`` at constant ``lux`` on ``cell`` (the AM-1815)."""
+    cell = cell if cell is not None else am_1815()
+    pc = precompute_conditions(cell, constant_bench(lux), duration, dt)
+    return QuasiStaticSimulator(controller, pc, record=False).run(duration, dt=dt)
 
 
 class TestPlatformConfig:
@@ -46,14 +54,12 @@ class TestPlatformConfig:
 class TestSampleHoldMPPT:
     def test_samples_on_astable_grid(self):
         controller = SampleHoldMPPT(assume_started=True)
-        sim = QuasiStaticSimulator(am_1815(), controller, constant_bench(1000.0), record=False)
-        sim.run(3.0 * controller.config.astable.period + 2.0, dt=1.0)
+        _run(controller, 1000.0, 3.0 * controller.config.astable.period + 2.0)
         assert controller.sample_count == 4  # t=0 plus three periods
 
     def test_operating_point_near_design_ratio(self):
         controller = SampleHoldMPPT(assume_started=True)
-        sim = QuasiStaticSimulator(am_1815(), controller, constant_bench(1000.0), record=False)
-        sim.run(10.0, dt=1.0)
+        _run(controller, 1000.0, 10.0)
         voc = am_1815().voc(1000.0)
         v_op = controller.config.operating_point_from_held(controller.held_sample)
         assert v_op == pytest.approx(0.5955 * voc, rel=0.01)
@@ -63,16 +69,12 @@ class TestSampleHoldMPPT:
         controller = SampleHoldMPPT(
             config=PlatformConfig.trimmed_for_cell(cell, lux=1000.0), assume_started=True
         )
-        sim = QuasiStaticSimulator(cell, controller, constant_bench(1000.0), record=False)
-        summary = sim.run(300.0, dt=1.0)
+        summary = _run(controller, 1000.0, 300.0, cell=cell)
         assert summary.tracking_efficiency > 0.99
 
     def test_duty_loss_matches_astable(self):
         controller = SampleHoldMPPT(assume_started=True)
-        sim = QuasiStaticSimulator(
-            am_1815(), controller, constant_bench(1000.0), record=False
-        )
-        summary = sim.run(controller.config.astable.period * 10.0, dt=1.0)
+        summary = _run(controller, 1000.0, controller.config.astable.period * 10.0)
         # Duty loss is bounded by the astable duty cycle (~0.056 %).
         assert summary.tracking_efficiency > 0.8
 
@@ -89,14 +91,12 @@ class TestSampleHoldMPPT:
 
     def test_cold_start_completes_at_200_lux(self):
         controller = SampleHoldMPPT()  # must cold-start
-        sim = QuasiStaticSimulator(am_1815(), controller, constant_bench(200.0), record=False)
-        sim.run(10.0, dt=0.5)
+        _run(controller, 200.0, 10.0, dt=0.5)
         assert controller.powered
 
     def test_no_cold_start_in_darkness(self):
         controller = SampleHoldMPPT()
-        sim = QuasiStaticSimulator(am_1815(), controller, constant_bench(0.5), record=False)
-        summary = sim.run(30.0, dt=1.0)
+        summary = _run(controller, 0.5, 30.0)
         assert not controller.powered
         assert summary.energy_at_cell == 0.0
 
@@ -114,8 +114,7 @@ class TestSampleHoldMPPT:
 
     def test_reset_returns_to_dead(self):
         controller = SampleHoldMPPT()
-        sim = QuasiStaticSimulator(am_1815(), controller, constant_bench(500.0), record=False)
-        sim.run(5.0, dt=0.5)
+        _run(controller, 500.0, 5.0, dt=0.5)
         controller.reset()
         assert not controller.powered
         assert controller.sample_count == 0

@@ -101,16 +101,24 @@ class TestWiredConstructors:
     def test_simulator_rejects_nan_supply(self):
         from repro.baselines.hill_climbing import HillClimbing
         from repro.pv.cells import am_1815
+        from repro.sim.precompute import precompute_conditions
         from repro.sim.quasistatic import QuasiStaticSimulator
 
+        pc = precompute_conditions(am_1815(), lambda t: 1000.0, 10.0, 1.0)
         with pytest.raises(ConfigError) as excinfo:
-            QuasiStaticSimulator(
-                am_1815(),
-                HillClimbing(),
-                lambda t: 1000.0,
-                supply_voltage=NAN,
-            )
+            QuasiStaticSimulator(HillClimbing(), pc, supply_voltage=NAN)
         assert excinfo.value.field == "supply_voltage"
+
+    def test_precompute_rejects_nonpositive_temperature(self):
+        from repro.pv.cells import am_1815
+        from repro.sim.precompute import precompute_conditions
+
+        for temperature in (NAN, 0.0):
+            with pytest.raises(ConfigError) as excinfo:
+                precompute_conditions(
+                    am_1815(), lambda t: 1000.0, 10.0, 1.0, temperature=temperature
+                )
+            assert excinfo.value.field == "temperature"
 
     def test_platform_config_rejects_nan_alpha(self):
         from repro.core.config import PlatformConfig
