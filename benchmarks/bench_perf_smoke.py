@@ -105,7 +105,7 @@ def test_perf_smoke_compiled(save_result):
 # enabled (true cost measured ≈4 %), so 10 % is generous — a regression
 # here means someone put per-step work on the hot path.
 OBS_OVERHEAD_CEILING = 1.10
-_ROUNDS = 4
+_ROUNDS = 6
 
 
 def _one_run(duration: float, dt: float) -> float:
@@ -121,23 +121,32 @@ def test_obs_overhead(save_result):
     assert not obs.is_enabled()
     _one_run(duration, dt)  # warm-up: imports, allocator, branch caches
 
-    # Interleave the two modes and take min-of-rounds on both sides:
-    # back-to-back A/A then B/B measurement folds machine-wide drift
-    # (thermal, frequency scaling) straight into the ratio.
-    disabled_s = enabled_s = float("inf")
+    # Each round times the two modes in ABBA order (disabled, enabled,
+    # enabled, disabled), and min-of-rounds is taken on both sides: a
+    # machine-wide drift within a round (thermal, frequency scaling)
+    # then weighs on both modes alike instead of folding into the ratio.
+    timed = {False: float("inf"), True: float("inf")}
     counters = {}
-    try:
-        for _ in range(_ROUNDS):
-            obs.disable()
-            disabled_s = min(disabled_s, _one_run(duration, dt))
+
+    def timed_run(enabled: bool) -> None:
+        if enabled:
             obs.reset()
             obs.enable()
-            enabled_s = min(enabled_s, _one_run(duration, dt))
-            counters = export.counters_dict()
+        else:
+            obs.disable()
+        timed[enabled] = min(timed[enabled], _one_run(duration, dt))
+        if enabled:
+            counters.update(export.counters_dict())
+
+    try:
+        for _ in range(_ROUNDS):
+            for enabled in (False, True, True, False):
+                timed_run(enabled)
     finally:
         obs.disable()
         obs.reset()
 
+    disabled_s, enabled_s = timed[False], timed[True]
     assert counters.get("solver.lambertw_calls", 0) > 0
     ratio = enabled_s / disabled_s
     save_result(

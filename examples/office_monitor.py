@@ -48,15 +48,19 @@ def main() -> None:
     node = SensorNode(report_period=report_period, payload_bytes=16)
     load = node.load()
     storage = Supercapacitor(capacitance=1.0, rated_voltage=5.0, voltage=3.0)
+    dt = 5.0
     controller = SampleHoldMPPT(assume_started=True)
     sim = QuasiStaticSimulator(
         controller,
-        precompute_conditions(cell, office_desk_24h(), duration=24.0 * HOURS, dt=5.0),
+        precompute_conditions(cell, office_desk_24h(), duration=24.0 * HOURS, dt=dt),
         converter=BuckBoostConverter(),
         storage=storage,
-        load=load.power,
+        # The engine holds the load for a whole step: pass each step's
+        # average, not the power at its start (a report burst would
+        # otherwise be charged for all 5 s).
+        load=lambda t: load.mean_power(t, dt),
     )
-    summary = sim.run(duration=24.0 * HOURS, dt=5.0)
+    summary = sim.run(duration=24.0 * HOURS, dt=dt)
 
     print(f"\n24-hour validation at a {report_period:.0f} s report period:")
     print(f"  node average load:      {si_format(load.average_power(), 'W')}")

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import time as _time
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -518,20 +517,21 @@ class ReplayedSampleHold:
         series = replay_sample_hold(controller, precomputed)
         self.name = controller.name
         self.dt = float(precomputed.dt)
-        self._times = precomputed.times.tolist()
-        self._v_op, self._duty, self._overhead, self._valid = (
-            row.tolist() for row in series
-        )
+        # Decisions are immutable, so each step's is built once here and
+        # looked up by its start time.
+        self._decisions = {
+            t: ControlDecision(v, duty, overhead) if valid else ControlDecision(None, 0.0, overhead)
+            for t, v, duty, overhead, valid in zip(
+                precomputed.step_lists()[0], *(row.tolist() for row in series)
+            )
+        }
 
     def decide(self, obs: Observation) -> ControlDecision:
         """The replayed decision of the step starting at ``obs.time``."""
-        times = self._times
-        i = bisect_left(times, obs.time)
-        if i == len(times) or times[i] != obs.time or obs.dt != self.dt:
+        decision = self._decisions.get(obs.time)
+        if decision is None or obs.dt != self.dt:
             raise ModelParameterError(
                 f"step t={obs.time!r} s, dt={obs.dt!r} s is off the trace "
-                f"{self.name!r} replays (dt={self.dt!r} s, {len(times)} steps)"
+                f"{self.name!r} replays (dt={self.dt!r} s, {len(self._decisions)} steps)"
             )
-        if self._valid[i]:
-            return ControlDecision(self._v_op[i], self._duty[i], self._overhead[i])
-        return ControlDecision(None, 0.0, self._overhead[i])
+        return decision

@@ -80,6 +80,26 @@ class DutyCycledLoad:
         sleep_energy = (self.period - active_time) * self.sleep_power
         return (active_energy + sleep_energy) / self.period
 
+    def _cycle_energy(self, offset: float) -> float:
+        """Energy (J) drawn over the first ``offset`` seconds of a cycle."""
+        energy = 0.0
+        for _, duration, phase_power in self.phases:
+            if offset <= duration:
+                return energy + offset * phase_power
+            energy += duration * phase_power
+            offset -= duration
+        return energy + offset * self.sleep_power
+
+    def mean_power(self, t: float, dt: float) -> float:
+        """Exact average of :meth:`power` over ``[t, t + dt)``, watts, for
+        engines that hold one load per step; ``dt`` may span periods."""
+        if dt <= 0.0:
+            raise ModelParameterError(f"dt must be positive, got {dt!r}")
+        end, period, cycle_energy = t + dt, self.period, self._cycle_energy
+        cycles = end // period - t // period
+        energy = cycles * cycle_energy(period) + cycle_energy(end % period)
+        return (energy - cycle_energy(t % period)) / dt
+
     def duty_cycle(self) -> float:
         """Fraction of the period spent out of sleep."""
         return sum(duration for _, duration, _ in self.phases) / self.period

@@ -25,11 +25,19 @@ from typing import Union
 import numpy as np
 from scipy.special import lambertw, wrightomega
 
+try:  # lambertw's ufunc: the wrapper re-converts k per call, as slow as a scalar solve
+    from scipy.special._ufuncs import _lambertw
+except ImportError:  # pragma: no cover - a SciPy that moved it
+    _lambertw = lambertw
+
 from repro.errors import ConvergenceError, ModelParameterError, OperatingPointError
 from repro.obs.metrics import HOOKS as _OBS
 from repro.units import thermal_voltage, T_STC
 
 ArrayLike = Union[float, np.ndarray]
+
+_K0 = np.asarray(0, dtype=np.dtype("long"))
+"""Principal branch, converted as :func:`scipy.special.lambertw` does."""
 
 _LAMBERTW_DIRECT_MAX_LOG = 100.0
 """Above this value of ln(theta), evaluate W via the asymptotic Newton
@@ -52,7 +60,7 @@ def _lambertw_of_exp_scalar(x: float, exp=math.exp, log=math.log) -> float:
     if calls is not None:
         calls.inc()
     if x <= _LAMBERTW_DIRECT_MAX_LOG:
-        return lambertw(exp(x)).real
+        return float(_lambertw(exp(x), _K0, 1e-8).real)
     w = x - log(x)
     for iteration in range(24):
         f = w + log(w) - x
@@ -280,25 +288,36 @@ class SingleDiodeModel:
         return float(i[0]) if scalar else i
 
     def _current_at_scalar(self, v: float) -> float:
-        """Pure-scalar :meth:`current_at` — the hot path of long runs."""
-        a = self.modified_ideality
-        iph, i0, rs, rsh = (
-            self.photocurrent,
-            self.saturation_current,
-            self.series_resistance,
-            self.shunt_resistance,
-        )
+        """Pure-scalar :meth:`current_at` — the hot path of long runs.  Its
+        branch's v-free terms are memoised (:meth:`_scalar_constants`) in
+        :meth:`current_at`'s operand order, so its bits are the formula's."""
+        k = self.__dict__.get("_scalar_memo")
+        if k is None:
+            k = self._scalar_constants()
+            object.__setattr__(self, "_scalar_memo", k)
+        if k[0] == 2:
+            _, log_c, rsh, rs_s, a_rt, rsh_s, rt, a_rs = k
+            w = _lambertw_of_exp_scalar(log_c + rsh * (rs_s + v) / a_rt)
+            return (rsh_s - v) / rt - a_rs * w
+        if k[0] == 1:
+            _, log_c, rs_s, a, s, a_rs = k
+            w = _lambertw_of_exp_scalar(log_c + (v + rs_s) / a)
+            return s - a_rs * w
+        _, a, iph, i0, rsh = k
+        shunt = v / rsh if math.isfinite(rsh) else 0.0
+        return iph - i0 * math.expm1(min(v / a, 700.0)) - shunt
+
+    def _scalar_constants(self) -> tuple:
+        """Branch 0 below a nano-ohm of ``Rs``, 1 for infinite ``Rsh``, else 2."""
+        a, iph, i0 = self.modified_ideality, self.photocurrent, self.saturation_current
+        rs, rsh = self.series_resistance, self.shunt_resistance
         if rs < 1e-9:
-            shunt = v / rsh if math.isfinite(rsh) else 0.0
-            return iph - i0 * math.expm1(min(v / a, 700.0)) - shunt
+            return (0, a, iph, i0, rsh)
         if not math.isfinite(rsh):
-            log_theta = math.log(i0 * rs / a) + (v + rs * (iph + i0)) / a
-            w = _lambertw_of_exp_scalar(log_theta)
-            return iph + i0 - (a / rs) * w
+            return (1, math.log(i0 * rs / a), rs * (iph + i0), a, iph + i0, a / rs)
         rt = rs + rsh
-        log_theta = math.log(rs * rsh * i0 / (a * rt)) + rsh * (rs * (iph + i0) + v) / (a * rt)
-        w = _lambertw_of_exp_scalar(log_theta)
-        return (rsh * (iph + i0) - v) / rt - (a / rs) * w
+        log_c = math.log(rs * rsh * i0 / (a * rt))
+        return (2, log_c, rsh, rs * (iph + i0), a * rt, rsh * (iph + i0), rt, a / rs)
 
     def voltage_at(self, current: ArrayLike) -> ArrayLike:
         """Terminal voltage (volts) at terminal current(s) ``current``.

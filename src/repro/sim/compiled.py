@@ -80,7 +80,7 @@ def _run_lane(
 ) -> Optional[HarvestSummary]:
     """Advance one (technique, scenario) lane through its whole horizon.
 
-    The loop body is the scalar QuasiStaticSimulator.step chain with the
+    The loop body is the scalar QuasiStaticSimulator._advance step with the
     exact Supercapacitor.exchange / BuckBoostConverter.output_power
     arithmetic inlined.  Each step first picks the mode's operating
     voltage (bootstrap ``supply + _BOOT_DROP``, direct ``supply + drop``,

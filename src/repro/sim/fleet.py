@@ -2,8 +2,8 @@
 
 A started S&H platform is open-loop with respect to storage, so its
 chain is replayed once per lane by
-:class:`~repro.core.system.ReplayedSampleHold`, and each lane steps the
-real :class:`~repro.sim.quasistatic.QuasiStaticSimulator` over the
+:class:`~repro.core.system.ReplayedSampleHold`, and each lane runs the
+real :class:`~repro.sim.quasistatic.QuasiStaticSimulator` step body over the
 shared precomputed trace with its own (possibly fault-wrapped)
 converter and storage.  Converter transfer, supercapacitor exchange,
 fault ticks, numerical guards and the ideal-MPP replay are therefore the
@@ -77,8 +77,9 @@ class FleetSimulator:
             )
         with TRACER.span(f"fleet:run[{self.n}]"):
             for _, sim in self._sims:
+                advance = sim._advance
                 for _ in range(steps):
-                    sim.step(dt)
+                    advance(dt)
         self._step_index = steps
 
         h = _OBS.fleet_steps

@@ -132,6 +132,12 @@ class PrecomputedConditions:
     def __len__(self) -> int:
         return len(self.models)
 
+    def step_lists(self) -> "tuple[list, list]":
+        """``(times, lux)`` as float lists, built once for all scalar lanes."""
+        if "_step_lists" not in self.__dict__:
+            self._step_lists = (self.times.tolist(), self.lux.tolist())
+        return self._step_lists
+
     @property
     def unique_conditions(self) -> int:
         """Number of distinct conditions (the batch-solve workload)."""

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional, Protocol, runtime_checkable
 
 import repro.obs as obs
 from repro.errors import ModelParameterError, NumericalGuardError
@@ -36,9 +36,10 @@ from repro.sim.precompute import PrecomputedConditions
 from repro.sim.traces import TraceSet
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """Everything a controller may look at for one quasi-static step.
+
+    An immutable record (a named tuple).
 
     Attributes:
         time: step start time, seconds.
@@ -57,9 +58,17 @@ class Observation:
     supply_voltage: float
 
 
-@dataclass(frozen=True)
-class ControlDecision:
+class _DecisionFields(NamedTuple):
+    operating_voltage: Optional[float]
+    harvest_duty: float = 1.0
+    overhead_current: float = 0.0
+    note: str = ""
+
+
+class ControlDecision(_DecisionFields):
     """A controller's output for one step.
+
+    An immutable record (a named tuple) validated on construction.
 
     Attributes:
         operating_voltage: PV terminal voltage commanded for the step,
@@ -72,18 +81,19 @@ class ControlDecision:
         note: free-form diagnostic tag.
     """
 
-    operating_voltage: Optional[float]
-    harvest_duty: float = 1.0
-    overhead_current: float = 0.0
-    note: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.harvest_duty <= 1.0:
-            raise ModelParameterError(f"harvest_duty must be in [0, 1], got {self.harvest_duty!r}")
-        if self.overhead_current < 0.0:
-            raise ModelParameterError(
-                f"overhead_current must be >= 0, got {self.overhead_current!r}"
-            )
+    def __new__(cls, operating_voltage, harvest_duty=1.0, overhead_current=0.0, note=""):
+        if not 0.0 <= harvest_duty <= 1.0:
+            raise ModelParameterError(f"harvest_duty must be in [0, 1], got {harvest_duty!r}")
+        if overhead_current < 0.0:
+            raise ModelParameterError(f"overhead_current must be >= 0, got {overhead_current!r}")
+        return tuple.__new__(cls, (operating_voltage, harvest_duty, overhead_current, note))
+
+    @classmethod
+    def _make(cls, iterable) -> "ControlDecision":
+        """Validate like the constructor (``_replace`` builds through here)."""
+        return cls(*iterable)
 
 
 @runtime_checkable
@@ -212,7 +222,10 @@ class QuasiStaticSimulator:
             ``output_power(p_in, v_in, v_out) -> float``; identity if None.
         storage: optional energy store; if None an ideal infinite sink at
             ``supply_voltage`` is assumed.
-        load: optional callable ``p_load(t)`` drawn from storage, watts.
+        load: optional callable ``p_load(t)`` drawn from storage, watts;
+            ``load(t)`` at the step start is held for the whole step, so a
+            load that changes within a step should pass its step average
+            (e.g. :meth:`repro.node.loads.DutyCycledLoad.mean_power`).
         supply_voltage: rail powering the controller when no storage is
             modelled (with storage, its terminal voltage is used).
         record: whether to record traces.
@@ -240,11 +253,16 @@ class QuasiStaticSimulator:
         # Controllers read model.mpp() from the trace's memos.
         precomputed.solve_deferred()
         self.precomputed = precomputed
+        self._dt = precomputed.dt
+        self._models = precomputed.models
+        self._times, self._lux = precomputed.step_lists()
         # The ideal-MPP power each step is credited with: its condition's
         # ideal-key claimant replay (PrecomputedConditions.ideal_power).
         self._ideal = precomputed.ideal_power()[precomputed.u_row].tolist()
         self.traces = TraceSet()
-        self.summary = HarvestSummary(final_storage_voltage=self._storage_voltage())
+        self.summary = HarvestSummary(
+            final_storage_voltage=supply_voltage if storage is None else storage.voltage
+        )
         self.time = 0.0
         self._step_index = 0
         # Fault wrappers (repro.faults.components) are time-aware but
@@ -252,11 +270,6 @@ class QuasiStaticSimulator:
         # a tick(t, dt) hook the engine calls at the top of each step.
         self._converter_tick = getattr(converter, "tick", None)
         self._storage_tick = getattr(storage, "tick", None)
-
-    def _storage_voltage(self) -> float:
-        if self.storage is not None:
-            return self.storage.voltage
-        return self.supply_voltage
 
     # --- checkpoint protocol --------------------------------------------------
 
@@ -306,45 +319,49 @@ class QuasiStaticSimulator:
 
     def step(self, dt: float) -> StepResult:
         """Advance one quasi-static step of ``dt`` seconds along the trace."""
+        return StepResult(*self._advance(dt))
+
+    def _advance(self, dt: float) -> tuple:
+        """The step body :meth:`step`, :meth:`run` and the fleet lanes share.
+
+        Returns :class:`StepResult`'s fields as a tuple, so loops that
+        only need the summary build no record.
+        """
         if dt <= 0.0:
             raise ModelParameterError(f"dt must be positive, got {dt!r}")
         t = self.time
-        pc = self.precomputed
         index = self._step_index
-        if not (0 <= index < len(pc.models) and dt == pc.dt and t == pc.times[index]):
+        times = self._times
+        if not (0 <= index < len(times) and dt == self._dt and t == times[index]):
             raise ModelParameterError(f"step t={t!r} s, dt={dt!r} s is off the precomputed trace")
         if self._converter_tick is not None:
             self._converter_tick(t, dt)
         if self._storage_tick is not None:
             self._storage_tick(t, dt)
-        lux = float(pc.lux[index])
-        model = pc.models[index]
-        storage_v = self._storage_voltage()
-        supply_v = storage_v if self.storage is not None else self.supply_voltage
+        lux = self._lux[index]
+        model = self._models[index]
+        storage = self.storage
+        # With storage, the controller runs off the store's terminal.
+        supply_v = self.supply_voltage if storage is None else storage.voltage
 
-        obs = Observation(
-            time=t,
-            dt=dt,
-            cell_model=model,
-            lux=lux,
-            storage_voltage=storage_v,
-            supply_voltage=supply_v,
-        )
-        decision = self.controller.decide(obs)
+        # Observation(t, dt, model, lux, supply_v, supply_v), built the
+        # way its _make does, without the keyword-binding __new__.
+        observation = tuple.__new__(Observation, (t, dt, model, lux, supply_v, supply_v))
+        decision = self.controller.decide(observation)
+        v = decision.operating_voltage
 
         # Power extracted from the cell at the commanded operating point.
-        if decision.operating_voltage is None or lux <= 0.0:
+        if v is None or lux <= 0.0:
             pv_power = 0.0
         else:
-            v = decision.operating_voltage
-            current = float(model.current_at(v)) if v > 0.0 else 0.0
-            pv_power = max(0.0, v * current) * decision.harvest_duty
+            pv_power = v * float(model.current_at(v)) if v > 0.0 else 0.0
+            if not pv_power > 0.0:  # max(0.0, v * current)
+                pv_power = 0.0
+            pv_power *= decision.harvest_duty
 
-        # Converter transfer.
+        # Converter transfer (a positive pv_power implies v > 0).
         if self.converter is not None and pv_power > 0.0:
-            delivered = self.converter.output_power(
-                pv_power, decision.operating_voltage or 0.0, storage_v
-            )
+            delivered = self.converter.output_power(pv_power, v, supply_v)
         else:
             delivered = pv_power
 
@@ -359,53 +376,41 @@ class QuasiStaticSimulator:
         overhead = decision.overhead_current * supply_v
         load_power = self.load(t) if self.load is not None else 0.0
 
-        # Ideal benchmark for the same step.
-        ideal = self._ideal[index]
-
-        # Storage bookkeeping.
-        if self.storage is not None:
-            accepted = self.storage.exchange(delivered, dt)
-            self.storage.exchange(-(overhead + load_power), dt)
+        # Storage bookkeeping: the charge first (leakage rides on it).
+        if storage is not None:
+            accepted = storage.exchange(delivered, dt)
+            storage.exchange(-(overhead + load_power), dt)
+            storage_v = storage.voltage
         else:
             accepted = delivered
-
-        final_storage_v = self._storage_voltage()
-        if not math.isfinite(final_storage_v):
+            storage_v = supply_v
+        if not math.isfinite(storage_v):
             raise NumericalGuardError(
-                f"storage voltage went non-finite ({final_storage_v!r}) at t={t:.6g} s",
+                f"storage voltage went non-finite ({storage_v!r}) at t={t:.6g} s",
                 signal="v_storage",
                 time=t,
             )
 
-        self.summary.duration += dt
-        self.summary.energy_ideal += ideal * dt
-        self.summary.energy_at_cell += pv_power * dt
-        self.summary.energy_delivered += accepted * dt
-        self.summary.energy_overhead += overhead * dt
-        self.summary.energy_load += load_power * dt
-        self.summary.final_storage_voltage = self._storage_voltage()
+        summary = self.summary
+        summary.duration += dt
+        summary.energy_ideal += self._ideal[index] * dt
+        summary.energy_at_cell += pv_power * dt
+        summary.energy_delivered += accepted * dt
+        summary.energy_overhead += overhead * dt
+        summary.energy_load += load_power * dt
+        summary.final_storage_voltage = storage_v
 
         if self.record:
             self.traces.record("lux", t, lux)
-            self.traces.record(
-                "v_pv", t, decision.operating_voltage if decision.operating_voltage is not None else 0.0
-            )
+            self.traces.record("v_pv", t, v if v is not None else 0.0)
             self.traces.record("p_pv", t, pv_power)
             self.traces.record("p_delivered", t, delivered)
             self.traces.record("p_overhead", t, overhead)
-            self.traces.record("v_storage", t, self._storage_voltage())
+            self.traces.record("v_storage", t, storage_v)
 
-        self.time += dt
-        self._step_index += 1
-        return StepResult(
-            time=t,
-            lux=lux,
-            operating_voltage=decision.operating_voltage,
-            pv_power=pv_power,
-            delivered_power=delivered,
-            overhead_power=overhead,
-            storage_voltage=self._storage_voltage(),
-        )
+        self.time = t + dt
+        self._step_index = index + 1
+        return t, lux, v, pv_power, delivered, overhead, storage_v
 
     def run(self, duration: float, dt: float = 1.0) -> HarvestSummary:
         """Run for ``duration`` seconds in steps of ``dt``; returns the summary.
@@ -418,7 +423,8 @@ class QuasiStaticSimulator:
         wrapped in a ``technique:<name>`` span, step timing is sampled
         into ``step`` child spans and the ``sim.step_seconds`` histogram,
         and per-technique step/energy counters are flushed at the end.
-        The disabled path is byte-for-byte the original loop.
+        Both paths step the same body as :meth:`step` without building
+        a :class:`StepResult` per step.
         """
         steps = int(round(duration / dt))
         j = _journal.JOURNAL
@@ -432,8 +438,9 @@ class QuasiStaticSimulator:
                 ),
             )
         if not obs.is_enabled():
+            advance = self._advance
             for _ in range(steps):
-                self.step(dt)
+                advance(dt)
             return self.summary
         return self._run_instrumented(steps, dt)
 
@@ -459,17 +466,18 @@ class QuasiStaticSimulator:
         # all the untimed majority spends on sampling).
         sample_every = max(1, steps // 16)
         next_sample = 0
+        advance = self._advance
         with tracer.span(f"technique:{name}"):
             for i in range(steps):
                 if i == next_sample:
                     next_sample += sample_every
                     t0 = perf_counter()
-                    self.step(dt)
+                    advance(dt)
                     elapsed = perf_counter() - t0
                     tracer.add("step", elapsed)
                     step_hist.observe(elapsed)
                 else:
-                    self.step(dt)
+                    advance(dt)
         labels = {"technique": name}
         registry.counter("sim.steps", "quasi-static steps simulated", labels).inc(steps)
         delivered = self.summary.energy_delivered - delivered_before

@@ -53,23 +53,6 @@ class Supercapacitor:
         """Stored energy, joules."""
         return 0.5 * self.capacitance * self.voltage * self.voltage
 
-    @property
-    def headroom_energy(self) -> float:
-        """Energy acceptable before hitting the voltage clamp, joules."""
-        full = 0.5 * self.capacitance * self.rated_voltage * self.rated_voltage
-        return max(0.0, full - self.stored_energy)
-
-    def _esr_loss(self, power: float) -> float:
-        """ESR dissipation (watts) while exchanging ``power`` at the terminal.
-
-        Capped at |power|: the averaged model cannot dissipate more than
-        it moves (a real charger would simply fail to push that current).
-        """
-        if self.voltage <= 1e-9:
-            return 0.0
-        current = abs(power) / self.voltage
-        return min(current * current * self.esr, abs(power))
-
     def exchange(self, power: float, dt: float) -> float:
         """Exchange ``power`` watts with the store for ``dt`` seconds.
 
@@ -85,36 +68,48 @@ class Supercapacitor:
         if dt <= 0.0:
             raise ModelParameterError(f"dt must be positive, got {dt!r}")
 
-        loss = self._esr_loss(power)
-        leak = self.leakage_current * self.voltage
-        full = 0.5 * self.capacitance * self.rated_voltage * self.rated_voltage
+        v = self.voltage
+        c = self.capacitance
+        # ESR dissipation while exchanging ``power`` at the terminal,
+        # capped at |power|: the averaged model cannot dissipate more than
+        # it moves (a real charger would simply fail to push that current).
+        if v <= 1e-9:
+            loss = 0.0
+        else:
+            magnitude = abs(power)
+            current = magnitude / v
+            loss = current * current * self.esr
+            if magnitude < loss:  # min(loss, |power|)
+                loss = magnitude
+        leak = self.leakage_current * v
+        full = 0.5 * c * self.rated_voltage * self.rated_voltage
+        stored = 0.5 * c * v * v  # stored_energy
 
         if power >= 0.0:
             requested = power
             stored_delta = max(0.0, power - loss) - leak
-            energy = max(0.0, self.stored_energy + stored_delta * dt)
+            energy = max(0.0, stored + stored_delta * dt)
             if energy > full:
                 # Clamp: report the terminal power pro-rated to what fit.
-                fitted = full - self.stored_energy
+                fitted = full - stored
                 if stored_delta > 0.0:
                     requested = power * fitted / (stored_delta * dt)
                 energy = full
-            self.voltage = math.sqrt(2.0 * energy / self.capacitance)
+            self.voltage = math.sqrt(2.0 * energy / c)
             return requested
 
         # Discharge: the store cannot deliver more terminal energy than
         # it holds, regardless of loss bookkeeping.
         drawn_internal = (-power + loss + leak) * dt
-        available = self.stored_energy
-        if drawn_internal <= available:
-            energy = available - drawn_internal
+        if drawn_internal <= stored:
+            energy = stored - drawn_internal
             requested = power
         else:
             energy = 0.0
             # Terminal share of what was actually available.
-            fraction = available / drawn_internal if drawn_internal > 0.0 else 0.0
+            fraction = stored / drawn_internal if drawn_internal > 0.0 else 0.0
             requested = power * fraction
-        self.voltage = math.sqrt(2.0 * energy / self.capacitance)
+        self.voltage = math.sqrt(2.0 * energy / c)
         return requested
 
     def state_dict(self) -> dict:
