@@ -101,9 +101,10 @@ def test_perf_smoke_compiled(save_result):
 
 # Instrumentation budget: enabled-vs-disabled wall time on the smoke
 # slice.  The hooks pattern costs one attribute load + None test per
-# site when disabled and the tracer samples ~16 steps per run when
-# enabled (true cost measured ≈4 %), so 10 % is generous — a regression
-# here means someone put per-step work on the hot path.
+# site when disabled, and an enabled lane run adds one span and three
+# counter flushes, none per step (true cost measured ≈3 %), so 10 % is
+# generous — a regression here means someone put per-step work on the
+# hot path.
 OBS_OVERHEAD_CEILING = 1.10
 _ROUNDS = 6
 

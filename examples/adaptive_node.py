@@ -71,7 +71,7 @@ def main(hours: float = 51.0) -> None:
         precompute_conditions(cell, environment, chunks * CHUNK, DT),
         converter=BuckBoostConverter(),
         storage=storage,
-        load=scheduler.power,
+        load=lambda t: scheduler.mean_power(t, DT),
     )
 
     print(f"{'hour':>5} {'store(V)':>9} {'period(s)':>10} {'reports':>8} {'state':>12}")

@@ -23,7 +23,7 @@ from repro.analysis.efficiency import (
     crossover_lux,
 )
 from repro.analysis.power_budget import PowerBudget, BudgetLine, proposed_platform_budget
-from repro.analysis.reporting import format_table, format_si
+from repro.analysis.reporting import format_table
 from repro.analysis.montecarlo import (
     ToleranceSpec,
     MonteCarloResult,
@@ -43,7 +43,6 @@ __all__ = [
     "BudgetLine",
     "proposed_platform_budget",
     "format_table",
-    "format_si",
     "ToleranceSpec",
     "MonteCarloResult",
     "run_sample_hold_montecarlo",

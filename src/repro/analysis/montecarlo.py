@@ -13,7 +13,7 @@ All sampling is seeded and reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -21,6 +21,7 @@ import numpy as np
 from repro.analog.components import Capacitor, ResistiveDivider, Resistor
 from repro.analog.opamp import OpAmpSpec, UnityGainBuffer
 from repro.analog.switch import AnalogSwitch, AnalogSwitchSpec
+from repro.ckpt.checkpoint import check_spec_match, load_checkpoint, save_checkpoint
 from repro.ckpt.drain import check_drain
 from repro.core.sample_hold import SampleHoldCircuit, evaluate_sample_hold_boards
 from repro.errors import ModelParameterError
@@ -334,77 +335,57 @@ def run_sample_hold_montecarlo(
         for chunk in chunks_in
     ]
 
-    if not checkpointing:
-        with journal.run_scope(
-            "montecarlo",
-            spec={"experiment": "sample-hold-montecarlo", "boards": boards,
-                  "lux": lux, "seed": seed, "engine": engine},
-            total_steps=boards,
-        ) as scope:
-            chunks = []
-            for batch in batches:
-                chunks.append(evaluate(batch))
-                scope.advance(len(batch.draws))
-    else:
-        from dataclasses import asdict
-
-        from repro.ckpt.checkpoint import (
-            check_spec_match,
-            load_checkpoint,
-            save_checkpoint,
-        )
-
-        run_spec = {
-            "experiment": "sample-hold-montecarlo",
-            "boards": boards,
-            "cell": getattr(cell, "name", type(cell).__name__),
-            "lux": lux,
-            "nominal_ratio": nominal_ratio,
-            "total_resistance": total_resistance,
-            "alpha": alpha,
-            "pulse_width": pulse_width,
-            "tolerances": asdict(tolerances),
-            "seed": seed,
-            "chunks": len(batches),
-            "engine": engine,
+    run_spec = {
+        "experiment": "sample-hold-montecarlo",
+        "boards": boards,
+        "cell": getattr(cell, "name", type(cell).__name__),
+        "lux": lux,
+        "nominal_ratio": nominal_ratio,
+        "total_resistance": total_resistance,
+        "alpha": alpha,
+        "pulse_width": pulse_width,
+        "tolerances": asdict(tolerances),
+        "seed": seed,
+        "chunks": len(batches),
+        "engine": engine,
+    }
+    # Older checkpoints predate the shading axis; only spec it when used.
+    if factors is not None:
+        run_spec["factors"] = [float(f) for f in factors]
+    done: dict = {}
+    if resume_from is not None:
+        envelope = load_checkpoint(resume_from, kind="montecarlo")
+        check_spec_match(envelope, run_spec, resume_from)
+        done = {
+            int(index): np.asarray(values)
+            for index, values in envelope["state"]["chunks"].items()
         }
-        # Older checkpoints predate the shading axis; only spec it when used.
-        if factors is not None:
-            run_spec["factors"] = [float(f) for f in factors]
-        done: dict = {}
-        if resume_from is not None:
-            envelope = load_checkpoint(resume_from, kind="montecarlo")
-            check_spec_match(envelope, run_spec, resume_from)
-            done = {
-                int(index): np.asarray(values)
-                for index, values in envelope["state"]["chunks"].items()
-            }
-        pending = [i for i in range(len(batches)) if i not in done]
-        with journal.run_scope(
-            "montecarlo",
-            spec=run_spec,
-            total_steps=boards,
-            resumed_steps=sum(len(done[i]) for i in done),
-        ) as scope:
-            for i in pending:
-                done[i] = evaluate(batches[i])
-                if checkpoint_path is not None:
-                    save_checkpoint(
-                        checkpoint_path,
-                        kind="montecarlo",
-                        state={
-                            "chunks": {
-                                str(index): [float(v) for v in values]
-                                for index, values in done.items()
-                            }
-                        },
-                        spec=run_spec,
-                        meta={"chunks_done": len(done), "chunks_total": len(batches)},
-                    )
-                scope.advance(len(done[i]))
-                if len(done) < len(batches):
-                    check_drain(checkpoint_path, "montecarlo", len(done), len(batches))
-        chunks = [done[i] for i in range(len(batches))]
+    pending = [i for i in range(len(batches)) if i not in done]
+    with journal.run_scope(
+        "montecarlo",
+        spec=run_spec,
+        total_steps=boards,
+        resumed_steps=sum(len(done[i]) for i in done),
+    ) as scope:
+        for i in pending:
+            done[i] = evaluate(batches[i])
+            if checkpoint_path is not None:
+                save_checkpoint(
+                    checkpoint_path,
+                    kind="montecarlo",
+                    state={
+                        "chunks": {
+                            str(index): [float(v) for v in values]
+                            for index, values in done.items()
+                        }
+                    },
+                    spec=run_spec,
+                    meta={"chunks_done": len(done), "chunks_total": len(batches)},
+                )
+            scope.advance(len(done[i]))
+            if len(done) < len(batches):
+                check_drain(checkpoint_path, "montecarlo", len(done), len(batches))
+    chunks = [done[i] for i in range(len(batches))]
 
     ratios = np.concatenate(chunks) if chunks else np.empty(0)
 

@@ -9,12 +9,6 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.errors import ModelParameterError
-from repro.units import si_format
-
-
-def format_si(value: float, unit: str = "", digits: int = 3) -> str:
-    """Engineering-notation formatting (re-exported for bench scripts)."""
-    return si_format(value, unit, digits)
 
 
 def format_table(

@@ -255,7 +255,7 @@ def _cmd_profile(args) -> str:
     was_enabled = obs.is_enabled()
     obs.enable()
     try:
-        with obs.TRACER.trace(f"profile:{args.experiment}"):
+        with obs.TRACER.span(f"profile:{args.experiment}"):
             text = COMMANDS[args.experiment](target_args)
     finally:
         if not was_enabled:

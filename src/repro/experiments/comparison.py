@@ -338,7 +338,7 @@ def run_comparison(
         "shading": shading,
     }
     total_steps = steps_per_run * len(selected_scenarios) * len(selected_techniques)
-    with TRACER.trace("comparison"), journal.run_scope(
+    with TRACER.span("comparison"), journal.run_scope(
         "comparison", spec=spec_summary, total_steps=total_steps
     ) as scope:
         batch_steps = steps_per_run * len(selected_techniques)

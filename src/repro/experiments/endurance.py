@@ -149,7 +149,7 @@ def _build_week(
         precomputed,
         converter=BuckBoostConverter(),
         storage=storage,
-        load=scheduler.power,
+        load=lambda t: scheduler.mean_power(t, dt),
         record=False,
     )
     return sim, storage, scheduler

@@ -7,8 +7,9 @@ stretches or shrinks with the energy store's state of charge, bounded by
 application limits, so the node rides through nights and dark days and
 spends surplus when the store is comfortable.
 
-It composes with the quasi-static engine as a ``load`` callable, and the
-``adaptive_node.py`` example runs it through the office-desk day.
+It composes with the quasi-static engine as a step-averaged ``load``
+(:meth:`EnergyAwareScheduler.mean_power`), and the ``adaptive_node.py``
+example runs it through the office-desk day.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ class EnergyAwareScheduler:
             require_finite(getattr(self, name), name)
         if self.v_survival >= self.v_comfort:
             raise ModelParameterError("v_survival must be below v_comfort")
+        if self.min_period <= 0.0:
+            raise ModelParameterError("min_period must be positive")
         if self.min_period >= self.max_period:
             raise ModelParameterError("min_period must be below max_period")
         if self.update_interval <= 0.0:
@@ -123,13 +126,19 @@ class EnergyAwareScheduler:
 
     # --- load interface --------------------------------------------------------------
 
-    def power(self, t: float) -> float:
-        """Instantaneous node power (watts) — the simulator's load hook.
+    def mean_power(self, t: float, dt: float) -> float:
+        """Average node power (watts) over the step ``[t, t + dt)``.
 
-        Re-evaluates the policy every ``update_interval``; between
-        reports the node sleeps; each report costs the node's per-report
-        energy spread over its active time.
+        The simulator's load hook, for engines that hold one load per
+        step: pass ``lambda t: scheduler.mean_power(t, dt)``.
+        Re-evaluates the policy every ``update_interval``; the node
+        sleeps between reports, and each report due within the step adds
+        its energy spread over the step.  Reports fall due one period
+        after the previous one, not on the step grid, so a longer step
+        neither drops nor delays them.
         """
+        if dt <= 0.0:
+            raise ModelParameterError(f"dt must be positive, got {dt!r}")
         if t >= self._next_update:
             voltage = getattr(self.storage, "voltage", self.v_comfort)
             period = self.period_for_voltage(voltage)
@@ -146,16 +155,13 @@ class EnergyAwareScheduler:
         if self._hibernating:
             return self.node.sleep_power
 
-        if t >= self._next_report:
-            self._reports_sent += 1
-            self._next_report = t + self._current_period
-            # Report energy as an impulse spread over the update tick the
-            # quasi-static engine will integrate (dt-scale accuracy).
-            return self.node.sleep_power + self.node.energy_per_report() / self.update_interval
-
-        return self.node.sleep_power
-
-    __call__ = power
+        reports = 0
+        end = t + dt
+        while self._next_report < end:
+            reports += 1
+            self._next_report += self._current_period
+        self._reports_sent += reports
+        return self.node.sleep_power + reports * self.node.energy_per_report() / dt
 
     # --- checkpoint protocol --------------------------------------------------------
 

@@ -3,11 +3,11 @@
 Three formats, one source of truth (:data:`~repro.obs.metrics.REGISTRY`
 plus :data:`~repro.obs.tracing.TRACER`):
 
-* :func:`run_report` — a JSON-able dict with every instrument and the
+* :func:`run_report` — a JSON-able dict with every counter and the
   full span tree; what CI uploads per run.
 * :func:`prometheus_text` — Prometheus text exposition (``# HELP`` /
-  ``# TYPE`` + samples, histograms as cumulative ``_bucket`` series),
-  scrape-ready if a node ever serves it over HTTP.
+  ``# TYPE`` + ``_total`` samples), scrape-ready if a node ever serves
+  it over HTTP.
 * :func:`collapsed_stacks` — Brendan-Gregg collapsed-stack lines
   (``root;child;leaf <self-time-µs>``), directly consumable by
   ``flamegraph.pl`` or speedscope.
@@ -21,9 +21,9 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, REGISTRY
+from repro.obs.metrics import MetricsRegistry, REGISTRY
 from repro.obs.tracing import TraceNode, Tracer, TRACER
 
 _PROM_PREFIX = "repro_"
@@ -35,10 +35,8 @@ def _prom_name(name: str) -> str:
     return _PROM_PREFIX + cleaned
 
 
-def _prom_labels(labels, extra: str = "") -> str:
+def _prom_labels(labels) -> str:
     parts = [f'{k}="{v}"' for k, v in labels]
-    if extra:
-        parts.append(extra)
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
@@ -53,30 +51,18 @@ def run_report(
     tracer: Tracer = TRACER,
     note: str = "",
 ) -> dict:
-    """The JSON run-report: all instruments plus the span tree.
+    """The JSON run-report: all counters plus the span tree.
 
     Args:
         registry: metrics source (default: the process-wide one).
         tracer: trace source (default: the process-wide one).
         note: free-form context stored in the report header.
     """
-    metrics: List[dict] = []
-    for inst in registry.instruments():
-        entry = {"name": inst.name, "labels": dict(inst.labels),
-                 "description": inst.description}
-        if isinstance(inst, Counter):
-            entry.update(kind="counter", value=inst.value)
-        elif isinstance(inst, Gauge):
-            entry.update(kind="gauge", value=inst.value)
-        elif isinstance(inst, Histogram):
-            entry.update(
-                kind="histogram",
-                buckets=list(inst.buckets),
-                counts=list(inst.counts),
-                sum=inst.sum,
-                count=inst.count,
-            )
-        metrics.append(entry)
+    metrics = [
+        {"name": inst.name, "labels": dict(inst.labels), "description": inst.description,
+         "kind": "counter", "value": inst.value}
+        for inst in registry.instruments()
+    ]
     return {
         "schema": 1,
         "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -87,37 +73,17 @@ def run_report(
 
 
 def prometheus_text(registry: MetricsRegistry = REGISTRY) -> str:
-    """Prometheus text exposition of every registered instrument."""
+    """Prometheus text exposition of every registered counter."""
     lines: List[str] = []
     seen_headers = set()
     for inst in registry.instruments():
-        if isinstance(inst, Counter):
-            base = _prom_name(inst.name) + "_total"
-            kind = "counter"
-        elif isinstance(inst, Gauge):
-            base = _prom_name(inst.name)
-            kind = "gauge"
-        else:
-            base = _prom_name(inst.name)
-            kind = "histogram"
+        base = _prom_name(inst.name) + "_total"
         if base not in seen_headers:
             seen_headers.add(base)
             if inst.description:
                 lines.append(f"# HELP {base} {inst.description}")
-            lines.append(f"# TYPE {base} {kind}")
-        if isinstance(inst, (Counter, Gauge)):
-            lines.append(f"{base}{_prom_labels(inst.labels)} {_fmt(inst.value)}")
-        else:
-            cumulative = 0
-            for bound, count in zip(inst.buckets, inst.counts):
-                cumulative += count
-                le = 'le="' + repr(bound) + '"'
-                lines.append(f"{base}_bucket{_prom_labels(inst.labels, le)} {cumulative}")
-            cumulative += inst.counts[-1]
-            inf = 'le="+Inf"'
-            lines.append(f"{base}_bucket{_prom_labels(inst.labels, inf)} {cumulative}")
-            lines.append(f"{base}_sum{_prom_labels(inst.labels)} {repr(inst.sum)}")
-            lines.append(f"{base}_count{_prom_labels(inst.labels)} {inst.count}")
+            lines.append(f"# TYPE {base} counter")
+        lines.append(f"{base}{_prom_labels(inst.labels)} {_fmt(inst.value)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -152,7 +118,7 @@ def render_summary(
 ) -> str:
     """A terminal-friendly digest: busiest counters and slowest spans."""
     lines = ["observability summary", "---------------------"]
-    counters = [i for i in registry.instruments() if isinstance(i, Counter) and i.value]
+    counters = [i for i in registry.instruments() if i.value]
     counters.sort(key=lambda c: c.value, reverse=True)
     for c in counters[:top]:
         label = c.name
@@ -220,7 +186,7 @@ def counters_dict(registry: MetricsRegistry = REGISTRY) -> "dict[str, float]":
     """
     out = {}
     for inst in registry.instruments():
-        if isinstance(inst, Counter) and inst.value:
+        if inst.value:
             name = inst.name
             if inst.labels:
                 name += "{" + ",".join(f"{k}={v}" for k, v in inst.labels) + "}"

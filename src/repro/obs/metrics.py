@@ -1,16 +1,13 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Process-wide metrics registry: named, labelled counters.
 
 The observability layer's first half (the second is
 :mod:`repro.obs.tracing`).  A :class:`MetricsRegistry` owns named
-instruments; the module-level :data:`REGISTRY` is the process-wide one
-every hot path reports into.  Three instrument kinds cover everything
-the engine needs:
-
-* :class:`Counter` — monotone accumulator (solver iterations, cache
-  hits, fault-window activations, per-technique energy totals).
-* :class:`Gauge` — last-value instrument (cache size, current report
-  period).
-* :class:`Histogram` — bucketed distribution (sampled step durations).
+:class:`Counter` instruments — monotone accumulators (solver
+iterations, cache hits, fault-window activations, per-technique step
+counts and energy totals); the module-level :data:`REGISTRY` is the
+process-wide one every hot path reports into.  Timing lives in the
+span tree, not here: a technique's per-step wall time is its span's
+``total_s`` divided by its ``sim.steps`` counter.
 
 Zero-overhead-when-disabled contract
 ------------------------------------
@@ -34,14 +31,9 @@ wiring and the engines' instrumented code paths.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import ModelParameterError
-
-DEFAULT_TIME_BUCKETS = (
-    1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 1.0,
-)
-"""Latency buckets (seconds) spanning sub-microsecond steps to 1 s specs."""
 
 
 def _label_key(labels: Optional[Mapping[str, str]]) -> Tuple[Tuple[str, str], ...]:
@@ -68,114 +60,34 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A last-value instrument."""
-
-    __slots__ = ("name", "description", "labels", "value")
-
-    def __init__(self, name: str, description: str = "", labels: Tuple[Tuple[str, str], ...] = ()):
-        self.name = name
-        self.description = description
-        self.labels = labels
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Record the current value."""
-        self.value = float(value)
-
-
-class Histogram:
-    """A cumulative-bucket histogram (Prometheus semantics).
-
-    Args:
-        name: instrument name.
-        description: one-line help text.
-        buckets: ascending upper bounds; an implicit +Inf bucket is
-            always present.
-    """
-
-    __slots__ = ("name", "description", "labels", "buckets", "counts", "sum", "count")
-
-    def __init__(
-        self,
-        name: str,
-        description: str = "",
-        buckets: Iterable[float] = DEFAULT_TIME_BUCKETS,
-        labels: Tuple[Tuple[str, str], ...] = (),
-    ):
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ModelParameterError("histogram needs at least one bucket bound")
-        self.name = name
-        self.description = description
-        self.labels = labels
-        self.buckets = bounds
-        self.counts = [0] * (len(bounds) + 1)  # last slot = +Inf
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        v = float(value)
-        self.sum += v
-        self.count += 1
-        for i, bound in enumerate(self.buckets):
-            if v <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
-
-
 class MetricsRegistry:
-    """Named-instrument store with get-or-create accessors.
+    """Named-counter store with a get-or-create accessor.
 
-    Thread-safe for instrument creation (hot-path increments are plain
+    Thread-safe for counter creation (hot-path increments are plain
     attribute updates on the instrument, which is the GIL-atomic pattern
     CPython counters rely on).
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._instruments: "Dict[Tuple[str, Tuple[Tuple[str, str], ...]], object]" = {}
-
-    def _get_or_create(self, kind, name, description, labels, **kwargs):
-        key = (name, _label_key(labels))
-        inst = self._instruments.get(key)
-        if inst is None:
-            with self._lock:
-                inst = self._instruments.get(key)
-                if inst is None:
-                    inst = kind(name, description=description, labels=key[1], **kwargs)
-                    self._instruments[key] = inst
-        if not isinstance(inst, kind):
-            raise ModelParameterError(
-                f"instrument {name!r} already registered as {type(inst).__name__}, "
-                f"not {kind.__name__}"
-            )
-        return inst
+        self._instruments: "Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Counter]" = {}
 
     def counter(self, name: str, description: str = "",
                 labels: Optional[Mapping[str, str]] = None) -> Counter:
         """Get or create the counter ``name`` (+ optional labels)."""
-        return self._get_or_create(Counter, name, description, labels)
-
-    def gauge(self, name: str, description: str = "",
-              labels: Optional[Mapping[str, str]] = None) -> Gauge:
-        """Get or create the gauge ``name``."""
-        return self._get_or_create(Gauge, name, description, labels)
-
-    def histogram(self, name: str, description: str = "",
-                  buckets: Iterable[float] = DEFAULT_TIME_BUCKETS,
-                  labels: Optional[Mapping[str, str]] = None) -> Histogram:
-        """Get or create the histogram ``name``."""
-        return self._get_or_create(Histogram, name, description, labels, buckets=buckets)
+        key = (name, _label_key(labels))
+        inst = self._instruments.get(key)
+        if inst is None:
+            with self._lock:
+                inst = self._instruments.setdefault(key, Counter(name, description, key[1]))
+        return inst
 
     def instruments(self):
-        """All registered instruments, sorted by (name, labels)."""
+        """All registered counters, sorted by (name, labels)."""
         return [self._instruments[k] for k in sorted(self._instruments)]
 
     def reset(self) -> None:
-        """Drop every instrument (names and values)."""
+        """Drop every counter (names and values)."""
         with self._lock:
             self._instruments.clear()
 
@@ -336,13 +248,10 @@ def uninstall_hooks() -> None:
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "REGISTRY",
     "Hooks",
     "HOOKS",
     "install_hooks",
     "uninstall_hooks",
-    "DEFAULT_TIME_BUCKETS",
 ]

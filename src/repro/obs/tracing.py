@@ -3,25 +3,28 @@
 The second half of the observability layer (the first is
 :mod:`repro.obs.metrics`).  A trace is a tree of named spans —
 
-    trace("comparison")
+    span("comparison")
       └─ span("scenario:office-desk")
            └─ span("technique:proposed-S&H-FOCV")
-                └─ span("step")            # sampled
 
 — but unlike an event tracer, which would record one entry per span
-occurrence (hopeless at 100 k steps/s), each tree node *aggregates* its
-occurrences: count, total/min/max wall time, measured with
-``time.perf_counter`` (monotonic).  The collapsed tree is exactly what
-a flamegraph wants (:func:`repro.obs.export.collapsed_stacks`).
+occurrence, each tree node *aggregates* its occurrences: count,
+total/min/max wall time, measured with ``time.perf_counter``
+(monotonic).  The collapsed tree is exactly what a flamegraph wants
+(:func:`repro.obs.export.collapsed_stacks`).
 
-Sampling is decided at the call site: hot loops open a ``"step"`` span
-for one in N iterations (the quasi-static engine samples ~16 steps per
-run) and report exact step counts through a counter instead.  The tree
-then carries *timing shape* while counters carry *exact totals*.
+Spans wrap whole runs and phases, never single steps: hot loops report
+exact step counts through a counter, so a technique's per-step wall
+time is its span's ``total_s`` over its ``sim.steps`` counter.
+
+Every thread keeps its own stack of open spans, rooted at the shared
+tree, so spans opened by concurrent threads (the service's workers)
+nest only under spans of their own thread.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Dict
 
@@ -32,7 +35,7 @@ class TraceNode:
     """One name in the span tree, aggregated over its occurrences.
 
     Attributes:
-        name: span name (``"technique:focv"``, ``"step"``, ...).
+        name: span name (``"technique:focv"``, ``"precompute"``, ...).
         count: recorded occurrences.
         total_s: summed wall time, seconds.
         min_s / max_s: extremes over occurrences, seconds.
@@ -50,11 +53,10 @@ class TraceNode:
         self.children: "Dict[str, TraceNode]" = {}
 
     def child(self, name: str) -> "TraceNode":
-        """Get-or-create the child span ``name``."""
+        """Get-or-create the child span ``name`` (atomic across threads)."""
         node = self.children.get(name)
         if node is None:
-            node = TraceNode(name)
-            self.children[name] = node
+            node = self.children.setdefault(name, TraceNode(name))
         return node
 
     def add(self, duration_s: float) -> None:
@@ -100,16 +102,16 @@ _NULL_SPAN = _NullSpan()
 
 
 class _SpanContext:
-    """A live span: times the block and pushes itself on the tracer stack."""
+    """A live span: times the block and pushes itself on its thread's stack."""
 
-    __slots__ = ("_tracer", "_name", "_node", "_t0")
+    __slots__ = ("_tracer", "_name", "_node", "_stack", "_t0")
 
     def __init__(self, tracer: "Tracer", name: str):
         self._tracer = tracer
         self._name = name
 
     def __enter__(self):
-        stack = self._tracer._stack
+        stack = self._stack = self._tracer._thread_stack()
         self._node = stack[-1].child(self._name)
         stack.append(self._node)
         self._t0 = time.perf_counter()
@@ -118,38 +120,47 @@ class _SpanContext:
     def __exit__(self, exc_type, exc, tb):
         duration = time.perf_counter() - self._t0
         self._node.add(duration)
-        stack = self._tracer._stack
-        if stack and stack[-1] is self._node:
+        stack = self._stack
+        if stack[-1] is self._node:
             stack.pop()
         return False
 
 
 class Tracer:
-    """The span recorder: a root tree plus the currently-open span stack.
+    """The span recorder: a root tree plus each thread's open-span stack.
 
     Disabled by default; :func:`repro.obs.enable` flips ``enabled``.
     While disabled, :meth:`span` returns a shared no-op context, so an
-    un-instrumented run pays one attribute test per span site.
+    un-instrumented run pays one attribute test per span site and
+    touches no thread-local state.
     """
 
     def __init__(self):
         self.enabled = False
         self.root = TraceNode("root")
-        self._stack = [self.root]
+        self._local = threading.local()
+
+    def _thread_stack(self) -> list:
+        """The calling thread's open-span stack, rooted at :attr:`root`.
+
+        A thread's first span, or its first after :meth:`reset` swapped
+        the root, starts a fresh stack.
+        """
+        local = self._local
+        stack = getattr(local, "stack", None)
+        if stack is None or stack[0] is not self.root:
+            stack = local.stack = [self.root]
+        return stack
 
     def span(self, name: str):
         """Context manager timing one occurrence of span ``name``.
 
         Nested calls build the hierarchy: the span opens as a child of
-        whatever span is innermost on entry.
+        whatever span is innermost in the calling thread on entry.
         """
         if not self.enabled:
             return _NULL_SPAN
         return _SpanContext(self, name)
-
-    # ``trace`` is the readability alias for opening a root-level phase:
-    # trace("comparison") > span("technique:focv") > span("step").
-    trace = span
 
     def add(self, name: str, duration_s: float) -> None:
         """Record one pre-timed occurrence of ``name`` under the current span.
@@ -159,16 +170,20 @@ class Tracer:
         """
         if not self.enabled:
             return
-        self._stack[-1].child(name).add(duration_s)
+        self._thread_stack()[-1].child(name).add(duration_s)
 
     def reset(self) -> None:
-        """Drop the recorded tree (open spans would dangle — reset between runs)."""
-        if len(self._stack) > 1:
+        """Drop the recorded tree (reset between runs).
+
+        Refuses while the calling thread has a span open, which would
+        dangle; other threads start fresh stacks on their next span.
+        """
+        open_spans = len(self._thread_stack()) - 1
+        if open_spans:
             raise ModelParameterError(
-                f"cannot reset tracer with {len(self._stack) - 1} span(s) still open"
+                f"cannot reset tracer with {open_spans} span(s) still open"
             )
         self.root = TraceNode("root")
-        self._stack = [self.root]
 
     def snapshot(self) -> dict:
         """Plain-data form of the whole recorded tree."""

@@ -25,7 +25,6 @@ scalar engine.
 """
 
 from repro.sim.traces import Trace, TraceSet
-from repro.sim.events import EventQueue, Event
 from repro.sim.transient import TransientSimulator
 from repro.sim.quasistatic import QuasiStaticSimulator, StepResult, HarvestSummary
 from repro.sim.precompute import PrecomputedConditions, precompute_conditions
@@ -33,8 +32,6 @@ from repro.sim.precompute import PrecomputedConditions, precompute_conditions
 __all__ = [
     "Trace",
     "TraceSet",
-    "EventQueue",
-    "Event",
     "TransientSimulator",
     "QuasiStaticSimulator",
     "StepResult",

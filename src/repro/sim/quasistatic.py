@@ -417,77 +417,40 @@ class QuasiStaticSimulator:
 
         Successive calls continue along the trace, so a run in chunks
         needs a trace covering the whole horizon; a step past its end
-        raises.
+        raises.  Each step is the body :meth:`step` runs, without
+        building a :class:`StepResult`.
 
-        With observability enabled (:func:`repro.obs.enable`) the run is
-        wrapped in a ``technique:<name>`` span, step timing is sampled
-        into ``step`` child spans and the ``sim.step_seconds`` histogram,
-        and per-technique step/energy counters are flushed at the end.
-        Both paths step the same body as :meth:`step` without building
-        a :class:`StepResult` per step.
+        The run is one ``technique:<name>`` span (a shared no-op while
+        tracing is off).  With observability enabled
+        (:func:`repro.obs.enable`) it adds its steps to
+        ``sim.steps{technique=}`` and its energy deltas to
+        ``sim.energy_delivered_j`` / ``sim.energy_overhead_j``, so the
+        span's ``total_s`` over ``sim.steps`` is the wall time per step.
         """
         steps = int(round(duration / dt))
+        name = getattr(self.controller, "name", type(self.controller).__name__)
         j = _journal.JOURNAL
         if j is not None:
-            j.emit(
-                _journal.ENGINE_RUN,
-                engine="scalar",
-                steps=steps,
-                technique=getattr(
-                    self.controller, "name", type(self.controller).__name__
-                ),
-            )
-        if not obs.is_enabled():
-            advance = self._advance
+            j.emit(_journal.ENGINE_RUN, engine="scalar", steps=steps, technique=name)
+        summary = self.summary
+        delivered_before = summary.energy_delivered
+        overhead_before = summary.energy_overhead
+        advance = self._advance
+        with obs.TRACER.span(f"technique:{name}"):
             for _ in range(steps):
                 advance(dt)
-            return self.summary
-        return self._run_instrumented(steps, dt)
-
-    def _run_instrumented(self, steps: int, dt: float) -> HarvestSummary:
-        """The observed run loop: identical numerics, sampled span timing.
-
-        Counters are accumulated locally and flushed to the registry
-        once per run, so the enabled overhead stays within the perf
-        gate's 10 % budget even at ~100 k steps/s.
-        """
-        from time import perf_counter
-
-        name = getattr(self.controller, "name", type(self.controller).__name__)
-        registry = obs.REGISTRY
-        tracer = obs.TRACER
-        delivered_before = self.summary.energy_delivered
-        overhead_before = self.summary.energy_overhead
-        step_hist = registry.histogram(
-            "sim.step_seconds", "sampled quasi-static step wall time"
-        )
-        # ~16 timed steps per run keeps the timing shape without paying
-        # two clock reads on every step (an equality test per step is
-        # all the untimed majority spends on sampling).
-        sample_every = max(1, steps // 16)
-        next_sample = 0
-        advance = self._advance
-        with tracer.span(f"technique:{name}"):
-            for i in range(steps):
-                if i == next_sample:
-                    next_sample += sample_every
-                    t0 = perf_counter()
-                    advance(dt)
-                    elapsed = perf_counter() - t0
-                    tracer.add("step", elapsed)
-                    step_hist.observe(elapsed)
-                else:
-                    advance(dt)
-        labels = {"technique": name}
-        registry.counter("sim.steps", "quasi-static steps simulated", labels).inc(steps)
-        delivered = self.summary.energy_delivered - delivered_before
-        overhead = self.summary.energy_overhead - overhead_before
-        if delivered > 0.0:
-            registry.counter(
-                "sim.energy_delivered_j", "post-converter energy into storage", labels
-            ).inc(delivered)
-        if overhead > 0.0:
-            registry.counter(
-                "sim.energy_overhead_j", "controller supply energy", labels
-            ).inc(overhead)
-        return self.summary
+        if obs.is_enabled():
+            registry = obs.REGISTRY
+            labels = {"technique": name}
+            registry.counter("sim.steps", "quasi-static steps simulated", labels).inc(steps)
+            delivered = summary.energy_delivered - delivered_before
+            overhead = summary.energy_overhead - overhead_before
+            if delivered > 0.0:
+                registry.counter(
+                    "sim.energy_delivered_j", "post-converter energy into storage", labels
+                ).inc(delivered)
+            if overhead > 0.0:
+                registry.counter(
+                    "sim.energy_overhead_j", "controller supply energy", labels
+                ).inc(overhead)
+        return summary

@@ -100,27 +100,22 @@ class TransientSimulator:
         if duration < 0.0:
             raise ModelParameterError(f"duration must be >= 0, got {duration!r}")
         steps = int(round(duration / self.dt))
-        if not obs.is_enabled():
-            return self._run_steps(steps)
         system_name = type(self.system).__name__
         with obs.TRACER.span(f"transient:{system_name}"):
-            traces = self._run_steps(steps)
-        obs.REGISTRY.counter(
-            "sim.transient_steps",
-            "fixed-timestep transient integration steps",
-            {"system": system_name},
-        ).inc(steps)
-        return traces
-
-    def _run_steps(self, steps: int) -> TraceSet:
-        if self._step_count == 0:
-            self._record(self.time)
-        for _ in range(steps):
-            self.system.advance(self.time, self.dt)
-            self.time += self.dt
-            self._step_count += 1
-            if self._step_count % self.record_every == 0:
+            if self._step_count == 0:
                 self._record(self.time)
+            for _ in range(steps):
+                self.system.advance(self.time, self.dt)
+                self.time += self.dt
+                self._step_count += 1
+                if self._step_count % self.record_every == 0:
+                    self._record(self.time)
+        if obs.is_enabled():
+            obs.REGISTRY.counter(
+                "sim.transient_steps",
+                "fixed-timestep transient integration steps",
+                {"system": system_name},
+            ).inc(steps)
         return self.traces
 
     def run_until(self, predicate, timeout: float, check_every: int = 1) -> float:

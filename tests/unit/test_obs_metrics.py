@@ -1,4 +1,4 @@
-"""The metrics registry: instruments, labels, hook wiring."""
+"""The metrics registry: counters, labels, hook wiring."""
 
 import pytest
 
@@ -6,9 +6,7 @@ import repro.obs as obs
 from repro.errors import ModelParameterError
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     HOOKS,
-    Histogram,
     MetricsRegistry,
     REGISTRY,
     install_hooks,
@@ -41,23 +39,6 @@ class TestInstruments:
         with pytest.raises(ModelParameterError):
             Counter("c").inc(-1.0)
 
-    def test_gauge_last_value_wins(self):
-        g = Gauge("g")
-        g.set(3.0)
-        g.set(1.5)
-        assert g.value == 1.5
-
-    def test_histogram_buckets_and_totals(self):
-        h = Histogram("h", buckets=(1.0, 10.0))
-        for v in (0.5, 5.0, 50.0):
-            h.observe(v)
-        assert h.counts == [1, 1, 1]  # <=1, <=10, +Inf overflow
-        assert h.sum == 55.5
-        assert h.count == 3
-
-    def test_histogram_requires_buckets(self):
-        with pytest.raises(ModelParameterError):
-            Histogram("h", buckets=())
 
 
 class TestRegistry:
@@ -75,11 +56,6 @@ class TestRegistry:
         a = registry.counter("x", labels={"p": "1", "q": "2"})
         b = registry.counter("x", labels={"q": "2", "p": "1"})
         assert a is b
-
-    def test_kind_mismatch_raises(self, registry):
-        registry.counter("name")
-        with pytest.raises(ModelParameterError):
-            registry.gauge("name")
 
     def test_reset_drops_everything(self, registry):
         registry.counter("a").inc()

@@ -83,6 +83,10 @@ class TestSchedulerPolicy:
                 min_period=100.0,
                 max_period=50.0,
             )
+        with pytest.raises(ModelParameterError):
+            EnergyAwareScheduler(
+                node=SensorNode(), storage=FakeStore(3.0), min_period=0.0, max_period=50.0
+            )
 
 
 class TestSchedulerDynamics:
@@ -94,7 +98,7 @@ class TestSchedulerDynamics:
         )
         t = 0.0
         for _ in range(100):
-            sched.power(t)
+            sched.mean_power(t, 10.0)
             t += 10.0
         assert sched.reports_sent >= 30  # ~one per 30 s over 1000 s
 
@@ -103,7 +107,7 @@ class TestSchedulerDynamics:
         sched = EnergyAwareScheduler(node=SensorNode(), storage=store, update_interval=10.0)
         t = 0.0
         for _ in range(50):
-            power = sched.power(t)
+            power = sched.mean_power(t, 10.0)
             t += 10.0
         assert sched.hibernating
         assert sched.reports_sent == 0
@@ -113,10 +117,10 @@ class TestSchedulerDynamics:
         store = FakeStore(1.8)
         sched = EnergyAwareScheduler(node=SensorNode(), storage=store, update_interval=10.0)
         for i in range(10):
-            sched.power(i * 10.0)
+            sched.mean_power(i * 10.0, 10.0)
         store.voltage = 4.5
         for i in range(10, 400):
-            sched.power(i * 10.0)
+            sched.mean_power(i * 10.0, 10.0)
         assert not sched.hibernating
         assert sched.reports_sent > 0
 
@@ -137,10 +141,27 @@ class TestSchedulerDynamics:
         sched = EnergyAwareScheduler(node=SensorNode(), storage=storage)
         sim = QuasiStaticSimulator(
             IdealMPPT(), precompute_conditions(am_1815(), constant_bench(1000.0), 1200.0, 10.0),
-            storage=storage, load=sched.power, record=False,
+            storage=storage, load=lambda t: sched.mean_power(t, 10.0), record=False,
         )
         sim.run(1200.0, dt=10.0)
         assert sched.reports_sent > 0
+
+    @pytest.mark.parametrize("dt", [10.0, 20.0, 60.0])
+    def test_charges_each_report_once_at_any_step(self, dt):
+        # A day on a comfortable store: one report per 30 s min_period,
+        # each charged its full energy, whatever the step length.
+        node = SensorNode()
+        sched = EnergyAwareScheduler(node=node, storage=FakeStore(4.5))
+        steps = int(86400.0 / dt)
+        energy = sum(sched.mean_power(k * dt, dt) * dt for k in range(steps))
+        assert sched.reports_sent == 2880
+        expected = 2880 * node.energy_per_report() + node.sleep_power * 86400.0
+        assert energy == pytest.approx(expected, rel=1e-12)
+
+    def test_non_positive_step_raises(self):
+        sched = EnergyAwareScheduler(node=SensorNode(), storage=FakeStore(4.5))
+        with pytest.raises(ModelParameterError):
+            sched.mean_power(0.0, 0.0)
 
 
 class TestNeutrality:

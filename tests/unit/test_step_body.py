@@ -1,8 +1,9 @@
 """The scalar engine's shared step body and the arithmetic it inlines.
 
 :meth:`QuasiStaticSimulator.step`, :meth:`QuasiStaticSimulator.run`
-(plain and observed) and the fleet lanes all step one body; here they
-must agree to the bit on a fully-faulted lane.  The step body's
+(with observability off and on) and the fleet lanes all step one body;
+here they must agree to the bit on a fully-faulted lane, and an observed
+run must report one technique span and exact step and energy counters.  The step body's
 rewritten helpers are pinned against transcriptions of the formulas
 they replace: :meth:`Supercapacitor.exchange` with its ESR loss and
 stored energy inlined, and the memoised :meth:`_current_at_scalar`.
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
+from repro.obs import export
 from repro.baselines.hill_climbing import HillClimbing
 from repro.converter.buck_boost import BuckBoostConverter
 from repro.core.system import ReplayedSampleHold, SampleHoldMPPT
@@ -87,6 +89,36 @@ class TestSharedStepBody:
         assert ran.storage.voltage == stepped.storage.voltage == observed.storage.voltage
         assert ran.summary.final_storage_voltage == ran.storage.voltage
         assert ran.summary.energy_load > 0.0
+
+    def test_chunked_observed_run_reports_one_span_and_exact_counters(self, conditions):
+        sim = _lane(conditions, "open")
+        name = sim.controller.name
+        half = STEPS // 2
+        try:
+            obs.reset()
+            obs.enable()
+            sim.run(half * DT, DT)
+            first = sim.summary.energy_delivered, sim.summary.energy_overhead
+            after_first = export.counters_dict()
+            sim.run((STEPS - half) * DT, DT)
+            counters = export.counters_dict()
+            span = obs.TRACER.root.children[f"technique:{name}"]
+        finally:
+            obs.disable()
+            obs.reset()
+
+        assert span.count == 2
+        assert span.children == {}
+        assert counters[f"sim.steps{{technique={name}}}"] == STEPS
+        delivered, overhead = sim.summary.energy_delivered, sim.summary.energy_overhead
+        assert after_first[f"sim.energy_delivered_j{{technique={name}}}"] == first[0]
+        assert after_first[f"sim.energy_overhead_j{{technique={name}}}"] == first[1]
+        assert counters[f"sim.energy_delivered_j{{technique={name}}}"] == first[0] + (
+            delivered - first[0]
+        )
+        assert counters[f"sim.energy_overhead_j{{technique={name}}}"] == first[1] + (
+            overhead - first[1]
+        )
 
     def test_step_result_reports_the_summary_voltage(self, conditions):
         sim = _lane(conditions, "short")

@@ -1,9 +1,8 @@
-"""Unit tests for trace recording and the event queue."""
+"""Unit tests for trace recording."""
 
 import pytest
 
-from repro.errors import SimulationError, TraceError
-from repro.sim.events import EventQueue
+from repro.errors import TraceError
 from repro.sim.traces import Trace, TraceSet
 
 
@@ -101,51 +100,3 @@ class TestTraceSet:
         second = ts.declare("x")
         assert first is second
 
-
-class TestEventQueue:
-    def test_fires_in_time_order(self):
-        q = EventQueue()
-        fired = []
-        q.schedule(2.0, lambda t: fired.append(("b", t)))
-        q.schedule(1.0, lambda t: fired.append(("a", t)))
-        q.fire_due(3.0)
-        assert fired == [("a", 1.0), ("b", 2.0)]
-
-    def test_ties_break_by_insertion(self):
-        q = EventQueue()
-        fired = []
-        q.schedule(1.0, lambda t: fired.append("first"))
-        q.schedule(1.0, lambda t: fired.append("second"))
-        q.fire_due(1.0)
-        assert fired == ["first", "second"]
-
-    def test_future_events_stay_queued(self):
-        q = EventQueue()
-        fired = []
-        q.schedule(5.0, lambda t: fired.append(t))
-        assert q.fire_due(1.0) == 0
-        assert len(q) == 1
-        assert q.next_time == 5.0
-
-    def test_actions_may_reschedule(self):
-        q = EventQueue()
-        fired = []
-
-        def action(t):
-            fired.append(t)
-            if t < 3.0:
-                q.schedule(t + 1.0, action)
-
-        q.schedule(1.0, action)
-        q.fire_due(10.0)
-        assert fired == [1.0, 2.0, 3.0]
-
-    def test_zero_delay_loop_detected(self):
-        q = EventQueue()
-
-        def forever(t):
-            q.schedule(t, forever)
-
-        q.schedule(0.0, forever)
-        with pytest.raises(SimulationError):
-            q.fire_due(0.0)
